@@ -86,17 +86,6 @@ VERIFICATION_ERRORS = (
 )
 
 
-def _threads():
-    raw = os.environ.get("KLEIN_LATTICE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError("KLEIN_LATTICE_THREADS must be an integer") from None
-    if n < 1:
-        raise ParseError("KLEIN_LATTICE_THREADS must be >= 1")
-    return n
-
-
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -251,7 +240,6 @@ def cmd_cone_verify(args):
         samples=args.samples,
         seed=args.seed,
         disjoint_word_len=args.disjoint_bound,
-        threads=_threads(),
     )
     if args.sectors_csv:
         emit_sectors(updated, args.sectors_csv, depth=args.sectors_depth)
@@ -297,16 +285,15 @@ def emit_sectors(cert, out_path, depth=3):
     else:
         for ray in cert.domain.rays:
             rows.append(["domain", "ray"] + [str(c) for c in ray])
-        from .cones import _group_layers, transform_cone
+        from .cones import transform_cone
 
-        layers = _group_layers(cert.group, depth)
-        for d, layer in enumerate(layers):
+        for d, layer in enumerate(cert.group.layers(depth)):
             if d == 0:
                 continue
-            for m, word in layer:
-                moved = transform_cone(cert.domain, m)
+            for el in layer:
+                moved = transform_cone(cert.domain, el.matrix)
                 for ray in moved.rays:
-                    rows.append([word, "ray"] + [str(c) for c in ray])
+                    rows.append([el.word, "ray"] + [str(c) for c in ray])
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

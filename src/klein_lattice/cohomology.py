@@ -20,6 +20,78 @@ from .errors import (
 )
 
 
+# --- the subgroup engine ---------------------------------------------------------
+#
+# Shared by FiniteGroup tables, the torsion words of matrix groups and the
+# cone pipeline in hodge; elements are any hashable values with a `mul`.
+
+
+def subgroup_closure(gens, mul, identity, bound=None, allowed=None):
+    """The subgroup generated by gens, by BFS from the identity multiplying
+    each new element by every generator.
+
+    Generators must have finite order, so closure under products is the
+    subgroup.  Returns None as soon as the set exceeds `bound` elements or
+    leaves the set `allowed`.
+    """
+    out = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y in out:
+                continue
+            if bound is not None and len(out) >= bound:
+                return None
+            if allowed is not None and y not in allowed:
+                return None
+            out.add(y)
+            frontier.append(y)
+    return frozenset(out)
+
+
+def extension_subgroups(candidates, mul, identity, bound=None, allowed=None):
+    """Every subgroup generated by candidates that subgroup_closure accepts,
+    by cyclic extension: adjoin one candidate to a found subgroup and close
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+
+    Each subgroup is reached through a chain of subgroups that it contains,
+    so with `allowed` the result is exactly the subgroups inside `allowed`.
+    """
+    trivial = frozenset({identity})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        h = frontier.pop()
+        for t in candidates:
+            if t in h:
+                continue
+            k = subgroup_closure(h | {t}, mul, identity, bound, allowed)
+            if k is not None and k not in found:
+                found.add(k)
+                frontier.append(k)
+    return found
+
+
+def _subgroup_key(h):
+    return (len(h), sorted(h))
+
+
+def conjugacy_representatives(subgroups, conjugators, mul, inv):
+    """One subgroup per conjugacy class under the given conjugators: the
+    first in (size, sorted elements) order not conjugate to an earlier one."""
+    pairs = [(c, inv(c)) for c in conjugators]
+    classes = []
+    seen = set()
+    for h in sorted(subgroups, key=_subgroup_key):
+        if h in seen:
+            continue
+        seen.update(frozenset(mul(mul(c, x), ci) for x in h) for c, ci in pairs)
+        classes.append(h)
+    return classes
+
+
 # --- finite groups ----------------------------------------------------------
 
 
@@ -92,20 +164,7 @@ class FiniteGroup:
         )
 
     def closure(self, subset):
-        out = {self.identity}
-        frontier = set(subset) | {self.identity}
-        out |= frontier
-        while True:
-            new = set()
-            for a in out:
-                for b in out:
-                    c = self.op(a, b)
-                    if c not in out:
-                        new.add(c)
-            if not new:
-                break
-            out |= new
-        return frozenset(out)
+        return subgroup_closure(tuple(subset), self.op, self.identity)
 
     def is_subgroup(self, subset):
         s = set(subset)
@@ -118,33 +177,13 @@ class FiniteGroup:
         return all(self.conj(g, x) in s for g in range(self.order) for x in s)
 
     def all_subgroups(self):
-        found = {frozenset({self.identity})}
-        frontier = [frozenset({self.identity})]
-        while frontier:
-            h = frontier.pop()
-            for x in range(self.order):
-                if x in h:
-                    continue
-                nh = self.closure(h | {x})
-                if nh not in found:
-                    found.add(nh)
-                    frontier.append(nh)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-    def conjugate_set(self, g, subset):
-        return frozenset(self.conj(g, x) for x in subset)
+        found = extension_subgroups(range(self.order), self.op, self.identity)
+        return sorted(found, key=_subgroup_key)
 
     def subgroups_up_to_conjugacy(self):
-        subs = self.all_subgroups()
-        classes = []
-        seen = set()
-        for h in subs:
-            if h in seen:
-                continue
-            orbit = {self.conjugate_set(g, h) for g in range(self.order)}
-            seen |= orbit
-            classes.append(h)
-        return classes
+        return conjugacy_representatives(
+            self.all_subgroups(), range(self.order), self.op, self.inv
+        )
 
     def generating_set(self):
         gens = []
@@ -152,7 +191,7 @@ class FiniteGroup:
         for x in sorted(range(self.order), key=lambda i: -self.element_order(i)):
             if x not in span:
                 gens.append(x)
-                span = self.closure(span | {x})
+                span = self.closure(gens)
             if len(span) == self.order:
                 break
         return gens
@@ -775,52 +814,14 @@ def finite_subgroup_classes_matrix(gamma, conj_bound=None):
     """Conjugacy classes of finite subgroups of a matrix group, by bounded
     enumeration: finite subgroups generated by torsion words, deduplicated by
     conjugation with words up to the bound.  Flagged BoundedSearch."""
-    n = gamma.lattice.rank
-    ident = la.identity_matrix(n)
+    ident = la.identity_matrix(gamma.lattice.rank)
     torsion = [m for m, _ in torsion_elements(gamma)]
-    subgroups = {frozenset({ident})}
-    frontier = [frozenset({ident})]
-    while frontier:
-        h = frontier.pop()
-        for t in torsion:
-            if t in h:
-                continue
-            closure = _matrix_closure(h | {t}, bound=64)
-            if closure is None:
-                continue
-            if closure not in subgroups:
-                subgroups.add(closure)
-                frontier.append(closure)
+    subgroups = extension_subgroups(torsion, la.mat_mul, ident, bound=64)
     conjugators = [el.matrix for el in gamma.elements_up_to(conj_bound)]
-    classes = []
-    seen = set()
-    for h in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
-        if h in seen:
-            continue
-        orbit = set()
-        for c in conjugators:
-            cinv = la.unimodular_inverse(c)
-            orbit.add(frozenset(la.mat_mul(la.mat_mul(c, m), cinv) for m in h))
-        seen |= orbit
-        classes.append(h)
+    classes = conjugacy_representatives(
+        subgroups, conjugators, la.mat_mul, la.unimodular_inverse
+    )
     return classes, "BoundedSearch"
-
-
-def _matrix_closure(mats, bound):
-    out = set(mats)
-    frontier = set(mats)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in out:
-                for c in (la.mat_mul(a, b), la.mat_mul(b, a)):
-                    if c not in out:
-                        new.add(c)
-        out |= new
-        if len(out) > bound:
-            return None
-        frontier = new
-    return frozenset(out)
 
 
 # --- filtration driver ---------------------------------------------------------

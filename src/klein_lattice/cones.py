@@ -426,30 +426,6 @@ class DomainCertificate:
         )
 
 
-def _group_layers(gamma, bound):
-    """BFS layers of group elements: layers[d] = elements first seen at depth d."""
-    n = gamma.lattice.rank
-    ident = la.identity_matrix(n)
-    gens = gamma.generator_elements()
-    seen = {ident: "e"}
-    layers = [[(ident, "e")]]
-    frontier = [(ident, "e")]
-    for _ in range(bound):
-        nxt = []
-        for m, w in frontier:
-            for g in gens:
-                prod_ = la.mat_mul(g.matrix, m)
-                if prod_ not in seen:
-                    word = g.word if w == "e" else g.word + "*" + w
-                    seen[prod_] = word
-                    nxt.append((prod_, word))
-        layers.append(nxt)
-        if not nxt:
-            break
-        frontier = nxt
-    return layers
-
-
 def dirichlet_domain(gamma, pos, xi, word_bound=None):
     """Dirichlet domain D = {x in C+ : <xi, x> <= <gamma xi, x> for all gamma}.
 
@@ -473,15 +449,15 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         raise NontrivialStabilizer("could not certify that the stabilizer is trivial")
     if len(st.members) != 1:
         raise NontrivialStabilizer("base point has a nontrivial stabilizer")
-    layers = _group_layers(gamma, word_bound)
     n = pos.dim
     g = pos.lattice.gram
     seen_points = {tuple(xiv)}
     halfspace_raw = []  # (depth, covector, matrix, word)
-    for depth, layer in enumerate(layers):
+    for depth, layer in enumerate(gamma.layers(word_bound)):
         if depth == 0:
             continue
-        for m, w in layer:
+        for el in layer:
+            m, w = el.matrix, el.word
             p = la.mat_vec(m, xiv)
             if tuple(p) in seen_points:
                 continue
@@ -632,13 +608,12 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
                 raise InvalidInput("input cone has a ray outside C+")
         if cone.lines:
             raise InvalidInput("input cones must be pointed (inside C+)")
-    layers = _group_layers(gamma, word_bound)
     found = {}
     growth = []
-    for depth, layer in enumerate(layers):
+    for layer in gamma.layers(word_bound):
         new = 0
-        for m, _ in layer:
-            moved = transform_cone(pi1, m)
+        for el in layer:
+            moved = transform_cone(pi1, el.matrix)
             inter = intersect(moved, pi2)
             if inter.is_zero():
                 continue
@@ -685,7 +660,7 @@ def sample_cone_points(pos, samples, seed, box=9):
 
 
 def verify_fundamental_domain(
-    cert, samples=200, seed=0, disjoint_word_len=6, max_steps=2000, threads=1
+    cert, samples=200, seed=0, disjoint_word_len=6, max_steps=2000
 ):
     """Sampled covering plus exact interior disjointness for a certificate.
 
@@ -693,34 +668,19 @@ def verify_fundamental_domain(
     procedure.  Disjointness: for every nonidentity word up to the bound,
     int(D) cap gamma . int(D) cap C is empty (exact polyhedral check).
     Raises CoverageFailure / DisjointnessFailure accordingly; returns
-    (report, certificate-with-evidence) on success.  threads > 1 fans the
-    sample reductions out over a thread pool with a deterministic merge.
+    (report, certificate-with-evidence) on success.
     """
     pos = cert.positive_cone
     points = sample_cone_points(pos, samples, seed)
     max_moves = 0
     if not cert.full_cone:
-
-        def reduce_one(p):
+        for p in points:
             try:
                 reduced, _, steps = reduce_into_domain(cert, p, max_steps=max_steps)
             except ReductionFailure as exc:
-                return ("fail", p, exc)
-            return ("ok", reduced, steps)
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(reduce_one, points))
-        else:
-            outcomes = [reduce_one(p) for p in points]
-        for p, outcome in zip(points, outcomes):
-            if outcome[0] == "fail":
                 raise CoverageFailure(
                     f"point {p} could not be reduced", point=p
-                ) from outcome[2]
-            reduced, steps = outcome[1], outcome[2]
+                ) from exc
             if not cert.domain_contains(reduced):
                 raise CoverageFailure(f"point {p} reduced outside D", point=p)
             max_moves = max(max_moves, steps)
@@ -732,18 +692,17 @@ def verify_fundamental_domain(
     }
     disjointness = {"word_bound": disjoint_word_len, "checked": 0, "status": "pass"}
     if not cert.full_cone:
-        layers = _group_layers(cert.group, disjoint_word_len)
         dcone = cert.domain
         checked = 0
-        for depth, layer in enumerate(layers):
+        for depth, layer in enumerate(cert.group.layers(disjoint_word_len)):
             if depth == 0:
                 continue
-            for m, word in layer:
-                moved = transform_cone(dcone, m)
+            for el in layer:
+                moved = transform_cone(dcone, el.matrix)
                 checked += 1
                 if interiors_meet_component(dcone, moved, pos):
                     raise DisjointnessFailure(
-                        f"interior overlap with translate by {word}", word=word
+                        f"interior overlap with translate by {el.word}", word=el.word
                     )
         disjointness["checked"] = checked
     report = {"covering": covering, "disjointness": disjointness}

@@ -7,9 +7,9 @@ classification pipeline on the ample cone.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from . import intlinalg as la
+from .cohomology import conjugacy_representatives, extension_subgroups
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -18,6 +18,7 @@ from .errors import (
     Undecidable,
 )
 from .cones import (
+    _integer_vectors_of_height,
     cone_from_rays,
     intersect,
     reduce_into_domain,
@@ -362,11 +363,6 @@ def open_cones_intersect(c1, c2):
     return intersect(c1, c2).dim() == d1
 
 
-def dagger_maps_cone(kmodel, dagger):
-    """Restriction of the dagger matrix to NS coordinates; None if NS moves."""
-    return kmodel.restrict_matrix(dagger)
-
-
 # --- Torelli-style predicates ---------------------------------------------------
 
 
@@ -545,7 +541,7 @@ def _anti_invariant_kahler_certificate(h, m, n):
     if not ker:
         return None
     for height in range(1, 8):
-        for coeffs in _coeff_vectors(len(ker), height):
+        for coeffs in _integer_vectors_of_height(len(ker), height):
             w = [0] * lat.rank
             for c, k in zip(coeffs, ker):
                 for i in range(lat.rank):
@@ -558,18 +554,6 @@ def _anti_invariant_kahler_certificate(h, m, n):
                     k += 1
                 return w, k
     return None
-
-
-def _coeff_vectors(dim, height):
-    def rec(prefix):
-        if len(prefix) == dim:
-            if max(abs(c) for c in prefix) == height:
-                yield tuple(prefix)
-            return
-        for c in range(-height, height + 1):
-            yield from rec(prefix + [c])
-
-    yield from rec([])
 
 
 # --- anti-invariant interior classes ----------------------------------------------
@@ -666,7 +650,7 @@ def classify_finite_subgroups_on_cone(gamma, cert):
     finite set S = {phi : phi(Sigma) cap Sigma != {0}}.
 
     Enumerates words up to the group's bound, keeps those meeting the domain,
-    lists the subsets of S closed under composition, and deduplicates by
+    lists the subgroups inside S by cyclic extension, and deduplicates by
     bounded conjugation.  Returns (representatives, report); completeness is
     BoundedSearch by construction.
     """
@@ -681,28 +665,16 @@ def classify_finite_subgroups_on_cone(gamma, cert):
             s_set.append(el.matrix)
     s_set = sorted(set(s_set))
     ident = la.identity_matrix(gamma.lattice.rank)
-    subgroups = set()
-    others = [m for m in s_set if m != ident]
-    for r in range(len(others) + 1):
-        for combo in combinations(others, r):
-            candidate = frozenset(combo) | {ident}
-            closed = all(
-                la.mat_mul(a, b) in candidate for a in candidate for b in candidate
-            )
-            if closed:
-                subgroups.add(candidate)
+    subgroups = extension_subgroups(
+        s_set, la.mat_mul, ident, allowed=frozenset(s_set)
+    )
     conjugators = [el.matrix for el in elements]
-    classes = []
-    seen = set()
-    for hset in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
-        if hset in seen:
-            continue
-        orbit = set()
-        for c in conjugators:
-            cinv = la.unimodular_inverse(c)
-            orbit.add(frozenset(la.mat_mul(la.mat_mul(c, mm), cinv) for mm in hset))
-        seen |= orbit
-        classes.append(tuple(sorted(hset)))
+    classes = [
+        tuple(sorted(h))
+        for h in conjugacy_representatives(
+            subgroups, conjugators, la.mat_mul, la.unimodular_inverse
+        )
+    ]
     report = {
         "s_size": len(s_set),
         "word_bound": gamma.word_bound,

@@ -13,10 +13,6 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_vector(n):
-    return (0,) * n
-
-
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
@@ -30,40 +26,12 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v, a):
-    # row vector times matrix
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
 def is_zero_vector(v):
     return all(x == 0 for x in v)
-
-
-def gram_pairing(gram, u, v):
-    return dot(mat_vec(gram, v), u)
-
-
-def vector_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, int(x) if isinstance(x, int) else abs(x.numerator))
-    return g
 
 
 def primitive_vector(v):
@@ -376,41 +344,6 @@ def solve_frac(a, b):
     for i, c in enumerate(piv_cols):
         x[c] = m[i][cols]
     return tuple(x)
-
-
-def frac_kernel(a):
-    """Basis of the rational kernel {x : A x = 0}."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * cols
-        x[fc] = Fraction(1)
-        for i, c in enumerate(piv_cols):
-            x[c] = -m[i][fc]
-        basis.append(tuple(x))
-    return basis
 
 
 def frac_inverse(a):

@@ -510,6 +510,32 @@ class GeneratedGroup:
                 out.append(GroupElement(minv, s, f"g{i}^-1"))
         return out
 
+    def layers(self, bound=None):
+        """BFS of distinct elements by word length: layers[d] holds the
+        elements first reached by a word of length d <= bound, layers[0] the
+        identity.  The list ends with an empty layer when the BFS exhausted
+        the group before the bound.
+        """
+        if bound is None:
+            bound = self.word_bound
+        ident = GroupElement(la.identity_matrix(self.lattice.rank), 1, "e")
+        gens = self.generator_elements()
+        seen = {ident.matrix}
+        layers = [[ident]]
+        for _ in range(bound):
+            new = []
+            for el in layers[-1]:
+                for g in gens:
+                    m = la.mat_mul(g.matrix, el.matrix)
+                    if m not in seen:
+                        seen.add(m)
+                        word = g.word if el.word == "e" else g.word + "*" + el.word
+                        new.append(GroupElement(m, g.sign * el.sign, word))
+            layers.append(new)
+            if not new:
+                break
+        return layers
+
     def enumeration(self, bound=None):
         """BFS of distinct elements with words of length <= bound.
 
@@ -517,29 +543,9 @@ class GeneratedGroup:
         group before hitting the bound, i.e. the group is finite and the
         enumeration is complete.
         """
-        if bound is None:
-            bound = self.word_bound
-        n = self.lattice.rank
-        ident = GroupElement(la.identity_matrix(n), 1, "e")
-        gens = self.generator_elements()
-        seen = {ident.matrix: ident}
-        frontier = [ident]
-        closed = not gens
-        for _ in range(bound):
-            new_frontier = []
-            for el in frontier:
-                for g in gens:
-                    m = la.mat_mul(g.matrix, el.matrix)
-                    if m not in seen:
-                        word = g.word if el.word == "e" else g.word + "*" + el.word
-                        ne = GroupElement(m, g.sign * el.sign, word)
-                        seen[m] = ne
-                        new_frontier.append(ne)
-            if not new_frontier:
-                closed = True
-                break
-            frontier = new_frontier
-        return list(seen.values()), closed
+        layers = self.layers(bound)
+        closed = not self.generators or not layers[-1]
+        return [el for layer in layers for el in layer], closed
 
     def elements_up_to(self, bound=None):
         """BFS enumeration of distinct elements with words of length <= bound."""

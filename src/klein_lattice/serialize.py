@@ -23,7 +23,7 @@ from .cohomology import (
     symmetric,
     trivial_action,
 )
-from .errors import ParseError
+from .errors import EmptyInput, ParseError
 from .hodge import HodgeLattice, KahlerModel, MonodromySpec
 from .isometry import GeneratedGroup, Isometry, KleinIsometry
 from .lattice import IntegerLattice, Sublattice, builtin
@@ -67,12 +67,6 @@ def mat_to_json(m):
     return [vec_to_json(row) for row in m]
 
 
-def mat_from_json(m):
-    if not isinstance(m, list):
-        raise ParseError("matrix must be a list of lists")
-    return tuple(vec_from_json(row) for row in m)
-
-
 def int_vec_from_json(v):
     out = vec_from_json(v)
     for x in out:
@@ -82,7 +76,12 @@ def int_vec_from_json(v):
 
 
 def int_mat_from_json(m):
-    return tuple(int_vec_from_json(row) for row in m)
+    if not isinstance(m, list):
+        raise ParseError("matrix must be a list of lists")
+    rows = tuple(int_vec_from_json(row) for row in m)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError("matrix rows must have equal length")
+    return rows
 
 
 # --- lattices ---------------------------------------------------------------
@@ -102,14 +101,12 @@ def lattice_from_json(obj):
     if "gram" not in obj:
         raise ParseError("lattice object needs a gram matrix")
     gram = int_mat_from_json(obj["gram"])
+    if not gram:
+        raise EmptyInput("gram matrix must have at least one row")
     lat = IntegerLattice(gram)
     if "rank" in obj and obj["rank"] != lat.rank:
         raise ParseError("declared rank does not match the gram matrix")
     return lat
-
-
-def sublattice_to_json(sub):
-    return {"basis": mat_to_json(sub.basis)}
 
 
 def sublattice_from_json(lat, obj):

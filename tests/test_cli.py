@@ -57,6 +57,18 @@ def test_exit_code_1_on_bad_input(capsys):
     assert main(["lattice", "signature", "--in", '{"gram": [[0,1],[2,0]]}']) == 1
 
 
+@pytest.mark.parametrize(
+    "gram, error",
+    [("5", "ParseError"), ("[[1, 0], [0]]", "ParseError"), ("[]", "EmptyInput")],
+)
+def test_malformed_gram_is_an_input_error(gram, error, capsys):
+    code = main(["lattice", "discriminant", "--in", '{"gram": %s}' % gram])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {error}: ")
+    assert captured.out == ""
+
+
 def test_exit_code_1_on_unknown_command(capsys):
     assert main(["bogus"]) == 1
     assert main(["lattice", "bogus"]) == 1
@@ -463,20 +475,3 @@ def test_out_file_written_atomically(tmp_path, pell_group_file, capsys):
     rep = json.loads(out.read_text())
     assert rep["result"]["signature"] == {"positive": 1, "zero": 0, "negative": 1}
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".klein-lattice-")]
-
-
-def test_threads_env_validation(monkeypatch, pell_group_file, tmp_path, capsys):
-    monkeypatch.setenv("KLEIN_LATTICE_THREADS", "2")
-    code, rep = run_cli(
-        ["cone", "domain", "--group", pell_group_file, "--base", "1,0", "--xi", "1,0"],
-        capsys,
-    )
-    assert code == 0
-    cpath = tmp_path / "c.json"
-    cpath.write_text(json.dumps(rep["result"]["certificate"]))
-    code, rep = run_cli(
-        ["cone", "verify", "--cert", str(cpath), "--samples", "20"], capsys
-    )
-    assert code == 0
-    monkeypatch.setenv("KLEIN_LATTICE_THREADS", "zero")
-    assert main(["cone", "verify", "--cert", str(cpath)]) == 1

@@ -30,7 +30,9 @@ from klein_lattice.cohomology import (
     les_of_pointed_sets,
     quaternion8,
     real_structure_classifier,
+    subgroup_closure,
     symmetric,
+    torsion_elements,
     trivial_action,
     twist_fiber_check,
     twist_subgroup,
@@ -127,6 +129,9 @@ def test_subgroup_machinery():
     q8 = quaternion8()
     assert len(q8.all_subgroups()) == 6
     assert len(q8.subgroups_up_to_conjugacy()) == 6  # all subgroups normal
+    s4 = symmetric(4)
+    assert len(s4.all_subgroups()) == 30
+    assert len(s4.subgroups_up_to_conjugacy()) == 11
 
 
 def test_quotient_group():
@@ -560,6 +565,14 @@ def test_matrix_group_dihedral_classes(dihedral_group):
     assert len(classes) == 3
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 2, 2]
+
+
+def test_closure_of_two_reflections_aborts_at_bound(dihedral_group):
+    # two distinct reflections generate the infinite dihedral group
+    ident = la.identity_matrix(2)
+    r1, r2 = [m for m, order in torsion_elements(dihedral_group) if order == 2][:2]
+    assert subgroup_closure((r1,), la.mat_mul, ident, bound=64) == {ident, r1}
+    assert subgroup_closure((r1, r2), la.mat_mul, ident, bound=64) is None
 
 
 def test_matrix_group_pell_torsion_free(pell_group):

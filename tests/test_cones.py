@@ -250,12 +250,6 @@ def test_verify_pell(pell_cert):
     assert updated.covering_evidence["seed"] == 11
 
 
-def test_verify_threaded_matches_sequential(pell_cert):
-    r1, _ = verify_fundamental_domain(pell_cert, samples=40, seed=3, threads=1)
-    r2, _ = verify_fundamental_domain(pell_cert, samples=40, seed=3, threads=4)
-    assert r1 == r2
-
-
 def test_verify_shrunken_domain_fails_coverage(pell_cert):
     bad = dataclasses.replace(pell_cert, halfspaces=pell_cert.halfspaces + ((1, -40),))
     with pytest.raises(CoverageFailure):

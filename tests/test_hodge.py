@@ -4,7 +4,7 @@ import pytest
 
 from klein_lattice import intlinalg as la
 from klein_lattice.cohomology import finite_subgroup_classes_matrix
-from klein_lattice.cones import cone_from_rays
+from klein_lattice.cones import cone_from_rays, intersect, transform_cone
 from klein_lattice.errors import InvalidInput, Undecidable
 from klein_lattice.hodge import (
     HodgeKind,
@@ -142,27 +142,25 @@ def test_neron_severi_u3():
     assert ns_plus_t_index(h) == 4  # NS + T has index 4 here
 
 
-def test_generic_period_gives_zero_ns():
-    # rank-4 lattice with an irrationality-free but NS-trivial period
-    lat = IntegerLattice(((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, -2)))
-    # find a valid rational period by brute scan
+def test_rational_period_ns_has_corank_two_and_finite_index():
+    # a rational period spans a positive definite plane, so NS is its
+    # nondegenerate complement of rank n - 2 and NS + T has finite index
     from itertools import product
 
-    found = None
-    for x in product(range(-2, 3), repeat=4):
-        for y in product(range(-2, 3), repeat=4):
-            if lat.pairing(x, y) != 0:
-                continue
+    lat = IntegerLattice(((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, -2)))
+    periods = 0
+    for x in product(range(-1, 2), repeat=4):
+        for y in product(range(-1, 2), repeat=4):
             qx, qy = lat.q(x), lat.q(y)
-            if qx == qy and qx > 0:
-                h = HodgeLattice(lat, x, y)
-                if neron_severi(h).rank == 0:
-                    found = h
-                    break
-        if found:
-            break
-    if found is not None:
-        assert transcendental(found).rank == 4
+            if lat.pairing(x, y) != 0 or qx != qy or qx <= 0:
+                continue
+            h = HodgeLattice(lat, x, y)
+            assert neron_severi(h).rank == 2
+            assert transcendental(h).rank == 2
+            index = ns_plus_t_index(h)
+            assert index is not None and index > 0
+            periods += 1
+    assert periods > 0
 
 
 def test_k3_lattice_period_gives_hyperbolic_ns():
@@ -483,6 +481,42 @@ def test_classify_subgroups_cross_module_agreement(dihedral_group, dihedral_cert
 
     for cl in cone_classes:
         assert any(same_class(cl, m) for m in mat_classes)
+
+
+def test_classify_subgroups_matches_closed_subset_scan(dihedral_group, dihedral_cert):
+    # reference: every subset of S containing the identity and closed under
+    # composition, deduplicated by conjugation with the enumerated words
+    from itertools import combinations
+
+    from klein_lattice.cohomology import extension_subgroups
+
+    domain = dihedral_cert.domain
+    words = [el.matrix for el in dihedral_group.elements_up_to()]
+    s_set = sorted(
+        {m for m in words if not intersect(transform_cone(domain, m), domain).is_zero()}
+    )
+    ident = la.identity_matrix(2)
+    nonidentity = [m for m in s_set if m != ident]
+    closed = set()
+    for r in range(len(nonidentity) + 1):
+        for combo in combinations(nonidentity, r):
+            cand = frozenset(combo) | {ident}
+            if all(la.mat_mul(a, b) in cand for a in cand for b in cand):
+                closed.add(cand)
+    expected = []
+    seen = set()
+    for h in sorted(closed, key=lambda s: (len(s), sorted(s))):
+        if h in seen:
+            continue
+        for c in words:
+            cinv = la.unimodular_inverse(c)
+            seen.add(frozenset(la.mat_mul(la.mat_mul(c, m), cinv) for m in h))
+        expected.append(tuple(sorted(h)))
+    found = extension_subgroups(s_set, la.mat_mul, ident, allowed=frozenset(s_set))
+    assert found == closed
+    classes, report = classify_finite_subgroups_on_cone(dihedral_group, dihedral_cert)
+    assert report["s_size"] == len(s_set)
+    assert classes == expected
 
 
 def test_classify_subgroups_order4_matches_abstract_lattice():
