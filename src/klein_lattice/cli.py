@@ -23,7 +23,6 @@ from .cohomology import (
     FgAbelian,
     filtration_driver_finite,
     filtration_driver_split,
-    finite_subgroup_classes_matrix,
     h1_finite,
     inner_twist_bijection,
     les_of_pointed_sets,

@@ -6,7 +6,7 @@ finite subgroups, the filtration finiteness driver, and the real-structure
 classifier for finite Klein groups.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from . import intlinalg as la
@@ -450,37 +450,49 @@ def enumerate_cocycles(gg):
 
 @dataclass(frozen=True)
 class H1Set:
-    """H^1(G, A) for a finite carrier: representatives plus the full Z^1."""
+    """H^1(G, A) for a finite carrier: representatives plus the full Z^1.
+
+    class_index maps every cocycle to the index of its class; it is derived
+    from the other fields and left out of equality, hashing and repr.
+    """
 
     ggroup: GGroup
     representatives: tuple
     base_point: int  # index into representatives of the trivial class
     cocycles: tuple
+    class_index: dict = field(compare=False, repr=False)
 
     @property
     def size(self):
         return len(self.representatives)
 
     def class_of(self, values):
-        for i, rep in enumerate(self.representatives):
-            if cocycles_equivalent(self.ggroup, rep, values) is not None:
-                return i
-        raise InvalidInput("not equivalent to any representative")
+        try:
+            return self.class_index[tuple(values)]
+        except KeyError:
+            raise InvalidInput("not equivalent to any representative") from None
 
 
 def h1_finite(gg):
+    """Classify Z^1 in enumeration order: each cocycle not yet indexed is the
+    next representative, and its whole A-orbit g -> w^-1 * z(g) * (g.w), the
+    relation cocycles_equivalent tests, gets its index."""
+    g, a = gg.group, gg.carrier
     cocycles = enumerate_cocycles(gg)
+    class_index = {}
     reps = []
     for z in cocycles:
-        if not any(cocycles_equivalent(gg, r, z) is not None for r in reps):
-            reps.append(z)
-    trivial = tuple([gg.carrier.identity] * gg.group.order)
-    base = next(
-        i
-        for i, r in enumerate(reps)
-        if cocycles_equivalent(gg, r, trivial) is not None
-    )
-    return H1Set(gg, tuple(reps), base, tuple(cocycles))
+        if z in class_index:
+            continue
+        for w in range(a.order):
+            wi = a.inv(w)
+            orbit_point = tuple(
+                a.op(a.op(wi, z[s]), gg.act(s, w)) for s in range(g.order)
+            )
+            class_index[orbit_point] = len(reps)
+        reps.append(z)
+    trivial = tuple([a.identity] * g.order)
+    return H1Set(gg, tuple(reps), class_index[trivial], tuple(cocycles), class_index)
 
 
 # --- twisting ----------------------------------------------------------------
@@ -612,54 +624,16 @@ def les_of_pointed_sets(ses):
 
     maps holds the explicit data: invariant inclusions/projections as element
     dictionaries, the connecting map on quotient invariants, and the two
-    induced maps on H^1 as class-index dictionaries.
+    induced maps on H^1 as class-index dictionaries.  exact_at is read off
+    their images and their fibers over the base points.
     """
-    g = ses.mid.group
-    ap, a, aq = ses.sub.carrier, ses.mid.carrier, ses.quot.carrier
+    aq = ses.quot.carrier
     h0p = invariants(ses.sub)
     h0 = invariants(ses.mid)
     h0q = invariants(ses.quot)
     h1p = h1_finite(ses.sub)
     h1 = h1_finite(ses.mid)
     h1q = h1_finite(ses.quot)
-    exact_at = {}
-
-    # node A^G: image of A'^G = fiber of (A^G -> A''^G) over identity
-    img = {ses.inclusion[x] for x in h0p}
-    fib = {x for x in h0 if ses.projection[x] == aq.identity}
-    exact_at["mid_invariants"] = img == fib
-
-    # node A''^G: image of A^G = fiber of delta over the trivial class
-    img_q = {ses.projection[x] for x in h0}
-    base_class = h1p.class_of(tuple([ap.identity] * g.order))
-    fib_q = {
-        x for x in h0q if h1p.class_of(connecting_map(ses, x)) == base_class
-    }
-    exact_at["quot_invariants"] = img_q == fib_q
-
-    # node H1(A'): image of delta = fiber of H1(A') -> H1(A) over base
-    delta_img = {h1p.class_of(connecting_map(ses, x)) for x in h0q}
-    base_mid = h1.class_of(tuple([a.identity] * g.order))
-    fib_h1p = {
-        i
-        for i, rep in enumerate(h1p.representatives)
-        if h1.class_of(tuple(ses.inclusion[v] for v in rep)) == base_mid
-    }
-    exact_at["h1_sub"] = delta_img == fib_h1p
-
-    # node H1(A): image of H1(A') = fiber of H1(A) -> H1(A'') over base
-    img_h1 = {
-        h1.class_of(tuple(ses.inclusion[v] for v in rep))
-        for rep in h1p.representatives
-    }
-    base_qclass = h1q.class_of(tuple([aq.identity] * g.order))
-    fib_h1 = {
-        i
-        for i, rep in enumerate(h1.representatives)
-        if h1q.class_of(tuple(ses.projection[v] for v in rep)) == base_qclass
-    }
-    exact_at["h1_mid"] = img_h1 == fib_h1
-
     maps = {
         "h0_sub_to_mid": {x: ses.inclusion[x] for x in h0p},
         "h0_mid_to_quot": {x: ses.projection[x] for x in h0},
@@ -675,6 +649,21 @@ def les_of_pointed_sets(ses):
             for i, rep in enumerate(h1.representatives)
         },
     }
+
+    def image(name):
+        return set(maps[name].values())
+
+    def fiber(name, base):
+        return {x for x, y in maps[name].items() if y == base}
+
+    exact_at = {
+        "mid_invariants": image("h0_sub_to_mid")
+        == fiber("h0_mid_to_quot", aq.identity),
+        "quot_invariants": image("h0_mid_to_quot")
+        == fiber("connecting", h1p.base_point),
+        "h1_sub": image("connecting") == fiber("h1_sub_to_mid", h1.base_point),
+        "h1_mid": image("h1_sub_to_mid") == fiber("h1_mid_to_quot", h1q.base_point),
+    }
     return ExactSequenceReport(
         tuple(h0p), tuple(h0), tuple(h0q), h1p, h1, h1q, exact_at, maps
     )
@@ -689,7 +678,6 @@ def twist_fiber_check(ses, phi):
     """
     g = ses.mid.group
     a = ses.mid.carrier
-    aq = ses.quot.carrier
     if not is_cocycle(ses.mid, phi):
         raise InvalidInput("phi must be a cocycle in A")
     h1 = h1_finite(ses.mid)
@@ -708,19 +696,7 @@ def twist_fiber_check(ses, phi):
     )
     h1p_tw = h1_finite(sub_tw)
 
-    # twisted action on A'': g . x = [phi(g)] * (g.x) * [phi(g)]^-1
-    quot_tw_act = tuple(
-        tuple(
-            aq.op(
-                aq.op(ses.projection[phi[s]], ses.quot.act(s, x)),
-                aq.inv(ses.projection[phi[s]]),
-            )
-            for x in range(aq.order)
-        )
-        for s in range(g.order)
-    )
-    quot_tw = GGroup(g, aq, quot_tw_act)
-    inv_q_tw = invariants(quot_tw)
+    inv_q_tw = invariants(twist_whole(ses.quot, phi_q))
 
     # right action of (A''_phi)^G on H1(G, A'_phi)
     pos_in_a = {e: i for i, e in enumerate(embed)}
@@ -1282,7 +1258,6 @@ def real_structure_classifier(kg):
         mapped.append(anti)
     assert all(m in anti_invs for m in mapped)
     mapped_classes = _classes_under(k, mapped, a_elems)
-    same = _same_partition_reps(k, direct, mapped_classes, a_elems)
     # K-conjugacy vs A-conjugacy (Remark: conjugate by sigma*f when f is anti)
     k_classes = _classes_under(k, anti_invs, list(range(k.order)))
     remark_holds = len(k_classes) == len(direct)
@@ -1291,7 +1266,7 @@ def real_structure_classifier(kg):
         "h1_size": h1.size,
         "h1_representatives": h1.representatives,
         "h1_mapped_classes": mapped_classes,
-        "paths_agree": same and h1.size == len(direct),
+        "paths_agree": mapped_classes == direct and h1.size == len(direct),
         "k_conjugacy_equals_kernel_conjugacy": remark_holds,
     }
 
@@ -1306,13 +1281,6 @@ def _classes_under(group, elements, conjugators):
         seen |= orbit
         classes.append(min(orbit))
     return sorted(classes)
-
-
-def _same_partition_reps(group, reps1, reps2, conjugators):
-    def canon(x):
-        return min(group.conj(c, x) for c in conjugators)
-
-    return sorted(canon(x) for x in reps1) == sorted(canon(x) for x in reps2)
 
 
 # --- inner twist bijection ------------------------------------------------------
@@ -1353,8 +1321,20 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
     gg_triv = trivial_action(g, sub_group)
     h1_conj = h1_finite(gg_conj)
     h1_triv = h1_finite(gg_triv)
-    # canonical route: find phi0 in Hom(G, A) with conj(phi0(g)) = action(g)
-    phi0 = _find_inner_realizer(g, sub_group, gg_conj)
+    # canonical route: find phi0 in Hom(G, A), which is Z^1 for the trivial
+    # action, with conj(phi0(g)) = action(g)
+    phi0 = next(
+        (
+            z
+            for z in h1_triv.cocycles
+            if all(
+                tuple(sub_group.conj(z[s], x) for x in range(sub_group.order))
+                == gg_conj.action[s]
+                for s in range(g.order)
+            )
+        ),
+        None,
+    )
     report = {
         "h1_inner_size": h1_conj.size,
         "h1_trivial_size": h1_triv.size,
@@ -1413,50 +1393,3 @@ def _power_in(group, x, e):
     for _ in range(e):
         out = group.op(out, x)
     return out
-
-
-def _find_inner_realizer(g, sub_group, gg_conj):
-    """Search Hom(G, A) for phi0 with conjugation action equal to gg_conj."""
-    gens = g.generating_set()
-    if not gens:
-        return tuple([sub_group.identity] * g.order)
-    for assignment in iproduct(range(sub_group.order), repeat=len(gens)):
-        values = _extend_homomorphism(g, sub_group, gens, assignment)
-        if values is None:
-            continue
-        if all(
-            tuple(
-                sub_group.conj(values[s], x) for x in range(sub_group.order)
-            )
-            == gg_conj.action[s]
-            for s in range(g.order)
-        ):
-            return values
-    return None
-
-
-def _extend_homomorphism(g, target, gens, assignment):
-    parent = {g.identity: None}
-    order_seen = [g.identity]
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in gens:
-                y = g.op(x, gen)
-                if y not in parent:
-                    parent[y] = (x, gen)
-                    order_seen.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    gen_val = dict(zip(gens, assignment))
-    val = {g.identity: target.identity}
-    for y in order_seen[1:]:
-        x, gen = parent[y]
-        val[y] = target.op(val[x], gen_val[gen])
-    values = tuple(val[s] for s in range(g.order))
-    for s in range(g.order):
-        for t in range(g.order):
-            if values[g.op(s, t)] != target.op(values[s], values[t]):
-                return None
-    return values

@@ -8,6 +8,7 @@ Siegel-property intersection enumeration.  All arithmetic is integer/Fraction.
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import intlinalg as la
@@ -416,6 +417,16 @@ class DomainCertificate:
             return False
         return all(la.dot(h, x) >= 0 for h in self.halfspaces)
 
+    @cached_property
+    def moves(self):
+        """The reduction moves: the inverses of the recorded orbit elements,
+        then each generator and its inverse, without repeats."""
+        moves = [la.unimodular_inverse(m) for m, _ in self.orbit_elements]
+        for g in self.group.generator_elements():
+            moves.append(g.matrix)
+            moves.append(la.unimodular_inverse(g.matrix))
+        return list(dict.fromkeys(moves))
+
     def with_evidence(self, covering=None, disjointness=None):
         return replace(
             self,
@@ -518,17 +529,12 @@ def reduce_into_domain(cert, x, max_steps=1000):
     n = pos.dim
     current = tuple(Fraction(c) for c in x)
     word_matrix = la.identity_matrix(n)
-    moves = [la.unimodular_inverse(m) for m, _ in cert.orbit_elements]
-    for g in cert.group.generator_elements():
-        moves.append(g.matrix)
-        moves.append(la.unimodular_inverse(g.matrix))
-    moves = list(dict.fromkeys(moves))
     for step in range(max_steps):
         if all(la.dot(h, current) >= 0 for h in cert.halfspaces):
             return current, word_matrix, step
         val = pos.pairing(xiv, current)
         best = None
-        for mv in moves:
+        for mv in cert.moves:
             cand = la.mat_vec(mv, current)
             v = pos.pairing(xiv, cand)
             if v < val and (best is None or v < best[0]):

@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     InvalidInput,
     NoInvariantInteriorPoint,
-    ReductionFailure,
     Undecidable,
 )
 from .cones import (
@@ -36,11 +35,10 @@ from .lattice import (
     Sublattice,
     classify_type,
     direct_sum,
-    discriminant_action,
+    discriminant_acts_as,
     discriminant_group,
     orthogonal_complement,
     signature,
-    sublattice_index,
 )
 
 
@@ -201,30 +199,8 @@ class MonodromySpec:
     def __post_init__(self):
         if self.kind not in ("full_orthogonal_plus", "discriminant", "generators"):
             raise InvalidInput(f"unknown monodromy spec kind {self.kind!r}")
-
-
-def _disc_action_signs(lat, matrix):
-    """The subset of {+1, -1} whose scalar action matches the induced map on
-    the discriminant group; both match on 2-torsion groups, and vacuously on
-    the trivial group."""
-    disc = discriminant_group(lat)
-    if not disc.invariant_factors:
-        return {1, -1}
-    act = discriminant_action(lat, disc, matrix)
-    out = set()
-    for target in (1, -1):
-        ok = True
-        for i in range(len(act)):
-            for j in range(len(act)):
-                want = target % disc.invariant_factors[i] if i == j else 0
-                if act[i][j] % disc.invariant_factors[i] != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(target)
-    return out
+        if any(e not in (1, -1) for e in self.signs):
+            raise InvalidInput("monodromy signs must be +1 or -1")
 
 
 def mon_contains(spec, lat, matrix):
@@ -239,8 +215,8 @@ def mon_contains(spec, lat, matrix):
             lat, matrix
         ):
             return "out"
-        signs = _disc_action_signs(lat, matrix)
-        return "in" if signs & set(spec.signs) else "out"
+        acts = any(discriminant_acts_as(lat, matrix, e) for e in spec.signs)
+        return "in" if acts else "out"
     # generators: bounded BFS
     from .isometry import GeneratedGroup
 
@@ -487,16 +463,8 @@ def hilbert_square_extension(h, n, sigma_star):
         Fraction(c).denominator == 1 for c in diff
     )
     if abs(lat.det()) == 1:
-        disc = discriminant_group(ext)
-        report["discriminant_factors"] = disc.invariant_factors
-        act = discriminant_action(ext, disc, phi)
-        minus = all(
-            act[i][j] % disc.invariant_factors[i]
-            == ((-1) % disc.invariant_factors[i] if i == j else 0)
-            for i in range(len(act))
-            for j in range(len(act))
-        )
-        report["discriminant_minus_id"] = minus
+        report["discriminant_factors"] = discriminant_group(ext).invariant_factors
+        report["discriminant_minus_id"] = discriminant_acts_as(ext, phi, -1)
     anti_class = _anti_invariant_kahler_certificate(h, m, n)
     if anti_class is not None:
         w, k = anti_class

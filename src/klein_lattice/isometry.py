@@ -20,7 +20,7 @@ from .errors import (
     NotHyperbolic,
     NotPrimitive,
 )
-from .lattice import IntegerLattice, Sublattice, signature
+from .lattice import IntegerLattice, signature
 
 
 @dataclass(frozen=True)

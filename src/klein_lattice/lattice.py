@@ -240,14 +240,15 @@ def _express_in_disc(lat, disc, vec):
     return tuple(sol[i] % orders[i] for i in range(k))
 
 
-def is_discriminant_minus_id(lat, matrix):
-    """True iff the isometry acts as -id on the discriminant group."""
+def discriminant_acts_as(lat, matrix, eps):
+    """True iff the isometry acts as eps * id on the discriminant group L*/L;
+    both signs hold on 2-torsion groups, and vacuously on the trivial group."""
     disc = discriminant_group(lat)
     act = discriminant_action(lat, disc, matrix)
-    for i in range(len(act)):
+    for i, d in enumerate(disc.invariant_factors):
         for j in range(len(act)):
-            want = (-1) % disc.invariant_factors[i] if i == j else 0
-            if act[i][j] % disc.invariant_factors[i] != want:
+            want = eps % d if i == j else 0
+            if act[i][j] % d != want:
                 return False
     return True
 

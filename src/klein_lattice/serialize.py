@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from .cones import (
     DomainCertificate,
-    PolyhedralCone,
     PositiveCone,
     cone_from_halfspaces,
     cone_from_rays,

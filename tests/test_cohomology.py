@@ -15,6 +15,7 @@ from klein_lattice.cohomology import (
     cocycles_equivalent,
     cocycles_equivalent_abelian,
     conjugacy_classes_of_finite_subgroups,
+    conjugation_action,
     cyclic,
     dihedral,
     direct_product,
@@ -164,10 +165,26 @@ def test_h1_finite_examples():
     assert h1_finite(trivial_action(z2, trivial_group)).size == 1
 
 
+def _inversion(carrier):
+    ident = tuple(range(carrier.order))
+    return GGroup(cyclic(2), carrier, (ident, tuple(carrier.inv(x) for x in ident)))
+
+
 def test_h1set_classes_partition_cocycles():
     z2 = cyclic(2)
-    for carrier in (cyclic(4), symmetric(3), klein_four()):
-        gg = trivial_action(z2, carrier)
+    s3, d4, q8 = symmetric(3), dihedral(4), quaternion8()
+    cases = [trivial_action(z2, c) for c in (cyclic(4), s3, klein_four())]
+    cases += [_inversion(cyclic(3)), _inversion(cyclic(4))]
+    # Z/2 acting by conjugation by a transposition of S3, a reflection of D4
+    # and i in Q8: (|H^1|, |H^1| for the trivial action)
+    sizes = []
+    for carrier, c in ((s3, 1), (d4, 4), (q8, 2)):
+        gg = conjugation_action(z2, carrier, (carrier.identity, c))
+        cases.append(gg)
+        triv = trivial_action(z2, carrier)
+        sizes.append((h1_finite(gg).size, h1_finite(triv).size))
+    assert sizes == [(2, 2), (4, 4), (3, 2)]
+    for gg in cases:
         h1 = h1_finite(gg)
         for z in h1.cocycles:
             assert is_cocycle(gg, z)
@@ -176,10 +193,19 @@ def test_h1set_classes_partition_cocycles():
                 for i, rep in enumerate(h1.representatives)
                 if cocycles_equivalent(gg, rep, z) is not None
             ]
-            assert len(matches) == 1
+            assert matches == [h1.class_of(z)]
         for i, r1 in enumerate(h1.representatives):
             for r2 in h1.representatives[i + 1:]:
                 assert cocycles_equivalent(gg, r1, r2) is None
+        trivial = tuple([gg.carrier.identity] * gg.group.order)
+        assert h1.class_of(trivial) == h1.base_point
+        non_cocycle = next(
+            v
+            for v in iproduct(range(gg.carrier.order), repeat=gg.group.order)
+            if not is_cocycle(gg, v)
+        )
+        with pytest.raises(InvalidInput):
+            h1.class_of(non_cocycle)
 
 
 def test_h1_with_nontrivial_action():

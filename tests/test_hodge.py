@@ -257,6 +257,8 @@ def test_mon_contains_variants():
         for i in range(6)
     )
     assert mon_contains(gens, lat, other6) == "unknown"
+    with pytest.raises(InvalidInput):
+        MonodromySpec("discriminant", signs=(3,))
 
 
 def test_mon2_khdg_examples():

@@ -20,6 +20,7 @@ from klein_lattice.lattice import (
     classify_type,
     direct_sum,
     discriminant_action,
+    discriminant_acts_as,
     discriminant_group,
     orthogonal_complement,
     radical,
@@ -213,6 +214,19 @@ def test_discriminant_lift_matrix_orders():
 def test_discriminant_action_minus_id():
     lat = IntegerLattice(((-4,),))
     assert discriminant_action(lat, discriminant_group(lat), ((-1,),)) == ((3,),)
+
+
+@pytest.mark.parametrize("n,also_plus", [(2, True), (3, False), (4, False)])
+def test_discriminant_acts_as_sign(n, also_plus):
+    # <-2(n-1)> has discriminant group Z/2(n-1); -1 = +1 only on Z/2
+    lat = IntegerLattice(((-2 * (n - 1),),))
+    assert discriminant_acts_as(lat, ((-1,),), -1)
+    assert discriminant_acts_as(lat, ((-1,),), 1) is also_plus
+    assert discriminant_acts_as(lat, ((1,),), 1)
+    # on the trivial group of U both signs hold
+    minus_u = ((-1, 0), (0, -1))
+    assert discriminant_acts_as(U(), minus_u, 1)
+    assert discriminant_acts_as(U(), minus_u, -1)
 
 
 def test_classify_type():
