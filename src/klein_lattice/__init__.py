@@ -2,6 +2,4 @@
 Klein (holomorphic/anti-holomorphic) actions on hyperkahler-type Hodge
 lattices."""
 
-from . import cohomology, cones, hodge, isometry, lattice, serialize  # noqa: F401
-
 __version__ = "0.1.0"

@@ -6,37 +6,12 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-import tempfile
 import time
-from math import isqrt
 
-from . import intlinalg as la
 from . import serialize as ser
-from .cohomology import (
-    KleinGroupData,
-    ShortExactSequence,
-    SplitExtensionSpec,
-    FgAbelian,
-    filtration_driver_finite,
-    filtration_driver_split,
-    h1_finite,
-    inner_twist_bijection,
-    les_of_pointed_sets,
-    real_structure_classifier,
-    twist_fiber_check,
-    twist_subgroup,
-)
-from .cones import (
-    PositiveCone,
-    dirichlet_domain,
-    rational_closure_member,
-    siegel_intersections,
-    verify_fundamental_domain,
-)
 from .errors import (
     CoverageFailure,
     DisjointnessFailure,
@@ -48,30 +23,6 @@ from .errors import (
     SearchExhausted,
     Undecidable,
     UnsupportedRank,
-)
-from .hodge import (
-    classify_finite_subgroups_on_cone,
-    hilbert_square_extension,
-    kaut_star_criterion,
-    neron_severi,
-    ns_plus_t_index,
-    is_projective_type,
-    torelli_anti_check,
-    transcendental,
-)
-from .isometry import (
-    Isometry,
-    fixes_pointwise_implies_identity,
-    is_isometry,
-    isometry_group_definite,
-    stabilizer,
-)
-from .lattice import (
-    classify_type,
-    discriminant_group,
-    radical,
-    saturation,
-    signature,
 )
 
 VERIFICATION_ERRORS = (
@@ -91,6 +42,8 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from None
 
@@ -122,6 +75,8 @@ def _lattice_arg(args):
 
 
 def cmd_lattice_signature(args):
+    from .lattice import signature
+
     lat = _lattice_arg(args)
     s = signature(lat)
     return {
@@ -134,16 +89,22 @@ def cmd_lattice_signature(args):
 
 
 def cmd_lattice_radical(args):
+    from .lattice import radical
+
     lat = _lattice_arg(args)
     return {"basis": ser.mat_to_json(radical(lat).basis)}, "Certified"
 
 
 def cmd_lattice_classify(args):
+    from .lattice import classify_type
+
     lat = _lattice_arg(args)
     return {"type": classify_type(lat).value}, "Certified"
 
 
 def cmd_lattice_discriminant(args):
+    from .lattice import discriminant_group
+
     lat = _lattice_arg(args)
     dg = discriminant_group(lat)
     return {
@@ -154,6 +115,8 @@ def cmd_lattice_discriminant(args):
 
 
 def cmd_lattice_saturate(args):
+    from .lattice import saturation
+
     lat = _lattice_arg(args)
     sub = ser.sublattice_from_json(lat, _maybe_inline_json(args.sub))
     sat = saturation(lat, sub)
@@ -164,12 +127,16 @@ def cmd_lattice_saturate(args):
 
 
 def cmd_isom_check(args):
+    from .isometry import is_isometry
+
     lat = _lattice_arg(args)
     m = ser.int_mat_from_json(_maybe_inline_json(args.matrix))
     return {"isometry": bool(is_isometry(lat, m))}, "Certified"
 
 
 def cmd_isom_definite_group(args):
+    from .isometry import isometry_group_definite
+
     lat = _lattice_arg(args)
     group = isometry_group_definite(lat)
     return {
@@ -179,6 +146,8 @@ def cmd_isom_definite_group(args):
 
 
 def cmd_isom_fix_sublattice(args):
+    from .isometry import fixes_pointwise_implies_identity
+
     lat = _lattice_arg(args)
     sub = ser.sublattice_from_json(lat, _maybe_inline_json(args.sub))
     out = fixes_pointwise_implies_identity(lat, sub, search_bound=args.bound)
@@ -190,6 +159,8 @@ def cmd_isom_fix_sublattice(args):
 
 
 def cmd_isom_stabilizer(args):
+    from .isometry import stabilizer
+
     gamma = ser.generated_group_from_json(_maybe_inline_json(args.group))
     x = _parse_vector(args.point)
     tester = None
@@ -210,6 +181,8 @@ def cmd_isom_stabilizer(args):
 
 
 def _positive_cone_from_args(args, gamma=None):
+    from .cones import PositiveCone
+
     if getattr(args, "pos", None):
         return ser.positive_cone_from_json(_maybe_inline_json(args.pos))
     lat = gamma.lattice if gamma else _lattice_arg(args)
@@ -218,6 +191,8 @@ def _positive_cone_from_args(args, gamma=None):
 
 
 def cmd_cone_domain(args):
+    from .cones import dirichlet_domain
+
     gamma = ser.generated_group_from_json(_maybe_inline_json(args.group))
     pos = _positive_cone_from_args(args, gamma)
     xi = _parse_vector(args.xi)
@@ -233,6 +208,8 @@ def cmd_cone_domain(args):
 
 
 def cmd_cone_verify(args):
+    from .cones import verify_fundamental_domain
+
     cert = ser.certificate_from_json(_maybe_inline_json(args.cert))
     report, updated = verify_fundamental_domain(
         cert,
@@ -249,6 +226,8 @@ def cmd_cone_verify(args):
 
 
 def cmd_cone_siegel(args):
+    from .cones import siegel_intersections
+
     gamma = ser.generated_group_from_json(_maybe_inline_json(args.group))
     pos = _positive_cone_from_args(args, gamma)
     pi1 = ser.cone_from_json(_maybe_inline_json(args.pi1))
@@ -262,6 +241,8 @@ def cmd_cone_siegel(args):
 
 
 def cmd_cone_member(args):
+    from .cones import rational_closure_member
+
     pos = _positive_cone_from_args(args)
     x = _parse_vector(args.point)
     return {"member": bool(rational_closure_member(pos, x))}, "Certified"
@@ -273,6 +254,10 @@ def emit_sectors(cert, out_path, depth=3):
     Supported for ambient rank 2 or 3 only; no rendering is done here, the
     file is meant for external plotting.
     """
+    import csv
+
+    from .cones import transform_cone
+
     n = cert.positive_cone.dim
     if n not in (2, 3):
         raise UnsupportedRank("sector emission needs rank 2 or 3")
@@ -284,8 +269,6 @@ def emit_sectors(cert, out_path, depth=3):
     else:
         for ray in cert.domain.rays:
             rows.append(["domain", "ray"] + [str(c) for c in ray])
-        from .cones import transform_cone
-
         for d, layer in enumerate(cert.group.layers(depth)):
             if d == 0:
                 continue
@@ -301,6 +284,10 @@ def emit_sectors(cert, out_path, depth=3):
 
 def _rational_isotropic_rays(pos):
     """Primitive isotropic rays of a rank-2 positive cone, when rational."""
+    from math import isqrt
+
+    from . import intlinalg as la
+
     if pos.dim != 2:
         return []
     g = pos.lattice.gram
@@ -337,6 +324,8 @@ def _group_spec(text):
 
 
 def cmd_h1_compute(args):
+    from .cohomology import h1_finite
+
     obj = {
         "group": _group_spec(args.group),
         "carrier": _group_spec(args.coeff),
@@ -352,6 +341,8 @@ def cmd_h1_compute(args):
 
 
 def cmd_h1_twist(args):
+    from .cohomology import twist_subgroup
+
     obj = _maybe_inline_json(args.ggroup)
     ambient = ser.ggroup_from_json(obj)
     sub = tuple(int(x) for x in args.sub.split(","))
@@ -364,19 +355,23 @@ def cmd_h1_twist(args):
 
 
 def _ses_from_json(obj):
-    sub = ser.ggroup_from_json(obj["sub"])
-    mid = ser.ggroup_from_json(obj["mid"])
-    quot = ser.ggroup_from_json(obj["quot"])
+    from .cohomology import ShortExactSequence
+
+    def need(key):
+        return ser.required(obj, key, "exact sequence")
+
     return ShortExactSequence(
-        sub,
-        mid,
-        quot,
-        tuple(int(x) for x in obj["inclusion"]),
-        tuple(int(x) for x in obj["projection"]),
+        ser.ggroup_from_json(need("sub")),
+        ser.ggroup_from_json(need("mid")),
+        ser.ggroup_from_json(need("quot")),
+        ser.int_vec_from_json(need("inclusion")),
+        ser.int_vec_from_json(need("projection")),
     )
 
 
 def cmd_h1_les(args):
+    from .cohomology import les_of_pointed_sets, twist_fiber_check
+
     ses = _ses_from_json(_maybe_inline_json(args.seq))
     rep = les_of_pointed_sets(ses)
     payload = {
@@ -403,18 +398,30 @@ def cmd_h1_les(args):
 
 
 def cmd_h1_filtration(args):
+    from .cohomology import (
+        FgAbelian,
+        SplitExtensionSpec,
+        filtration_driver_finite,
+        filtration_driver_split,
+    )
+
     obj = _maybe_inline_json(args.spec)
-    kind = obj.get("kind")
+
+    def need(key):
+        return ser.required(obj, key, "filtration spec")
+
+    kind = need("kind")
     if kind == "finite":
-        group = ser.finite_group_from_json(obj["group"])
+        group = ser.finite_group_from_json(need("group"))
         gg = ser.ggroup_from_json(
             {
-                "group": obj["g"],
+                "group": need("g"),
                 "carrier": obj["group"],
                 "action": obj.get("action", "trivial"),
             }
         )
-        chain = [tuple(int(x) for x in layer) for layer in obj.get("chain", [])]
+        layers = ser.list_from_json(obj.get("chain", []), "chain")
+        chain = [ser.int_vec_from_json(layer) for layer in layers]
         out = filtration_driver_finite(group, chain, gg)
         return {
             "h1_size": out["h1_size"],
@@ -422,11 +429,16 @@ def cmd_h1_filtration(args):
             "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
         }, "Certified"
     if kind == "split":
-        module = FgAbelian(int(obj["free_rank"]), tuple(obj.get("torsion", ())))
-        quotient = ser.finite_group_from_json(obj["quotient"])
-        q_action = tuple(ser.int_mat_from_json(m) for m in obj["q_action"])
+        module = FgAbelian(
+            ser.int_from_json(need("free_rank")),
+            ser.int_vec_from_json(obj.get("torsion", [])),
+        )
+        quotient = ser.finite_group_from_json(need("quotient"))
+        q_action = tuple(
+            ser.int_mat_from_json(m) for m in ser.list_from_json(need("q_action"), "q_action")
+        )
         spec = SplitExtensionSpec(module, quotient, q_action)
-        g = ser.finite_group_from_json(obj["g"])
+        g = ser.finite_group_from_json(need("g"))
         out = filtration_driver_split(spec, g)
         return {
             "h1_size": out["h1_size"],
@@ -445,9 +457,17 @@ def cmd_h1_filtration(args):
 
 
 def cmd_h1_real_forms(args):
+    from .cohomology import KleinGroupData, real_structure_classifier
+
     obj = _maybe_inline_json(args.klein)
-    carrier = ser.finite_group_from_json(obj["carrier"])
-    kg = KleinGroupData(carrier, tuple(int(e) for e in obj["eps"]), int(obj["sigma"]))
+
+    def need(key):
+        return ser.required(obj, key, "klein group")
+
+    carrier = ser.finite_group_from_json(need("carrier"))
+    kg = KleinGroupData(
+        carrier, ser.int_vec_from_json(need("eps")), ser.int_from_json(need("sigma"))
+    )
     out = real_structure_classifier(kg)
     payload = {
         "class_count": len(out["direct_classes"]),
@@ -467,7 +487,7 @@ def cmd_h1_real_forms(args):
 
 
 def _inner_twist_summary(kg):
-    from .cohomology import cyclic
+    from .cohomology import cyclic, inner_twist_bijection
 
     rep = inner_twist_bijection(
         cyclic(2), kg.carrier, range(kg.carrier.order), kg.sigma
@@ -484,6 +504,9 @@ def _inner_twist_summary(kg):
 
 
 def cmd_hk_ns(args):
+    from .hodge import neron_severi, ns_plus_t_index, transcendental
+    from .lattice import classify_type
+
     h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
     ns = neron_severi(h)
     t = transcendental(h)
@@ -496,11 +519,15 @@ def cmd_hk_ns(args):
 
 
 def cmd_hk_projective(args):
+    from .hodge import is_projective_type
+
     h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
     return {"projective_type": bool(is_projective_type(h))}, "Certified"
 
 
 def cmd_hk_torelli(args):
+    from .hodge import torelli_anti_check
+
     phi = ser.int_mat_from_json(_maybe_inline_json(args.phi))
     h_src = ser.hodge_from_json(_maybe_inline_json(args.source))
     h_tgt = ser.hodge_from_json(_maybe_inline_json(args.target))
@@ -515,6 +542,9 @@ def cmd_hk_torelli(args):
 
 
 def cmd_hk_hilbert(args):
+    from .hodge import hilbert_square_extension
+    from .isometry import Isometry
+
     h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
     sigma = ser.int_mat_from_json(_maybe_inline_json(args.sigma))
     h_ext, klein, report = hilbert_square_extension(
@@ -534,6 +564,8 @@ def cmd_hk_hilbert(args):
 
 
 def cmd_hk_kaut_criterion(args):
+    from .hodge import kaut_star_criterion
+
     phi = ser.int_mat_from_json(_maybe_inline_json(args.phi))
     h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
     km = ser.kahler_model_from_json(_maybe_inline_json(args.cone))
@@ -549,6 +581,8 @@ def cmd_hk_kaut_criterion(args):
 
 
 def cmd_hk_classify_subgroups(args):
+    from .hodge import classify_finite_subgroups_on_cone
+
     gamma = ser.generated_group_from_json(_maybe_inline_json(args.gamma))
     cert = ser.certificate_from_json(_maybe_inline_json(args.domain))
     classes, report = classify_finite_subgroups_on_cone(gamma, cert)
@@ -716,6 +750,8 @@ def _write_output(text, out):
     if out == "-":
         sys.stdout.write(text + "\n")
         return
+    import tempfile
+
     d = os.path.dirname(os.path.abspath(out)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".klein-lattice-")
     try:

@@ -7,6 +7,7 @@ classifier for finite Klein groups.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 from . import intlinalg as la
@@ -585,6 +586,16 @@ class ShortExactSequence:
                 if proj[self.mid.act(s, x)] != self.quot.act(s, proj[x]):
                     raise NotExactInput("projection is not G-equivariant")
 
+    @cached_property
+    def h1_mid(self):
+        """H^1(G, A), classified once per sequence."""
+        return h1_finite(self.mid)
+
+    @cached_property
+    def h1_quot(self):
+        """H^1(G, A''), classified once per sequence."""
+        return h1_finite(self.quot)
+
 
 def invariants(gg):
     g, a = gg.group, gg.carrier
@@ -632,8 +643,8 @@ def les_of_pointed_sets(ses):
     h0 = invariants(ses.mid)
     h0q = invariants(ses.quot)
     h1p = h1_finite(ses.sub)
-    h1 = h1_finite(ses.mid)
-    h1q = h1_finite(ses.quot)
+    h1 = ses.h1_mid
+    h1q = ses.h1_quot
     maps = {
         "h0_sub_to_mid": {x: ses.inclusion[x] for x in h0p},
         "h0_mid_to_quot": {x: ses.projection[x] for x in h0},
@@ -680,8 +691,8 @@ def twist_fiber_check(ses, phi):
     a = ses.mid.carrier
     if not is_cocycle(ses.mid, phi):
         raise InvalidInput("phi must be a cocycle in A")
-    h1 = h1_finite(ses.mid)
-    h1q = h1_finite(ses.quot)
+    h1 = ses.h1_mid
+    h1q = ses.h1_quot
     phi_class = h1.class_of(phi)
     phi_q = tuple(ses.projection[v] for v in phi)
     phi_q_class = h1q.class_of(phi_q)

@@ -283,6 +283,8 @@ class PositiveCone:
         if signature(self.lattice).as_tuple() != (1, 0, n - 1):
             raise NotHyperbolic("positive cone needs signature (1, 0, n-1)")
         base = tuple(Fraction(x) for x in self.component_base)
+        if len(base) != n:
+            raise DimensionMismatch("component base length != lattice rank")
         object.__setattr__(self, "component_base", base)
         if self.q(base) <= 0:
             raise NonPositiveVector("component base must have q > 0")
@@ -314,6 +316,8 @@ def rational_closure_member(pos, x):
     its boundary; an irrational boundary direction cannot be represented by a
     rational input in the first place.
     """
+    if len(x) != pos.dim:
+        raise DimensionMismatch("point dimension != lattice rank")
     xv = tuple(Fraction(c) for c in x)
     if all(c == 0 for c in xv):
         return True

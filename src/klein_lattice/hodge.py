@@ -215,8 +215,7 @@ def mon_contains(spec, lat, matrix):
             lat, matrix
         ):
             return "out"
-        acts = any(discriminant_acts_as(lat, matrix, e) for e in spec.signs)
-        return "in" if acts else "out"
+        return "in" if discriminant_acts_as(lat, matrix, *spec.signs) else "out"
     # generators: bounded BFS
     from .isometry import GeneratedGroup
 

@@ -240,17 +240,21 @@ def _express_in_disc(lat, disc, vec):
     return tuple(sol[i] % orders[i] for i in range(k))
 
 
-def discriminant_acts_as(lat, matrix, eps):
-    """True iff the isometry acts as eps * id on the discriminant group L*/L;
-    both signs hold on 2-torsion groups, and vacuously on the trivial group."""
+def discriminant_acts_as(lat, matrix, *signs):
+    """True iff the isometry acts as eps * id on the discriminant group L*/L
+    for one of the given signs eps; both signs hold on 2-torsion groups, and
+    vacuously on the trivial group.  L*/L and the action are computed once."""
     disc = discriminant_group(lat)
     act = discriminant_action(lat, disc, matrix)
-    for i, d in enumerate(disc.invariant_factors):
-        for j in range(len(act)):
-            want = eps % d if i == j else 0
-            if act[i][j] % d != want:
-                return False
-    return True
+
+    def acts_as(eps):
+        return all(
+            act[i][j] % d == (eps % d if i == j else 0)
+            for i, d in enumerate(disc.invariant_factors)
+            for j in range(len(act))
+        )
+
+    return any(acts_as(eps) for eps in signs)
 
 
 def direct_sum(l1, l2):
@@ -337,5 +341,5 @@ BUILTIN_LATTICES = {
 def builtin(name):
     try:
         return BUILTIN_LATTICES[name]()
-    except KeyError:
+    except (KeyError, TypeError):
         raise InvalidInput(f"unknown built-in lattice {name!r}") from None

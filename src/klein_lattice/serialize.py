@@ -6,26 +6,18 @@ strings.  Floating point never appears.
 
 from fractions import Fraction
 
-from .cones import (
-    DomainCertificate,
-    PositiveCone,
-    cone_from_halfspaces,
-    cone_from_rays,
-)
-from .cohomology import (
-    FiniteGroup,
-    GGroup,
-    cyclic,
-    dihedral,
-    klein_four,
-    quaternion8,
-    symmetric,
-    trivial_action,
-)
-from .errors import EmptyInput, ParseError
-from .hodge import HodgeLattice, KahlerModel, MonodromySpec
-from .isometry import GeneratedGroup, Isometry, KleinIsometry
+from .errors import DimensionMismatch, EmptyInput, ParseError
 from .lattice import IntegerLattice, Sublattice, builtin
+
+
+def required(obj, key, what):
+    """obj[key] of a JSON object; ParseError when obj is not an object or
+    has no such key."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be an object")
+    if key not in obj:
+        raise ParseError(f"{what} needs a {key!r} field")
+    return obj[key]
 
 
 def rat_to_json(x):
@@ -56,22 +48,29 @@ def vec_to_json(v):
     return [rat_to_json(x) for x in v]
 
 
-def vec_from_json(v):
+def list_from_json(v, what):
     if not isinstance(v, list):
-        raise ParseError("vector must be a list")
-    return tuple(rat_from_json(x) for x in v)
+        raise ParseError(f"{what} must be a list")
+    return v
+
+
+def vec_from_json(v):
+    return tuple(rat_from_json(x) for x in list_from_json(v, "vector"))
 
 
 def mat_to_json(m):
     return [vec_to_json(row) for row in m]
 
 
+def int_from_json(v):
+    x = rat_from_json(v)
+    if Fraction(x).denominator != 1:
+        raise ParseError(f"expected an integer, not {v!r}")
+    return int(x)
+
+
 def int_vec_from_json(v):
-    out = vec_from_json(v)
-    for x in out:
-        if Fraction(x).denominator != 1:
-            raise ParseError("expected integer entries")
-    return tuple(int(x) for x in out)
+    return tuple(int_from_json(x) for x in list_from_json(v, "vector"))
 
 
 def int_mat_from_json(m):
@@ -109,7 +108,7 @@ def lattice_from_json(obj):
 
 
 def sublattice_from_json(lat, obj):
-    return Sublattice(lat, int_mat_from_json(obj["basis"]))
+    return Sublattice(lat, int_mat_from_json(required(obj, "basis", "sublattice")))
 
 
 # --- isometries ----------------------------------------------------------------
@@ -124,6 +123,8 @@ def klein_to_json(k):
 
 
 def generated_group_to_json(g):
+    from .isometry import KleinIsometry
+
     gens = []
     for gen in g.generators:
         if isinstance(gen, KleinIsometry):
@@ -143,21 +144,20 @@ def generated_group_to_json(g):
 
 
 def generated_group_from_json(obj):
-    lat = lattice_from_json(obj["lattice"])
+    from .isometry import GeneratedGroup, Isometry, KleinIsometry
+
+    lat = lattice_from_json(required(obj, "lattice", "group"))
     gens = []
-    for g in obj.get("generators", []):
-        m = int_mat_from_json(g["matrix"])
-        if "sign" in g:
-            gens.append(KleinIsometry(Isometry(lat, m), int(g["sign"])))
-        else:
-            gens.append(Isometry(lat, m))
+    for g in list_from_json(obj.get("generators", []), "generators"):
+        iso = Isometry(lat, int_mat_from_json(required(g, "matrix", "generator")))
+        gens.append(KleinIsometry(iso, int_from_json(g["sign"])) if "sign" in g else iso)
     base = (
         vec_from_json(obj["component_base"]) if "component_base" in obj else None
     )
     return GeneratedGroup(
         lat,
         tuple(gens),
-        word_bound=int(obj.get("word_bound", 12)),
+        word_bound=int_from_json(obj.get("word_bound", 12)),
         full_orthogonal_plus=bool(obj.get("full_orthogonal_plus", False)),
         component_base=base,
     )
@@ -179,32 +179,34 @@ def cone_to_json(cone):
     return out
 
 
+def _ambient_dim(obj, *mats):
+    """The declared ambient_dim, else the row length of the first nonempty
+    matrix."""
+    if obj.get("ambient_dim") is not None:
+        return int_from_json(obj["ambient_dim"])
+    for m in mats:
+        if m:
+            return len(m[0])
+    raise ParseError("cannot infer the dimension of the cone")
+
+
 def cone_from_json(obj):
-    dim = obj.get("ambient_dim")
-    if "rays" in obj and obj.get("rays") is not None and "halfspaces" not in obj:
-        rays = int_mat_from_json(obj["rays"])
-        lines = int_mat_from_json(obj.get("lines", []))
-        if dim is None:
-            if not rays and not lines:
-                raise ParseError("cannot infer the dimension of the zero cone")
-            dim = len((rays + lines)[0])
-        return cone_from_rays(dim, rays, lines)
+    """From the rays (and lines) when a "rays" key is present, else from the
+    halfspaces (and equalities)."""
+    from .cones import cone_from_halfspaces, cone_from_rays
+
+    if not isinstance(obj, dict):
+        raise ParseError("cone must be an object")
     if "halfspaces" in obj and "rays" not in obj:
         hs = int_mat_from_json(obj["halfspaces"])
         eqs = int_mat_from_json(obj.get("equalities", []))
-        if dim is None:
-            if not hs and not eqs:
-                raise ParseError("cannot infer the dimension")
-            dim = len((hs + eqs)[0])
-        return cone_from_halfspaces(dim, hs, eqs)
-    if "rays" in obj and "halfspaces" in obj:
-        rays = int_mat_from_json(obj["rays"])
-        lines = int_mat_from_json(obj.get("lines", []))
-        if dim is None:
-            dim = len((rays + lines)[0]) if (rays or lines) else len(obj["halfspaces"][0])
-        cone = cone_from_rays(dim, rays, lines)
-        return cone
-    raise ParseError("cone needs rays or halfspaces")
+        return cone_from_halfspaces(_ambient_dim(obj, hs, eqs), hs, eqs)
+    if obj.get("rays") is None and "halfspaces" not in obj:
+        raise ParseError("cone needs rays or halfspaces")
+    rays = int_mat_from_json(obj["rays"])
+    lines = int_mat_from_json(obj.get("lines", []))
+    hs = int_mat_from_json(obj.get("halfspaces", []))
+    return cone_from_rays(_ambient_dim(obj, rays, lines, hs), rays, lines)
 
 
 def positive_cone_to_json(pos):
@@ -215,8 +217,11 @@ def positive_cone_to_json(pos):
 
 
 def positive_cone_from_json(obj):
+    from .cones import PositiveCone
+
     return PositiveCone(
-        lattice_from_json(obj["lattice"]), vec_from_json(obj["component_base"])
+        lattice_from_json(required(obj, "lattice", "positive cone")),
+        vec_from_json(required(obj, "component_base", "positive cone")),
     )
 
 
@@ -240,22 +245,39 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(obj):
-    pos = positive_cone_from_json(obj["positive_cone"])
-    group = generated_group_from_json(obj["group"])
-    domain = cone_from_json(obj["domain"])
+    from .cones import DomainCertificate
+
+    def need(key):
+        return required(obj, key, "certificate")
+
+    pos = positive_cone_from_json(need("positive_cone"))
+    group = generated_group_from_json(need("group"))
+    domain = cone_from_json(need("domain"))
+    xi = vec_from_json(need("xi"))
+    halfspaces = int_mat_from_json(need("halfspaces"))
+    orbit = tuple(
+        (int_mat_from_json(required(e, "matrix", "orbit element")), e.get("word", "?"))
+        for e in list_from_json(obj.get("orbit_elements", []), "orbit_elements")
+    )
+    n = pos.dim
+    rows = [xi, *halfspaces, *(row for m, _ in orbit for row in m)]
+    if (
+        group.lattice.rank != n
+        or domain.ambient_dim != n
+        or any(len(m) != n for m, _ in orbit)
+        or any(len(v) != n for v in rows)
+    ):
+        raise DimensionMismatch("certificate data does not match the lattice rank")
     return DomainCertificate(
         positive_cone=pos,
         group=group,
-        xi=vec_from_json(obj["xi"]),
-        word_bound=int(obj["word_bound"]),
-        halfspaces=int_mat_from_json(obj["halfspaces"]),
+        xi=xi,
+        word_bound=int_from_json(need("word_bound")),
+        halfspaces=halfspaces,
         domain=domain,
-        full_cone=bool(obj["full_cone"]),
-        stabilization_depth=int(obj["stabilization_depth"]),
-        orbit_elements=tuple(
-            (int_mat_from_json(e["matrix"]), e.get("word", "?"))
-            for e in obj.get("orbit_elements", [])
-        ),
+        full_cone=bool(need("full_cone")),
+        stabilization_depth=int_from_json(need("stabilization_depth")),
+        orbit_elements=orbit,
         rays_in_closure=bool(obj.get("rays_in_closure", True)),
         covering_evidence=obj.get("covering_evidence"),
         disjointness_evidence=obj.get("disjointness_evidence"),
@@ -274,10 +296,12 @@ def hodge_to_json(h):
 
 
 def hodge_from_json(obj):
+    from .hodge import HodgeLattice
+
     return HodgeLattice(
-        lattice_from_json(obj["lattice"]),
-        vec_from_json(obj["period_re"]),
-        vec_from_json(obj["period_im"]),
+        lattice_from_json(required(obj, "lattice", "hodge lattice")),
+        vec_from_json(required(obj, "period_re", "hodge lattice")),
+        vec_from_json(required(obj, "period_im", "hodge lattice")),
     )
 
 
@@ -293,20 +317,23 @@ def monodromy_spec_to_json(spec):
 
 
 def monodromy_spec_from_json(obj):
-    kind = obj.get("kind")
+    from .hodge import MonodromySpec
+
+    kind = required(obj, "kind", "monodromy spec")
     if kind == "full_orthogonal_plus":
         return MonodromySpec("full_orthogonal_plus")
     if kind == "discriminant":
         return MonodromySpec(
             "discriminant",
-            signs=tuple(obj.get("signs", [1, -1])),
+            signs=int_vec_from_json(obj.get("signs", [1, -1])),
             require_orientation=bool(obj.get("require_orientation", True)),
         )
     if kind == "generators":
+        gens = list_from_json(required(obj, "generators", "monodromy spec"), "generators")
         return MonodromySpec(
             "generators",
-            generators=tuple(int_mat_from_json(m) for m in obj["generators"]),
-            word_bound=int(obj.get("word_bound", 8)),
+            generators=tuple(int_mat_from_json(m) for m in gens),
+            word_bound=int_from_json(obj.get("word_bound", 8)),
         )
     raise ParseError(f"unknown monodromy spec kind {kind!r}")
 
@@ -320,34 +347,44 @@ def kahler_model_to_json(km):
 
 
 def kahler_model_from_json(obj):
+    from .hodge import KahlerModel
+
     return KahlerModel(
-        cone_from_json(obj["cone"]),
-        int_mat_from_json(obj["embedding"]),
-        lattice_from_json(obj["lattice"]),
+        cone_from_json(required(obj, "cone", "kahler model")),
+        int_mat_from_json(required(obj, "embedding", "kahler model")),
+        lattice_from_json(required(obj, "lattice", "kahler model")),
     )
 
 
 # --- finite groups and G-groups --------------------------------------------------------
 
 
+def _cohomology():
+    from . import cohomology
+
+    return cohomology
+
+
 BUILTIN_GROUPS = {
-    "Z1": lambda: cyclic(1),
-    "Z2": lambda: cyclic(2),
-    "Z3": lambda: cyclic(3),
-    "Z4": lambda: cyclic(4),
-    "Z5": lambda: cyclic(5),
-    "Z6": lambda: cyclic(6),
-    "V4": klein_four,
-    "Z2xZ2": klein_four,
-    "S3": lambda: symmetric(3),
-    "S4": lambda: symmetric(4),
-    "D4": lambda: dihedral(4),
-    "D6": lambda: dihedral(6),
-    "Q8": quaternion8,
+    "Z1": lambda: _cohomology().cyclic(1),
+    "Z2": lambda: _cohomology().cyclic(2),
+    "Z3": lambda: _cohomology().cyclic(3),
+    "Z4": lambda: _cohomology().cyclic(4),
+    "Z5": lambda: _cohomology().cyclic(5),
+    "Z6": lambda: _cohomology().cyclic(6),
+    "V4": lambda: _cohomology().klein_four(),
+    "Z2xZ2": lambda: _cohomology().klein_four(),
+    "S3": lambda: _cohomology().symmetric(3),
+    "S4": lambda: _cohomology().symmetric(4),
+    "D4": lambda: _cohomology().dihedral(4),
+    "D6": lambda: _cohomology().dihedral(6),
+    "Q8": lambda: _cohomology().quaternion8(),
 }
 
 
 def finite_group_from_json(obj):
+    from .cohomology import FiniteGroup
+
     if isinstance(obj, str):
         if obj not in BUILTIN_GROUPS:
             raise ParseError(f"unknown group name {obj!r}")
@@ -356,17 +393,18 @@ def finite_group_from_json(obj):
         if "name" in obj:
             return finite_group_from_json(obj["name"])
         if "table" in obj:
-            table = tuple(tuple(int(x) for x in row) for row in obj["table"])
-            return FiniteGroup(table, tuple(obj.get("names", ())) or None)
+            names = list_from_json(obj.get("names", []), "group element names")
+            return FiniteGroup(int_mat_from_json(obj["table"]), tuple(names) or None)
         if "permutations" in obj:
-            return group_from_permutations(
-                [tuple(int(x) for x in p) for p in obj["permutations"]]
-            )
+            perms = list_from_json(obj["permutations"], "permutations")
+            return group_from_permutations([int_vec_from_json(p) for p in perms])
     raise ParseError("finite group must be a name, a table, or permutation generators")
 
 
 def group_from_permutations(gens):
     """Finite group generated by permutations in one-line notation."""
+    from .cohomology import FiniteGroup
+
     if not gens:
         raise ParseError("need at least one permutation")
     n = len(gens[0])
@@ -403,10 +441,12 @@ def finite_group_to_json(g):
 
 
 def ggroup_from_json(obj):
-    group = finite_group_from_json(obj["group"])
-    carrier = finite_group_from_json(obj["carrier"])
+    from .cohomology import GGroup, trivial_action
+
+    group = finite_group_from_json(required(obj, "group", "G-group"))
+    carrier = finite_group_from_json(required(obj, "carrier", "G-group"))
     action = obj.get("action", "trivial")
     if action == "trivial":
         return trivial_action(group, carrier)
-    perms = tuple(tuple(int(x) for x in p) for p in action)
+    perms = tuple(int_vec_from_json(p) for p in list_from_json(action, "action"))
     return GGroup(group, carrier, perms)

@@ -69,6 +69,42 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["cone", "member", "--in", '{"gram":[[2,0],[0,-4]]}', "--base", "1,0",
+             "--point=1,2,3"],
+            "DimensionMismatch",
+        ),
+        (
+            ["cone", "member", "--in", '{"gram":[[2,0],[0,-4]]}', "--base", "1,0,0",
+             "--point=1,0"],
+            "DimensionMismatch",
+        ),
+        (
+            ["cone", "domain", "--group", "{}", "--base", "1,0", "--xi", "1,0",
+             "--bound", "5"],
+            "ParseError",
+        ),
+        (
+            ["lattice", "saturate", "--in", '{"gram":[[2,0],[0,2]]}', "--sub", "[[1]]"],
+            "ParseError",
+        ),
+        (["lattice", "signature", "--in", os.path.dirname(__file__)], "ParseError"),
+    ],
+    ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
+         "path-is-a-directory"],
+)
+def test_malformed_request_is_an_input_error(argv, error, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {error}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_exit_code_1_on_unknown_command(capsys):
     assert main(["bogus"]) == 1
     assert main(["lattice", "bogus"]) == 1

@@ -473,6 +473,23 @@ def test_les_and_fibers_with_nontrivial_actions():
             assert out["bijection"], (name, out)
 
 
+def test_les_and_fibers_classify_mid_and_quot_once(monkeypatch):
+    from klein_lattice import cohomology
+
+    classified = []
+    real = cohomology.h1_finite
+    monkeypatch.setattr(
+        cohomology, "h1_finite", lambda gg: classified.append(gg) or real(gg)
+    )
+    for name, ses in nontrivial_action_sequences():
+        classified.clear()
+        rep = les_of_pointed_sets(ses)
+        for phi in rep.h1_mid.representatives:
+            twist_fiber_check(ses, phi)
+        assert sum(gg is ses.mid for gg in classified) == 1, name
+        assert sum(gg is ses.quot for gg in classified) == 1, name
+
+
 def test_les_rejects_non_exact_input():
     z2 = cyclic(2)
     z4 = cyclic(4)

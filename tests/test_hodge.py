@@ -261,6 +261,23 @@ def test_mon_contains_variants():
         MonodromySpec("discriminant", signs=(3,))
 
 
+def test_mon_contains_builds_the_discriminant_group_once(monkeypatch):
+    from klein_lattice import lattice
+
+    built = []
+    real = lattice.discriminant_group
+    monkeypatch.setattr(
+        lattice, "discriminant_group", lambda lat: built.append(lat) or real(lat)
+    )
+    lat = IntegerLattice(((-6,),))  # L*/L = Z/6, where -1 is not +1
+    both = MonodromySpec("discriminant", signs=(1, -1), require_orientation=False)
+    plus = MonodromySpec("discriminant", signs=(1,), require_orientation=False)
+    assert mon_contains(both, lat, ((-1,),)) == "in"
+    assert len(built) == 1
+    assert mon_contains(plus, lat, ((-1,),)) == "out"
+    assert mon_contains(both, lat, ((1,),)) == "in"
+
+
 def test_mon2_khdg_examples():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))

@@ -223,6 +223,8 @@ def test_discriminant_acts_as_sign(n, also_plus):
     assert discriminant_acts_as(lat, ((-1,),), -1)
     assert discriminant_acts_as(lat, ((-1,),), 1) is also_plus
     assert discriminant_acts_as(lat, ((1,),), 1)
+    assert discriminant_acts_as(lat, ((-1,),), 1, -1)
+    assert not discriminant_acts_as(lat, ((-1,),))
     # on the trivial group of U both signs hold
     minus_u = ((-1, 0), (0, -1))
     assert discriminant_acts_as(U(), minus_u, 1)

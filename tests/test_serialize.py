@@ -4,7 +4,7 @@ import pytest
 
 from klein_lattice import serialize as ser
 from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
-from klein_lattice.errors import ParseError
+from klein_lattice.errors import DimensionMismatch, ParseError
 from klein_lattice.hodge import HodgeLattice, KahlerModel, MonodromySpec
 from klein_lattice.isometry import GeneratedGroup, Isometry, KleinIsometry
 from klein_lattice.lattice import IntegerLattice, U
@@ -68,6 +68,21 @@ def test_certificate_roundtrip(pell_group, pell_cone, pell_cert):
     assert back.xi == pell_cert.xi
     assert back.stabilization_depth == pell_cert.stabilization_depth
     assert len(back.orbit_elements) == len(pell_cert.orbit_elements)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("xi", [1]),
+        ("halfspaces", [[1]]),
+        ("orbit_elements", [{"matrix": [[1]], "word": "g0"}]),
+        ("domain", {"rays": [[1, 0, 0]]}),
+    ],
+)
+def test_certificate_data_must_match_the_rank(pell_cert, key, value):
+    obj = dict(ser.certificate_to_json(pell_cert), **{key: value})
+    with pytest.raises(DimensionMismatch):
+        ser.certificate_from_json(obj)
 
 
 def test_hodge_and_model_roundtrip():

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import klein_lattice
@@ -27,7 +31,36 @@ def test_unused_imports_detects_a_dead_name():
 
 
 def test_library_modules_import_no_unused_names():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+LOADED = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("klein_lattice."))
+
+import klein_lattice.lattice
+after_import = loaded()
+from klein_lattice.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["lattice", "signature", "--name", "K3"])
+print(json.dumps({"import": after_import, "request": loaded(), "code": code}))
+"""
+
+
+def test_lattice_request_loads_no_other_library_module():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED], capture_output=True, text=True, env=env, check=True
+    )
+    out = json.loads(proc.stdout)
+    heavy = {f"klein_lattice.{m}" for m in ("cohomology", "cones", "hodge", "isometry")}
+    assert out["code"] == 0
+    assert "klein_lattice.lattice" in out["import"]
+    assert heavy.isdisjoint(out["import"])
+    assert "klein_lattice.cli" in out["request"]
+    assert heavy.isdisjoint(out["request"])
