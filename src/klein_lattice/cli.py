@@ -183,8 +183,10 @@ def cmd_isom_stabilizer(args):
 def _positive_cone_from_args(args, gamma=None):
     from .cones import PositiveCone
 
-    if getattr(args, "pos", None):
+    if args.pos is not None:
         return ser.positive_cone_from_json(_maybe_inline_json(args.pos))
+    if args.base is None:
+        raise ParseError("need --pos or --base")
     lat = gamma.lattice if gamma else _lattice_arg(args)
     base = _parse_vector(args.base)
     return PositiveCone(lat, base)

@@ -451,11 +451,22 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
     certified), and NonStabilizing if the halfspace set was still growing at
     the bound.  Domain construction is limited to rank <= 4 (orbit growth);
     pure cone algebra has no such limit.
+
+    The cone of depth d is cut out by the facets of the cone of depth d - 1
+    and the halfspaces of the orbit points first reached at depth d.  xi is
+    interior to every such cone, so each is full-dimensional, its facets are
+    unique, and it is the cone that all halfspaces up to depth d cut out.
     """
-    if pos.dim > 4:
-        raise UnsupportedRank("domain construction is limited to rank <= 4")
+    if len(xi) != pos.dim:
+        raise DimensionMismatch("xi length != lattice rank")
+    if pos.lattice.gram != gamma.lattice.gram:
+        raise InvalidInput("positive cone and group live on different lattices")
     if word_bound is None:
         word_bound = gamma.word_bound
+    if word_bound < 1:
+        raise InvalidInput("word bound must be at least 1")
+    if pos.dim > 4:
+        raise UnsupportedRank("domain construction is limited to rank <= 4")
     xiv = tuple(Fraction(c) for c in xi)
     if not pos.contains_open(xiv):
         raise NonPositiveVector("xi must lie in the open cone C")
@@ -466,56 +477,57 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         raise NontrivialStabilizer("base point has a nontrivial stabilizer")
     n = pos.dim
     g = pos.lattice.gram
-    seen_points = {tuple(xiv)}
-    halfspace_raw = []  # (depth, covector, matrix, word)
-    for depth, layer in enumerate(gamma.layers(word_bound)):
-        if depth == 0:
-            continue
+    x = la.primitive_vector(xiv)
+    seen_points = {x}
+    depth_halfspaces = []  # the covectors of the points first reached at depth d
+    orbit_elements = []
+    for layer in gamma.layers(word_bound)[1:]:
+        new = []
         for el in layer:
-            m, w = el.matrix, el.word
-            p = la.mat_vec(m, xiv)
-            if tuple(p) in seen_points:
+            p = la.mat_vec(el.matrix, x)
+            if p in seen_points:
                 continue
-            seen_points.add(tuple(p))
-            diff = tuple(a - b for a, b in zip(p, xiv))
-            h = la.primitive_vector(la.mat_vec(g, diff))
-            halfspace_raw.append((depth, h, m, w))
-    if not halfspace_raw:
+            seen_points.add(p)
+            h = la.primitive_vector(la.mat_vec(g, tuple(a - b for a, b in zip(p, x))))
+            if la.dot(h, x) <= 0:
+                raise InvalidInput(f"{el.word} moves xi out of the component C")
+            new.append(h)
+            orbit_elements.append((el.matrix, el.word))
+        if new:
+            depth_halfspaces.append(tuple(new))
+    if not orbit_elements:
         full = cone_from_halfspaces(n, ())
         return DomainCertificate(
             pos, gamma, xiv, word_bound, (), full, True, 0, (), True
         )
-    per_depth = {}
-    max_depth = max(d for d, _, _, _ in halfspace_raw)
-    for d in range(1, max_depth + 1):
-        hs = [h for dep, h, _, _ in halfspace_raw if dep <= d]
-        cone = cone_from_halfspaces(n, tuple(dict.fromkeys(hs)))
-        per_depth[d] = (frozenset(cone.halfspaces), cone)
-    final_set, final_cone = per_depth[max_depth]
-    stabilization_depth = None
-    for d in range(1, max_depth + 1):
-        if per_depth[d][0] == final_set:
-            stabilization_depth = d
-            break
-    if stabilization_depth is None or stabilization_depth >= word_bound:
+    facets, facet_sets = (), []
+    for new in depth_halfspaces:
+        cone = cone_from_halfspaces(n, facets + new)
+        facets = cone.halfspaces
+        facet_sets.append(frozenset(facets))
+    stabilization_depth = 1 + facet_sets.index(facet_sets[-1])
+    if stabilization_depth >= word_bound:
         raise NonStabilizing(
             "halfspace set still growing at the word bound", bound=word_bound
         )
+    if cone.lines:
+        # rays beside lines depend on the order of insertion: take them from
+        # all halfspaces in orbit order, not from the depth-by-depth walk
+        cone = cone_from_halfspaces(n, sum(depth_halfspaces, ()))
     rays_ok = all(
         pos.q(r) >= 0 and pos.pairing(r, pos.component_base) > 0
-        for r in final_cone.rays
-    ) and not final_cone.lines
-    orbit_elements = tuple((m, w) for _, _, m, w in halfspace_raw)
+        for r in cone.rays
+    ) and not cone.lines
     return DomainCertificate(
         pos,
         gamma,
         xiv,
         word_bound,
-        final_cone.halfspaces,
-        final_cone,
+        cone.halfspaces,
+        cone,
         False,
         stabilization_depth,
-        orbit_elements,
+        tuple(orbit_elements),
         rays_ok,
     )
 
@@ -683,37 +695,34 @@ def verify_fundamental_domain(
     pos = cert.positive_cone
     points = sample_cone_points(pos, samples, seed)
     max_moves = 0
-    if not cert.full_cone:
-        for p in points:
-            try:
-                reduced, _, steps = reduce_into_domain(cert, p, max_steps=max_steps)
-            except ReductionFailure as exc:
-                raise CoverageFailure(
-                    f"point {p} could not be reduced", point=p
-                ) from exc
-            if not cert.domain_contains(reduced):
-                raise CoverageFailure(f"point {p} reduced outside D", point=p)
-            max_moves = max(max_moves, steps)
+    for p in points:
+        try:
+            reduced, _, steps = reduce_into_domain(cert, p, max_steps=max_steps)
+        except ReductionFailure as exc:
+            raise CoverageFailure(f"point {p} could not be reduced", point=p) from exc
+        if not cert.domain_contains(reduced):
+            raise CoverageFailure(f"point {p} reduced outside D", point=p)
+        max_moves = max(max_moves, steps)
     covering = {
         "samples": samples,
         "seed": seed,
         "max_reduction_steps": max_moves,
         "status": "pass",
     }
-    disjointness = {"word_bound": disjoint_word_len, "checked": 0, "status": "pass"}
-    if not cert.full_cone:
-        dcone = cert.domain
-        checked = 0
-        for depth, layer in enumerate(cert.group.layers(disjoint_word_len)):
-            if depth == 0:
-                continue
-            for el in layer:
-                moved = transform_cone(dcone, el.matrix)
-                checked += 1
-                if interiors_meet_component(dcone, moved, pos):
-                    raise DisjointnessFailure(
-                        f"interior overlap with translate by {el.word}", word=el.word
-                    )
-        disjointness["checked"] = checked
+    dcone = cert.domain
+    checked = 0
+    for layer in cert.group.layers(disjoint_word_len)[1:]:
+        for el in layer:
+            moved = transform_cone(dcone, el.matrix)
+            checked += 1
+            if interiors_meet_component(dcone, moved, pos):
+                raise DisjointnessFailure(
+                    f"interior overlap with translate by {el.word}", word=el.word
+                )
+    disjointness = {
+        "word_bound": disjoint_word_len,
+        "checked": checked,
+        "status": "pass",
+    }
     report = {"covering": covering, "disjointness": disjointness}
     return report, cert.with_evidence(covering=covering, disjointness=disjointness)

@@ -8,6 +8,7 @@ procedure.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import isqrt
 
@@ -510,19 +511,27 @@ class GeneratedGroup:
                 out.append(GroupElement(minv, s, f"g{i}^-1"))
         return out
 
+    @cached_property
+    def _bfs(self):
+        """The word BFS walked so far: its layers, the matrices seen and the
+        generators it multiplies by.  Kept in the instance dictionary, outside
+        the dataclass fields, so equality, hashing and repr do not see it."""
+        ident = GroupElement(la.identity_matrix(self.lattice.rank), 1, "e")
+        return [(ident,)], {ident.matrix}, self.generator_elements()
+
     def layers(self, bound=None):
         """BFS of distinct elements by word length: layers[d] holds the
         elements first reached by a word of length d <= bound, layers[0] the
-        identity.  The list ends with an empty layer when the BFS exhausted
+        identity.  The tuple ends with an empty layer when the BFS exhausted
         the group before the bound.
+
+        The BFS runs once per group and is extended when a larger bound is
+        asked for, so layers(b) is a prefix of layers(b') for b <= b'.
         """
         if bound is None:
             bound = self.word_bound
-        ident = GroupElement(la.identity_matrix(self.lattice.rank), 1, "e")
-        gens = self.generator_elements()
-        seen = {ident.matrix}
-        layers = [[ident]]
-        for _ in range(bound):
+        layers, seen, gens = self._bfs
+        while len(layers) <= bound and layers[-1]:
             new = []
             for el in layers[-1]:
                 for g in gens:
@@ -531,10 +540,8 @@ class GeneratedGroup:
                         seen.add(m)
                         word = g.word if el.word == "e" else g.word + "*" + el.word
                         new.append(GroupElement(m, g.sign * el.sign, word))
-            layers.append(new)
-            if not new:
-                break
-        return layers
+            layers.append(tuple(new))
+        return tuple(layers[: max(bound, 0) + 1])
 
     def enumeration(self, bound=None):
         """BFS of distinct elements with words of length <= bound.

@@ -57,6 +57,16 @@ def test_exit_code_1_on_bad_input(capsys):
     assert main(["lattice", "signature", "--in", '{"gram": [[0,1],[2,0]]}']) == 1
 
 
+PELL_GROUP = json.dumps(
+    {
+        "lattice": {"gram": [[2, 0], [0, -4]]},
+        "generators": [{"matrix": [[3, 4], [2, 3]]}],
+        "word_bound": 8,
+        "component_base": [1, 0],
+    }
+)
+
+
 @pytest.mark.parametrize(
     "gram, error",
     [("5", "ParseError"), ("[[1, 0], [0]]", "ParseError"), ("[]", "EmptyInput")],
@@ -92,9 +102,31 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
             "ParseError",
         ),
         (["lattice", "signature", "--in", os.path.dirname(__file__)], "ParseError"),
+        (
+            ["cone", "domain", "--group", PELL_GROUP, "--base", "1,0", "--xi", "1,0,7"],
+            "DimensionMismatch",
+        ),
+        (
+            ["cone", "domain", "--group", PELL_GROUP,
+             "--pos", '{"lattice":{"gram":[[2,0],[0,-6]]},"component_base":[1,0]}',
+             "--xi", "1,0"],
+            "InvalidInput",
+        ),
+        (
+            ["cone", "domain", "--group", PELL_GROUP, "--base", "1,0", "--xi", "1,0",
+             "--bound", "0"],
+            "InvalidInput",
+        ),
+        (
+            ["cone", "domain", "--group", PELL_GROUP, "--base", "1,0", "--xi", "1,0",
+             "--bound=-3"],
+            "InvalidInput",
+        ),
+        (["cone", "domain", "--group", PELL_GROUP, "--xi", "1,0"], "ParseError"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
-         "path-is-a-directory"],
+         "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
+         "bound-negative", "neither-pos-nor-base"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)
@@ -272,6 +304,28 @@ def test_cone_pipeline(pell_group_file, tmp_path, capsys):
         capsys,
     )
     assert code == 0 and rep["result"]["member"] is True
+
+
+def test_full_cone_certificate_of_an_infinite_group_exits_2(capsys):
+    # the full cone C+ is no fundamental domain for the infinite Pell group:
+    # its first translate overlaps it
+    group = json.loads(PELL_GROUP)
+    cert = {
+        "positive_cone": {"lattice": group["lattice"], "component_base": [1, 0]},
+        "group": group,
+        "xi": [1, 0],
+        "word_bound": 0,
+        "halfspaces": [],
+        "domain": {"ambient_dim": 2, "rays": [], "halfspaces": [], "lines": [[0, 1], [1, 0]]},
+        "full_cone": True,
+        "stabilization_depth": 0,
+        "orbit_elements": [],
+        "rays_in_closure": True,
+    }
+    code = main(["cone", "verify", "--cert", json.dumps(cert), "--samples", "5"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep["error"]["type"] == "DisjointnessFailure"
 
 
 def test_cone_domain_exit_2_on_nontrivial_stabilizer(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Fuzzing of the CLI's JSON boundary.
 
-Each example breaks a valid --in, --sub, --group or --cert document (a
-subtree replaced by junk, a key or item dropped, the text cut short) and
-runs main() in-process.  Every request must end in exit 0, 1 or 2 without a
+Each example breaks a valid --in, --sub, --group, --cert, --pos or --pi1
+document (a subtree replaced by junk, a key or item dropped, the text cut
+short) and runs main() in-process.  Every request must end in exit 0, 1 or 2 without a
 traceback, and exit 1 must name a KleinLatticeError subclass on stderr.
 """
 
@@ -25,6 +25,8 @@ PELL_GROUP = {
     "word_bound": 8,
     "component_base": [1, 0],
 }
+PELL_POS = {"lattice": {"gram": [[2, 0], [0, -4]]}, "component_base": [1, 0]}
+PELL_DOMAIN = {"ambient_dim": 2, "rays": [[2, -1], [2, 1]], "halfspaces": [[1, -2], [1, 2]]}
 X = object()  # where "OPTION=DOCUMENT" goes in a request
 
 REQUESTS = {
@@ -49,6 +51,14 @@ REQUESTS = {
         ["isom", "stabilizer", "--group", json.dumps(PELL_GROUP), "--point", "3,1",
          X],
     ],
+    "--pos": [
+        ["cone", "domain", "--group", json.dumps(PELL_GROUP), X, "--xi", "1,0",
+         "--bound", "4"],
+    ],
+    "--pi1": [
+        ["cone", "siegel", "--group", json.dumps(PELL_GROUP), "--base", "1,0", X,
+         "--pi2", json.dumps(PELL_DOMAIN), "--bound", "4"],
+    ],
 }
 
 
@@ -66,6 +76,10 @@ def valid_documents(option):
         return [{"basis": [[2, 0]]}]
     if option == "--group":
         return [PELL_GROUP, {"table": [[0, 1], [1, 0]]}, {"permutations": [[1, 2, 0]]}]
+    if option == "--pos":
+        return [PELL_POS]
+    if option == "--pi1":
+        return [PELL_DOMAIN, {"halfspaces": [[1, -2], [1, 2]]}]
     return [pell_certificate()]
 
 

@@ -1,11 +1,15 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from klein_lattice import cones
 from klein_lattice import intlinalg as la
+from klein_lattice import serialize as ser
 from klein_lattice.cones import (
+    DomainCertificate,
     PositiveCone,
     cone_from_halfspaces,
     cone_from_rays,
@@ -26,6 +30,7 @@ from klein_lattice.cones import (
 )
 from klein_lattice.errors import (
     CoverageFailure,
+    DimensionMismatch,
     DisjointnessFailure,
     InvalidInput,
     NonPositiveVector,
@@ -228,6 +233,131 @@ def test_dirichlet_domain_rank3_finite_group():
         pos2, cert2.domain, cert2.domain, gamma2, word_bound=14
     )
     assert rep2["count"] == 3
+
+
+PELL_UNITS = {2: (3, 2), 3: (2, 1), 5: (9, 4)}  # a^2 - k b^2 = 1
+SIGN_FLIPS = (((1, 0, 0), (0, -1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+
+
+def domain_case(name):
+    """(gamma, positive cone, xi, word bound) of a named Dirichlet domain."""
+    if name == "signflip":
+        lat = IntegerLattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
+        pos = PositiveCone(lat, (1, 0, 0))
+        gens = tuple(Isometry(lat, m) for m in SIGN_FLIPS)
+        gamma = GeneratedGroup(lat, gens, word_bound=6, component_base=(1, 0, 0))
+        return gamma, pos, find_trivial_stabilizer_point(gamma, pos), 6
+    lat = IntegerLattice(((2, 0), (0, -4)))
+    pos = PositiveCone(lat, (1, 0))
+    if name == "dihedral":
+        gens = (Isometry(lat, PELL), Isometry(lat, ((1, 0), (0, -1))))
+        return GeneratedGroup(lat, gens, 12, component_base=(1, 0)), pos, (3, -1), 12
+    if name == "rational-xi":
+        gamma = GeneratedGroup(lat, (Isometry(lat, PELL),), 20, component_base=(1, 0))
+        return gamma, pos, (Fraction(3, 2), Fraction(1, 2)), 20
+    k, bound = (int(part) for part in name[len("pell"):].split("-"))
+    a, b = PELL_UNITS[k]
+    lat = IntegerLattice(((2, 0), (0, -2 * k)))
+    gamma = GeneratedGroup(
+        lat, (Isometry(lat, ((a, k * b), (b, a))),), bound, component_base=(1, 0)
+    )
+    return gamma, PositiveCone(lat, (1, 0)), (1, 0), bound
+
+
+def domain_from_scratch(gamma, pos, xi, word_bound):
+    """The reference construction: Fraction orbit points, and the cone of
+    each depth rebuilt from every halfspace up to that depth."""
+    xiv = tuple(Fraction(c) for c in xi)
+    seen = {xiv}
+    raw = []  # (depth, covector, matrix, word)
+    for depth, layer in enumerate(gamma.layers(word_bound)[1:], start=1):
+        for el in layer:
+            p = la.mat_vec(el.matrix, xiv)
+            if p in seen:
+                continue
+            seen.add(p)
+            diff = tuple(a - b for a, b in zip(p, xiv))
+            raw.append((depth, la.primitive_vector(la.mat_vec(pos.lattice.gram, diff)),
+                        el.matrix, el.word))
+    depth_cones = [
+        cone_from_halfspaces(pos.dim, tuple(dict.fromkeys(h for dep, h, _, _ in raw if dep <= d)))
+        for d in range(1, raw[-1][0] + 1)
+    ]
+    final = depth_cones[-1]
+    sets = [frozenset(c.halfspaces) for c in depth_cones]
+    return {
+        "halfspaces": final.halfspaces,
+        "domain": (final.rays, final.lines),
+        "stabilization_depth": 1 + sets.index(sets[-1]),
+        "orbit_elements": tuple((m, w) for _, _, m, w in raw),
+        "rays_in_closure": not final.lines and all(
+            pos.q(r) >= 0 and pos.pairing(r, pos.component_base) > 0 for r in final.rays
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pell2-8", "pell2-20", "pell3-8", "pell3-20", "pell5-8", "pell5-20", "dihedral",
+     "signflip", "rational-xi"],
+)
+def test_depth_by_depth_domain_matches_from_scratch(name):
+    gamma, pos, xi, bound = domain_case(name)
+    cert = dirichlet_domain(gamma, pos, xi, word_bound=bound)
+    got = {
+        "halfspaces": cert.halfspaces,
+        "domain": (cert.domain.rays, cert.domain.lines),
+        "stabilization_depth": cert.stabilization_depth,
+        "orbit_elements": cert.orbit_elements,
+        "rays_in_closure": cert.rays_in_closure,
+    }
+    assert got == domain_from_scratch(gamma, pos, xi, bound)
+    assert cert.xi == tuple(Fraction(c) for c in xi)
+
+
+def test_domain_construction_inserts_few_halfspaces(monkeypatch, pell_group, pell_cone):
+    # building each depth from the previous facets: 4 insertions at depth 1
+    # and 6 at each later depth; rebuilding from every halfspace takes 460
+    real = cones._insert_halfspace
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cones, "_insert_halfspace", counting)
+    dirichlet_domain(pell_group, pell_cone, (1, 0), word_bound=20)
+    assert len(calls) <= 150
+
+
+def test_dirichlet_domain_checks_its_input(pell_lattice, pell_group, pell_cone):
+    with pytest.raises(DimensionMismatch):
+        dirichlet_domain(pell_group, pell_cone, (1, 0, 7))
+    other = PositiveCone(IntegerLattice(((2, 0), (0, -6))), (1, 0))
+    with pytest.raises(InvalidInput):
+        dirichlet_domain(pell_group, other, (1, 0))
+    for bound in (0, -3):
+        with pytest.raises(InvalidInput):
+            dirichlet_domain(pell_group, pell_cone, (1, 0), word_bound=bound)
+    # x -> (-x0, x1) swaps the two components of {q > 0}
+    swap = GeneratedGroup(
+        pell_lattice, (Isometry(pell_lattice, ((-1, 0), (0, 1))),), 4,
+        component_base=(1, 0),
+    )
+    with pytest.raises(InvalidInput):
+        dirichlet_domain(swap, pell_cone, (3, 1))
+
+
+def test_full_cone_certificate_of_an_infinite_group_fails(pell_group, pell_cone):
+    # C+ itself, offered as the domain of the infinite Pell group
+    full = DomainCertificate(
+        pell_cone, pell_group, (Fraction(1), Fraction(0)), 0, (),
+        cone_from_halfspaces(2, ()), True, 0, (), True,
+    )
+    back = ser.certificate_from_json(ser.certificate_to_json(full))
+    assert back.full_cone
+    with pytest.raises(DisjointnessFailure):
+        verify_fundamental_domain(back, samples=5, seed=1, disjoint_word_len=2)
 
 
 def test_halfspaces_stable_under_doubling_bound(

@@ -323,6 +323,99 @@ def test_group_membership_closed_enumeration_certifies_out():
     assert group_membership(gamma, rot) == "out"
 
 
+def uncached_layers(gamma, bound):
+    """The word BFS of GeneratedGroup.layers, without a cache, as
+    (matrix, sign, word) triples."""
+    ident = la.identity_matrix(gamma.lattice.rank)
+    gens = gamma.generator_elements()
+    seen = {ident}
+    layers = [[(ident, 1, "e")]]
+    for _ in range(bound):
+        new = []
+        for m, sign, word in layers[-1]:
+            for g in gens:
+                p = la.mat_mul(g.matrix, m)
+                if p not in seen:
+                    seen.add(p)
+                    new.append((p, g.sign * sign, g.word if word == "e" else f"{g.word}*{word}"))
+        layers.append(new)
+        if not new:
+            break
+    return layers
+
+
+def test_cached_layers_equal_an_uncached_bfs(pell_lattice):
+    # the sign flips of diag(2,-2,-2) exhaust at depth 3 (layers 1, 2, 1, 0)
+    d = IntegerLattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
+    flips = (((1, 0, 0), (0, -1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    finite = GeneratedGroup(d, tuple(Isometry(d, m) for m in flips), word_bound=5)
+    pell = GeneratedGroup(pell_lattice, (Isometry(pell_lattice, PELL),), word_bound=5)
+    for gamma, bounds in ((finite, (2, 5, 0, 3, -1, 1, 4, 8)), (pell, (3, 1, 6, 0, 9))):
+        for bound in bounds:
+            layers = gamma.layers(bound)
+            assert isinstance(layers, tuple)
+            assert all(isinstance(layer, tuple) for layer in layers)
+            got = [[(el.matrix, el.sign, el.word) for el in layer] for layer in layers]
+            want = uncached_layers(gamma, bound)
+            assert got == want
+            _, closed = gamma.enumeration(bound)
+            assert closed == (not want[-1])
+    assert [len(layer) for layer in finite.layers(8)] == [1, 2, 1, 0]
+    assert finite.enumeration(3)[1] and not finite.enumeration(2)[1]
+
+
+def test_enumeration_runs_once_per_group(monkeypatch, pell_lattice):
+    real = la.mat_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(la, "mat_mul", counting)
+
+    def pell():
+        return GeneratedGroup(
+            pell_lattice, (Isometry(pell_lattice, PELL),), word_bound=10,
+            component_base=(1, 0),
+        )
+
+    gamma = pell()
+    gamma.layers()
+    first = len(calls)
+    assert first > 0
+    gamma.layers()
+    gamma.layers(4)
+    assert len(calls) == first
+    # (1, 0) has the candidate diag(1, -1), which group_membership looks up
+    # in the enumeration; the second stabilizer call finds it walked already
+    gamma, other = pell(), pell()
+    calls.clear()
+    stabilizer(gamma, (1, 0))
+    with_bfs = len(calls)
+    calls.clear()
+    other.layers()
+    bfs = len(calls)
+    calls.clear()
+    stabilizer(gamma, (1, 0))
+    assert bfs > 0 and len(calls) == with_bfs - bfs
+
+
+def test_enumerated_group_equals_a_fresh_one(pell_lattice):
+    def pell():
+        return GeneratedGroup(
+            pell_lattice, (Isometry(pell_lattice, PELL),), word_bound=6,
+            component_base=(1, 0),
+        )
+
+    walked, fresh = pell(), pell()
+    walked.layers(8)
+    assert walked == fresh
+    assert hash(walked) == hash(fresh)
+    assert repr(walked) == repr(fresh)
+    assert {fresh: "found"}[walked] == "found"
+
+
 def test_orientation():
     d = IntegerLattice(((2, 0), (0, -4)))
     assert preserves_positive_orientation(d, PELL)
