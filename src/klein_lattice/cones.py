@@ -333,30 +333,24 @@ def _simplex_max(b):
     """Exact maximum of a^T B a over the standard simplex.
 
     Support sets are enumerated; for each one the Lagrange system is solved
-    exactly when nonsingular, and feasible critical values are collected.  A
-    minimal-support maximizer always yields a nonsingular system, so the true
-    maximum is among the candidates; every candidate is attained, so the
-    maximum of the candidates is exact.
+    exactly when nonsingular (its right-hand side is the last unit vector, so
+    the solution is the last column of the inverse), and feasible critical
+    values are collected.  A minimal-support maximizer always yields a
+    nonsingular system, so the true maximum is among the candidates; every
+    candidate is attained, so the maximum of the candidates is exact.
     """
     m = len(b)
     best = None
     for size in range(1, m + 1):
         for support in combinations(range(m), size):
             k = len(support)
-            mat = []
-            for i in support:
-                mat.append(
-                    tuple(Fraction(2 * b[i][j]) for j in support) + (Fraction(-1),)
-                )
-            mat.append(tuple(Fraction(1) for _ in support) + (Fraction(0),))
-            rhs = tuple(Fraction(0) for _ in support) + (Fraction(1),)
-            if la.frac_det(mat) == 0:
+            mat = [tuple(2 * b[i][j] for j in support) + (-1,) for i in support]
+            mat.append((1,) * k + (0,))
+            inv = la.frac_inverse(mat)
+            if inv is None:
                 continue
-            sol = la.solve_frac(mat, rhs)
-            if sol is None:
-                continue
-            coords = sol[:k]
-            lam = sol[k]
+            coords = [row[k] for row in inv[:k]]
+            lam = inv[k][k]
             if any(c < 0 for c in coords):
                 continue
             value = lam / 2
@@ -690,8 +684,14 @@ def verify_fundamental_domain(
     procedure.  Disjointness: for every nonidentity word up to the bound,
     int(D) cap gamma . int(D) cap C is empty (exact polyhedral check).
     Raises CoverageFailure / DisjointnessFailure accordingly; returns
-    (report, certificate-with-evidence) on success.
+    (report, certificate-with-evidence) on success.  samples or
+    disjoint_word_len below 1 is InvalidInput: that check would pass
+    having checked nothing.
     """
+    if samples < 1:
+        raise InvalidInput("covering needs at least one sample")
+    if disjoint_word_len < 1:
+        raise InvalidInput("disjointness needs a word bound of at least 1")
     pos = cert.positive_cone
     points = sample_cone_points(pos, samples, seed)
     max_moves = 0

@@ -109,7 +109,3 @@ class UnsupportedRank(KleinLatticeError):
 
 class ParseError(KleinLatticeError):
     pass
-
-
-class UnknownCommand(KleinLatticeError):
-    pass

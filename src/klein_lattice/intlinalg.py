@@ -73,31 +73,6 @@ def bareiss_det(a):
     return sign * m[n - 1][n - 1]
 
 
-def frac_det(a):
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
-
-
 def row_hnf(a):
     """Row Hermite normal form.  Returns (H, U) with U unimodular, U*A = H.
 
@@ -313,16 +288,22 @@ def solve_int(a, b):
     return mat_vec(v, tuple(y))
 
 
-def solve_frac(a, b):
-    """One rational solution of A x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    piv_cols = []
+def _row_reduce(rows, ncols):
+    """Fraction Gauss-Jordan elimination, pivoting on the first ncols columns.
+
+    Returns (m, pivots): m holds the reduced rows as lists of Fractions (any
+    columns past ncols are carried along), row i has a 1 in column pivots[i]
+    and every other row a 0 there.  The pivot of a column is its first
+    nonzero entry at or below the current row; the loop stops once every row
+    has a pivot.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         piv = None
-        for i in range(r, rows):
+        for i in range(r, nrows):
             if m[i][c] != 0:
                 piv = i
                 break
@@ -331,75 +312,54 @@ def solve_frac(a, b):
         m[r], m[piv] = m[piv], m[r]
         inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
+        for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
+        pivots.append(c)
         r += 1
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def solve_frac(a, b):
+    """One rational solution of A x = b, or None if inconsistent."""
+    cols = len(a[0]) if a else 0
+    m, pivots = _row_reduce([tuple(row) + (b[i],) for i, row in enumerate(a)], cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][cols]
+    for row, c in zip(m, pivots):
+        x[c] = row[cols]
     return tuple(x)
 
 
 def frac_inverse(a):
     """Exact inverse of a square rational matrix; None if singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    ident = identity_matrix(n)
+    m, pivots = _row_reduce([tuple(row) + ident[i] for i, row in enumerate(a)], n)
+    if len(pivots) < n:
+        return None
     return tuple(tuple(row[n:]) for row in m)
 
 
 def unimodular_inverse(a):
-    """Integer inverse of a unimodular integer matrix."""
+    """Integer inverse of a unimodular integer matrix.
+
+    Raises ValueError when a is singular or its inverse is not integral.
+    """
     inv = frac_inverse(a)
+    if inv is None or any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def rank(a):
     if not a:
         return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_row_reduce(a, len(a[0]))[1])
 
 
 def complete_basis(b):

@@ -122,14 +122,15 @@ def preserves_positive_orientation(lat, matrix):
     For signature (1, n-1) this is preservation of the chosen component of
     {q > 0}; for signature (3, n-3) it is the orientation of the positive cone.
     """
-    w = positive_basis(lat)
+    # positive multiples of the basis vectors keep the determinant's sign
+    w = [la.primitive_vector(v) for v in positive_basis(lat)]
     if not w:
         raise InvalidInput("lattice has no positive part")
     g = lat.gram
     p = tuple(
         tuple(la.dot(la.mat_vec(g, wj), la.mat_vec(matrix, wi)) for wj in w) for wi in w
     )
-    d = la.frac_det(p)
+    d = la.bareiss_det(p)
     if d == 0:
         raise InvalidInput("degenerate positive-part pairing; not an isometry?")
     return d > 0
@@ -139,21 +140,15 @@ def preserves_positive_orientation(lat, matrix):
 
 
 def _pos_def_data(gram):
-    """Cholesky-style data: Q(x) = sum_i d[i] * (x_i + sum_{j>i} c[i][j] x_j)^2."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise NotDefinite("matrix is not positive definite")
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            c[i][j] = a[i][j] / a[i][i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= a[i][r] * a[i][s] / a[i][i]
-    return d, c
+    """Q(x) = sum_i d[i] * (x_i + sum_{j>i} c[i][j] x_j)^2 for positive definite gram.
+
+    From t^T gram t = diag(d): for a positive definite gram, t is unit upper
+    triangular, and c is its inverse.
+    """
+    d, t = la.congruence_diagonalize(gram)
+    if any(x <= 0 for x in d):
+        raise NotDefinite("matrix is not positive definite")
+    return d, la.frac_inverse(t)
 
 
 def vectors_of_norm(gram, m):
@@ -201,48 +196,51 @@ def _definite_positive_gram(lat):
     raise NotDefinite("lattice must be positive or negative definite")
 
 
+def _column_search(lat):
+    """The column backtracking behind both definite-group functions.
+
+    Column i of an isometry matrix is the image of e_i: a vector of norm
+    g[i][i] whose pairings with the columns before it are g[i][0..i-1].
+    Returns (candidates, extensions): candidates(prefix) lists the vectors
+    that may follow the columns in prefix, and extensions(prefix) yields
+    every completion of prefix to all n columns.  G*v is computed once per
+    vector of each norm.
+    """
+    g = _definite_positive_gram(lat)
+    n = lat.rank
+    by_norm = {}
+    for i in range(n):
+        if g[i][i] not in by_norm:
+            by_norm[g[i][i]] = [(v, la.mat_vec(g, v)) for v in vectors_of_norm(g, g[i][i])]
+
+    def candidates(prefix):
+        row = g[len(prefix)]
+        return [
+            v
+            for v, gv in by_norm[row[len(prefix)]]
+            if all(la.dot(gv, u) == row[j] for j, u in enumerate(prefix))
+        ]
+
+    def extensions(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for v in candidates(prefix):
+            yield from extensions(prefix + [v])
+
+    return candidates, extensions
+
+
 def isometry_group_definite(lat):
     """The full finite group O(L) of a definite lattice, by backtracking.
 
     Columns of a candidate are chosen among vectors of the right norm and
-    filtered by the pairing constraints against previously chosen columns.
+    filtered by the pairing constraints against previously chosen columns;
+    a full set of columns has Gram matrix g, so its determinant is +-1.
     Output is sorted lexicographically by matrix.
     """
-    g = _definite_positive_gram(lat)
-    n = lat.rank
-    norm_cache = {}
-    for i in range(n):
-        norm_cache.setdefault(g[i][i], None)
-    for norm in norm_cache:
-        norm_cache[norm] = vectors_of_norm(g, norm)
-    results = []
-    cols = []
-
-    def pair(u, v):
-        return la.dot(la.mat_vec(g, v), u)
-
-    def rec(i):
-        if i == n:
-            m = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-            results.append(m)
-            return
-        for v in norm_cache[g[i][i]]:
-            ok = True
-            for j in range(i):
-                if pair(cols[j], v) != g[i][j]:
-                    ok = False
-                    break
-            if ok:
-                cols.append(v)
-                rec(i + 1)
-                cols.pop()
-
-    rec(0)
-    out = []
-    for m in sorted(results):
-        if abs(la.bareiss_det(m)) == 1:
-            out.append(Isometry(lat, m))
-    return out
+    _, extensions = _column_search(lat)
+    return [Isometry(lat, m) for m in sorted(la.transpose(cols) for cols in extensions([]))]
 
 
 def isometry_group_order_definite(lat):
@@ -252,43 +250,16 @@ def isometry_group_order_definite(lat):
     to a full isometry form one orbit of the level-(i-1) stabilizer, so the
     order is the product of the extendable-candidate counts.
     """
-    g = _definite_positive_gram(lat)
-    n = lat.rank
-    norm_cache = {}
-
-    def pair(u, v):
-        return la.dot(la.mat_vec(g, v), u)
-
-    def candidates(i, prefix):
-        norm = g[i][i]
-        if norm not in norm_cache:
-            norm_cache[norm] = vectors_of_norm(g, norm)
-        out = []
-        for v in norm_cache[norm]:
-            if all(pair(prefix[j], v) == g[i][j] for j in range(len(prefix))):
-                out.append(v)
-        return out
-
-    def extendable(prefix, i):
-        if i == n:
-            return True
-        for v in candidates(i, prefix):
-            prefix.append(v)
-            if extendable(prefix, i + 1):
-                prefix.pop()
-                return True
-            prefix.pop()
-        return False
-
+    candidates, extensions = _column_search(lat)
+    base = la.identity_matrix(lat.rank)
     order = 1
-    base = [tuple(1 if r == j else 0 for r in range(n)) for j in range(n)]
-    for i in range(n):
-        prefix = base[:i]
-        count = 0
-        for v in candidates(i, prefix):
-            if extendable(prefix + [v], i + 1):
-                count += 1
-        order *= count
+    for i in range(lat.rank):
+        prefix = list(base[:i])
+        order *= sum(
+            1
+            for v in candidates(prefix)
+            if next(extensions(prefix + [v]), None) is not None
+        )
     return order
 
 

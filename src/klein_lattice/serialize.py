@@ -6,7 +6,7 @@ strings.  Floating point never appears.
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, EmptyInput, ParseError
+from .errors import DimensionMismatch, EmptyInput, InvalidInput, ParseError
 from .lattice import IntegerLattice, Sublattice, builtin
 
 
@@ -246,6 +246,7 @@ def certificate_to_json(cert):
 
 def certificate_from_json(obj):
     from .cones import DomainCertificate
+    from .isometry import is_isometry
 
     def need(key):
         return required(obj, key, "certificate")
@@ -268,6 +269,8 @@ def certificate_from_json(obj):
         or any(len(v) != n for v in rows)
     ):
         raise DimensionMismatch("certificate data does not match the lattice rank")
+    if not all(is_isometry(group.lattice, m) for m, _ in orbit):
+        raise InvalidInput("an orbit element is not an isometry of the lattice")
     return DomainCertificate(
         positive_cone=pos,
         group=group,

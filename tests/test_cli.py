@@ -67,6 +67,29 @@ PELL_GROUP = json.dumps(
 )
 
 
+PELL_ORBIT = [
+    {"matrix": [[3, 4], [2, 3]], "word": "g0"},
+    {"matrix": [[3, -4], [-2, 3]], "word": "g0^-1"},
+]
+
+
+def pell_cert(orbit=PELL_ORBIT):
+    """The Pell certificate at xi = (1, 0), with the given orbit elements."""
+    group = json.loads(PELL_GROUP)
+    return json.dumps({
+        "positive_cone": {"lattice": group["lattice"], "component_base": [1, 0]},
+        "group": group,
+        "xi": [1, 0],
+        "word_bound": 20,
+        "halfspaces": [[1, -2], [1, 2]],
+        "domain": {"ambient_dim": 2, "rays": [[2, -1], [2, 1]],
+                   "halfspaces": [[1, -2], [1, 2]]},
+        "full_cone": False,
+        "stabilization_depth": 1,
+        "orbit_elements": orbit,
+    })
+
+
 @pytest.mark.parametrize(
     "gram, error",
     [("5", "ParseError"), ("[[1, 0], [0]]", "ParseError"), ("[]", "EmptyInput")],
@@ -123,10 +146,25 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
             "InvalidInput",
         ),
         (["cone", "domain", "--group", PELL_GROUP, "--xi", "1,0"], "ParseError"),
+        (
+            ["cone", "verify", "--cert",
+             pell_cert(PELL_ORBIT + [{"matrix": [[0, 0], [0, 0]], "word": "g0"}])],
+            "InvalidInput",
+        ),
+        (
+            ["cone", "verify", "--cert",
+             pell_cert(PELL_ORBIT + [{"matrix": [[2, 0], [0, 1]], "word": "g0"}])],
+            "InvalidInput",
+        ),
+        (["cone", "verify", "--cert", pell_cert(), "--samples=-5"], "InvalidInput"),
+        (["cone", "verify", "--cert", pell_cert(), "--samples", "0"], "InvalidInput"),
+        (["cone", "verify", "--cert", pell_cert(), "--disjoint-bound", "0"], "InvalidInput"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
-         "bound-negative", "neither-pos-nor-base"],
+         "bound-negative", "neither-pos-nor-base", "orbit-singular",
+         "orbit-not-unimodular", "samples-negative", "samples-zero",
+         "disjoint-bound-zero"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)

@@ -380,6 +380,18 @@ def test_verify_pell(pell_cert):
     assert updated.covering_evidence["seed"] == 11
 
 
+@pytest.mark.parametrize(
+    "samples, word_len", [(0, 6), (-5, 6), (20, 0), (20, -2)],
+    ids=["no-samples", "negative-samples", "no-words", "negative-word-bound"],
+)
+def test_verify_needs_samples_and_words(pell_cert, samples, word_len):
+    # with nothing sampled or no word checked, a "pass" would check nothing
+    with pytest.raises(InvalidInput):
+        verify_fundamental_domain(
+            pell_cert, samples=samples, seed=1, disjoint_word_len=word_len
+        )
+
+
 def test_verify_shrunken_domain_fails_coverage(pell_cert):
     bad = dataclasses.replace(pell_cert, halfspaces=pell_cert.halfspaces + ((1, -40),))
     with pytest.raises(CoverageFailure):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from klein_lattice import intlinalg as la
@@ -94,7 +96,19 @@ def test_congruence_diagonalization(g):
     for i in range(n):
         for j in range(n):
             assert res[i][j] == (diag[i] if i == j else 0)
-    assert la.frac_det(t) != 0
+    assert la.rank(t) == n
+
+
+def leibniz_det(a):
+    """Sum over permutations of the signed products of entries."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        inversions = sum(1 for i, j in combinations(perm, 2) if i > j)
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= a[row][col]
+        total += term
+    return total
 
 
 def test_bareiss_matches_fraction_det():
@@ -102,7 +116,71 @@ def test_bareiss_matches_fraction_det():
     for _ in range(100):
         n = rng.randint(1, 5)
         a = rand_matrix(rng, n, n)
-        assert la.bareiss_det(a) == la.frac_det(a)
+        assert la.bareiss_det(a) == leibniz_det(a)
+
+
+def singular_matrix(rng, n):
+    """A random n x n integer matrix whose last row combines the others."""
+    rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n - 1)]
+    coeffs = [rng.randint(-2, 2) for _ in rows]
+    last = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n))
+    rows.insert(rng.randint(0, n - 1), last)
+    return tuple(rows)
+
+
+def test_frac_inverse_inverts_and_detects_singular():
+    rng = random.Random(21)
+    inverted = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a = rand_matrix(rng, n, n)
+        inv = la.frac_inverse(a)
+        if la.bareiss_det(a) == 0:
+            assert inv is None
+            continue
+        inverted += 1
+        assert la.mat_mul(inv, a) == la.identity_matrix(n)
+        assert la.mat_mul(a, inv) == la.identity_matrix(n)
+    assert inverted > 100
+    for _ in range(50):
+        assert la.frac_inverse(singular_matrix(rng, rng.randint(1, 5))) is None
+    assert la.frac_inverse(()) == ()
+
+
+def test_unimodular_inverse_rejects_non_unimodular():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        _, u = la.row_hnf(rand_matrix(rng, n, n))
+        assert la.mat_mul(la.unimodular_inverse(u), u) == la.identity_matrix(n)
+    for bad in (((2, 0), (0, 1)), ((0, 0), (0, 0)), ((1, 2), (3, 4)), ((3,),)):
+        with pytest.raises(ValueError):
+            la.unimodular_inverse(bad)
+
+
+def test_solve_frac_consistent_and_inconsistent():
+    rng = random.Random(23)
+    inconsistent = 0
+    for _ in range(200):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, r, c, -4, 4)
+        x0 = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(c))
+        b = la.mat_vec(a, x0)
+        x = la.solve_frac(a, b)
+        assert x is not None and la.mat_vec(a, x) == b
+        # y^T A = 0 and y^T b != 0 make A x = b inconsistent
+        left_kernel = la.int_kernel(la.transpose(a))
+        if left_kernel:
+            y = left_kernel[0]
+            inconsistent += 1
+            assert la.solve_frac(a, tuple(bi + yi for bi, yi in zip(b, y))) is None
+    assert inconsistent > 50
+
+
+@given(matrices(max_dim=5))
+@settings(max_examples=120, deadline=None)
+def test_rank_equals_rank_of_transpose(a):
+    assert la.rank(a) == la.rank(la.transpose(a))
 
 
 def test_complete_basis_spans_same_lattice():

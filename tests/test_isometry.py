@@ -1,4 +1,7 @@
+import hashlib
 import random
+from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,8 +62,6 @@ def test_definite_group_small():
 
 def brute_force_isometries(gram, bound=2):
     """Oracle: scan all integer matrices with small entries."""
-    from itertools import product
-
     n = len(gram)
     out = []
     for entries in product(range(-bound, bound + 1), repeat=n * n):
@@ -88,6 +89,65 @@ def test_definite_group_counting_route():
 def test_not_definite():
     with pytest.raises(NotDefinite):
         isometry_group_definite(U())
+    for gram in (((1, 0), (0, -1)), ((2, 3), (3, 2)), ((1, 1), (1, 1)), ((2, 0), (0, 0))):
+        with pytest.raises(NotDefinite):
+            vectors_of_norm(gram, 2)
+
+
+# each group's order and the sha256 of repr() of its sorted matrix list: a fixed
+# reference for which isometries isometry_group_definite returns, in which order
+GROUP_DIGESTS = {
+    "A2": (((2, -1), (-1, 2)), 12,
+           "7137e490ed1fec476e716f6af9e4e2356f02d31f773bedfb30f99b2e17e9cb2a"),
+    "D4": (((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), 1152,
+           "7f2fe2172b4c7910a6088f7751dd340504340120094ef94c976fc78c9cb5a68b"),
+    "A1(-1)+A1(-1)+<-4>": (((-2, 0, 0), (0, -2, 0), (0, 0, -4)), 16,
+                           "1dcc0833271f9c809812d91527a1cc21ecad1f68fb38f1addd6bea873eb29f4b"),
+    "no-roots": (((4, 1, 1, 1), (1, 4, 1, 1), (1, 1, 4, 1), (1, 1, 1, 4)), 48,
+                 "a7f7878ad8d4df4863f0b1a2f91dd4e7d95f8fd40e32ac3166929d3bc450a747"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_DIGESTS))
+def test_definite_group_lists_and_orders_are_unchanged(name):
+    gram, order, digest = GROUP_DIGESTS[name]
+    lat = IntegerLattice(gram)
+    mats = [m.matrix for m in isometry_group_definite(lat)]
+    assert mats == sorted(mats) and len(mats) == order
+    assert hashlib.sha256(repr(mats).encode()).hexdigest() == digest
+    assert isometry_group_order_definite(lat) == order
+
+
+def test_vectors_of_norm_match_a_box_search():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(2, 4)
+        b = tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
+        gram = la.mat_mul(la.transpose(b), b)
+        gram = tuple(
+            tuple(x + (rng.randint(0, 1) if i == j else 0) for j, x in enumerate(row))
+            for i, row in enumerate(gram)
+        )
+        det = la.bareiss_det(gram)
+        if det == 0:
+            continue
+        checked += 1
+        minors = [
+            la.bareiss_det(tuple(
+                tuple(x for j, x in enumerate(row) if j != i)
+                for r, row in enumerate(gram) if r != i
+            ))
+            for i in range(n)
+        ]
+        for m in range(1, 7):
+            # x_i^2 <= m (gram^-1)_ii = m * minor_ii / det bounds every coordinate
+            radius = max(isqrt(m * minor // det) for minor in minors)
+            box = range(-radius, radius + 1)
+            expected = [
+                x for x in product(box, repeat=n) if la.dot(la.mat_vec(gram, x), x) == m
+            ]
+            assert vectors_of_norm(gram, m) == expected
 
 
 def test_vectors_of_norm_e8_roots():

@@ -4,7 +4,7 @@ import pytest
 
 from klein_lattice import serialize as ser
 from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
-from klein_lattice.errors import DimensionMismatch, ParseError
+from klein_lattice.errors import DimensionMismatch, InvalidInput, ParseError
 from klein_lattice.hodge import HodgeLattice, KahlerModel, MonodromySpec
 from klein_lattice.isometry import GeneratedGroup, Isometry, KleinIsometry
 from klein_lattice.lattice import IntegerLattice, U
@@ -82,6 +82,18 @@ def test_certificate_roundtrip(pell_group, pell_cone, pell_cert):
 def test_certificate_data_must_match_the_rank(pell_cert, key, value):
     obj = dict(ser.certificate_to_json(pell_cert), **{key: value})
     with pytest.raises(DimensionMismatch):
+        ser.certificate_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[0, 0], [0, 0]], [[2, 0], [0, 1]], [[0, 1], [1, 0]]],
+    ids=["singular", "not-unimodular", "unimodular-not-isometry"],
+)
+def test_certificate_orbit_elements_must_be_isometries(pell_cert, matrix):
+    obj = ser.certificate_to_json(pell_cert)
+    assert ser.certificate_from_json(obj).orbit_elements == pell_cert.orbit_elements
+    obj["orbit_elements"] = obj["orbit_elements"][:2] + [{"matrix": matrix, "word": "g0"}]
+    with pytest.raises(InvalidInput):
         ser.certificate_from_json(obj)
 
 

@@ -37,6 +37,44 @@ def test_library_modules_import_no_unused_names():
     assert {name: dead for name, dead in found.items() if dead} == {}
 
 
+def names_read(source):
+    """Every bare name and attribute name a module reads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def dead_definitions(modules, readers):
+    """Module-level functions and classes of `modules` (name -> source) that
+    no source in `readers` reads, as sorted (module, line, name) triples."""
+    read = set().union(*(names_read(source) for source in readers))
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+
+
+def test_dead_definitions_detects_an_orphan():
+    lib = "def helper():\n    return 1\n\n\ndef api():\n    return helper()\n\n\nclass Gone:\n    pass\n"
+    test = "from lib import Gone, api\n\nassert api() == 1\n"
+    # helper is read by lib, api by the test; importing Gone is not reading it
+    assert dead_definitions({"lib": lib}, [lib, test]) == [("lib", 9, "Gone")]
+    assert dead_definitions({"lib": lib}, [test]) == [("lib", 1, "helper"), ("lib", 9, "Gone")]
+
+
+def test_every_library_definition_is_read():
+    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [p.read_text() for p in sorted(Path(__file__).parent.glob("*.py"))]
+    assert dead_definitions(modules, [*modules.values(), *tests]) == []
+
+
 LOADED = """
 import contextlib, io, json, sys
 
