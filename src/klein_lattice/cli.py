@@ -63,6 +63,10 @@ def _parse_vector(text):
     return tuple(ser.rat_from_json(part.strip()) for part in text.split(","))
 
 
+def _parse_ints(text):
+    return tuple(ser.int_from_json(part.strip()) for part in text.split(","))
+
+
 def _lattice_arg(args):
     if getattr(args, "name", None):
         return ser.lattice_from_json(args.name)
@@ -347,9 +351,7 @@ def cmd_h1_twist(args):
 
     obj = _maybe_inline_json(args.ggroup)
     ambient = ser.ggroup_from_json(obj)
-    sub = tuple(int(x) for x in args.sub.split(","))
-    phi = tuple(int(x) for x in args.phi.split(","))
-    twisted, embed = twist_subgroup(ambient, sub, phi)
+    twisted, embed = twist_subgroup(ambient, _parse_ints(args.sub), _parse_ints(args.phi))
     return {
         "carrier_elements": list(embed),
         "action": [list(p) for p in twisted.action],

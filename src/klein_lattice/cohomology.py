@@ -6,7 +6,6 @@ finite subgroups, the filtration finiteness driver, and the real-structure
 classifier for finite Klein groups.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -19,6 +18,7 @@ from .errors import (
     NotNormal,
     NotStable,
 )
+from .frozen import Frozen
 
 
 # --- the subgroup engine ---------------------------------------------------------
@@ -96,8 +96,7 @@ def conjugacy_representatives(subgroups, conjugators, mul, inv):
 # --- finite groups ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """Finite group as a multiplication table on indices 0..n-1."""
 
     table: tuple
@@ -127,6 +126,7 @@ class FiniteGroup:
             if inv[x] is None:
                 raise InvalidInput("missing inverse")
         object.__setattr__(self, "_inv", tuple(inv))
+        object.__setattr__(self, "_elements", frozenset(range(n)))
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -166,6 +166,11 @@ class FiniteGroup:
 
     def closure(self, subset):
         return subgroup_closure(tuple(subset), self.op, self.identity)
+
+    def check_elements(self, xs, what):
+        """InvalidInput unless every x in xs is an element index 0..order-1."""
+        if not self._elements.issuperset(xs):
+            raise InvalidInput(f"{what}: not an element index in 0..{len(self.table) - 1}")
 
     def is_subgroup(self, subset):
         s = set(subset)
@@ -336,8 +341,7 @@ def klein_four():
 # --- G-groups ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GGroup:
+class GGroup(Frozen):
     """A finite group with an action of a finite group G by automorphisms."""
 
     group: FiniteGroup  # G
@@ -449,8 +453,7 @@ def enumerate_cocycles(gg):
     return out
 
 
-@dataclass(frozen=True)
-class H1Set:
+class H1Set(Frozen):
     """H^1(G, A) for a finite carrier: representatives plus the full Z^1.
 
     class_index maps every cocycle to the index of its class; it is derived
@@ -461,7 +464,9 @@ class H1Set:
     representatives: tuple
     base_point: int  # index into representatives of the trivial class
     cocycles: tuple
-    class_index: dict = field(compare=False, repr=False)
+    class_index: dict
+
+    _uncompared = ("class_index",)
 
     @property
     def size(self):
@@ -505,6 +510,8 @@ def twist_subgroup(ambient, sub_elements, phi):
     New action: g . x = phi(g) * (g.x) * phi(g)^-1, restricted to A'.
     """
     g, a = ambient.group, ambient.carrier
+    a.check_elements(sub_elements, "sub_elements")
+    a.check_elements(phi, "phi")
     sub = frozenset(sub_elements)
     if not a.is_subgroup(sub):
         raise InvalidInput("sub_elements is not a subgroup")
@@ -537,8 +544,7 @@ def twist_whole(ambient, phi):
 # --- exact sequence of pointed sets -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(Frozen):
     """1 -> A' -> A -> A'' -> 1 of G-groups with explicit maps.
 
     inclusion[i] is the A-index of the i-th A'-element; projection[j] is the
@@ -560,6 +566,7 @@ class ShortExactSequence:
         if self.quot.group is not g and self.quot.group.table != g.table:
             raise NotExactInput("G differs between terms")
         inc, proj = self.inclusion, self.projection
+        a.check_elements(inc, "inclusion")
         if sorted(set(inc)) != sorted(inc) or len(inc) != ap.order:
             raise NotExactInput("inclusion is not injective")
         if set(proj) != set(range(aq.order)) or len(proj) != a.order:
@@ -617,8 +624,7 @@ def connecting_map(ses, aq_elem):
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class ExactSequenceReport:
+class ExactSequenceReport(Frozen):
     h0_sub: tuple
     h0_mid: tuple
     h0_quot: tuple
@@ -825,6 +831,8 @@ def filtration_driver_finite(group, chain, g_group):
     """
     if g_group.carrier.table != group.table:
         raise InvalidInput("g_group carrier differs from the filtered group")
+    for c in chain:
+        group.check_elements(c, "chain member")
     full = frozenset(range(group.order))
     layers = [full] + [frozenset(c) for c in chain]
     if layers[-1] != frozenset({group.identity}):
@@ -855,8 +863,7 @@ def filtration_driver_finite(group, chain, g_group):
 # f.g. abelian machinery used by the split driver ------------------------------
 
 
-@dataclass(frozen=True)
-class FgAbelian:
+class FgAbelian(Frozen):
     """Z^free_rank + Z/d1 + ... with d1 | d2 | ...; elements are int tuples."""
 
     free_rank: int
@@ -888,8 +895,7 @@ class FgAbelian:
         return cols
 
 
-@dataclass(frozen=True)
-class AbelianGGroup:
+class AbelianGGroup(Frozen):
     """A finitely generated abelian group with a G-action by integer matrices."""
 
     group: FiniteGroup
@@ -1110,8 +1116,7 @@ def h1_abelian_elements(agg):
     return out, factors
 
 
-@dataclass(frozen=True)
-class SplitExtensionSpec:
+class SplitExtensionSpec(Frozen):
     """A = K x| Q with K a f.g. abelian module and Q finite acting on K.
 
     q_action[q] is the integer matrix by which the Q-element acts; validity
@@ -1211,8 +1216,7 @@ def filtration_driver_split(spec, g):
 # --- real structure classifier -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KleinGroupData:
+class KleinGroupData(Frozen):
     """A finite Klein group: carrier K, sign character eps, anti-involution."""
 
     carrier: FiniteGroup
@@ -1223,6 +1227,7 @@ class KleinGroupData:
         k = self.carrier
         if len(self.eps) != k.order:
             raise InvalidInput("eps must be defined on all of K")
+        k.check_elements((self.sigma,), "sigma")
         for a in range(k.order):
             for b in range(k.order):
                 if self.eps[k.op(a, b)] != self.eps[a] * self.eps[b]:

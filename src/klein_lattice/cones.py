@@ -6,7 +6,6 @@ Siegel-property intersection enumeration.  All arithmetic is integer/Fraction.
 """
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -26,6 +25,7 @@ from .errors import (
     SearchExhausted,
     UnsupportedRank,
 )
+from .frozen import Frozen, replace
 from .isometry import stabilizer
 from .lattice import signature
 
@@ -112,8 +112,7 @@ def dd_rays(dim, halfspaces, equalities=()):
     return out_rays, out_lines
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(Frozen):
     """Rational polyhedral cone with both descriptions kept consistent.
 
     rays/lines generate the cone; halfspaces/equalities cut it out.  All four
@@ -271,8 +270,7 @@ def transform_cone(cone, matrix):
 # --- positive cones in hyperbolic lattices ---------------------------------
 
 
-@dataclass(frozen=True)
-class PositiveCone:
+class PositiveCone(Frozen):
     """Selected component of {q > 0} in a hyperbolic lattice."""
 
     lattice: object
@@ -387,8 +385,7 @@ def interiors_meet_component(c1, c2, pos):
 # --- Dirichlet fundamental domains ------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainCertificate:
+class DomainCertificate(Frozen):
     """A materialized Dirichlet domain plus the data needed to re-verify it.
 
     The domain is the polyhedral part; the actual fundamental domain is its

@@ -4,7 +4,6 @@ Torelli-style conditions, the Hilbert-scheme operator, and the finite-subgroup
 classification pipeline on the ample cone.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from .errors import (
     NoInvariantInteriorPoint,
     Undecidable,
 )
+from .frozen import Frozen
 from .cones import (
     _integer_vectors_of_height,
     cone_from_rays,
@@ -46,8 +46,7 @@ class AmbiguousHodgeType(Exception):
     """Both Hodge and anti-Hodge solves succeeded (degenerate period data)."""
 
 
-@dataclass(frozen=True)
-class HodgeLattice:
+class HodgeLattice(Frozen):
     """Lattice of signature (3, rank-3) with a rational period sigma = x + iy.
 
     Validity means q(x) = q(y), <x, y> = 0 and q(x) > 0, the rational
@@ -180,8 +179,7 @@ def hodge_kind(matrix, h):
 # --- monodromy specifications ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonodromySpec:
+class MonodromySpec(Frozen):
     """Tagged union: full_orthogonal_plus | discriminant | generators.
 
     discriminant: membership means the induced action on the discriminant
@@ -259,8 +257,7 @@ def mon2_khdg_member(matrix, h, spec):
 # --- Kahler models and cone conditions -----------------------------------------
 
 
-@dataclass(frozen=True)
-class KahlerModel:
+class KahlerModel(Frozen):
     """Polyhedral model of the ample (or movable) cone inside NS tensor R.
 
     cone lives in NS coordinates; embedding rows are the NS basis inside the
@@ -374,8 +371,7 @@ def torelli_anti_check(matrix, h_source, h_target, k_source, k_target, spec):
     }
 
 
-@dataclass(frozen=True)
-class KleinVerdict:
+class KleinVerdict(Frozen):
     kind: str  # "KleinRealizable" | "NotRealizable" | "Undecided"
     sign: int = 0
     reason: str = ""

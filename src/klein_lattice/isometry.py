@@ -6,7 +6,6 @@ vectors in hyperbolic lattices, and the corank-one pointwise-fixing decision
 procedure.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -21,11 +20,11 @@ from .errors import (
     NotHyperbolic,
     NotPrimitive,
 )
+from .frozen import Frozen
 from .lattice import IntegerLattice, signature
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Frozen):
     lattice: IntegerLattice
     matrix: tuple
 
@@ -45,8 +44,7 @@ class Isometry:
         return Isometry(self.lattice, la.mat_mul(self.matrix, other.matrix))
 
 
-@dataclass(frozen=True)
-class KleinIsometry:
+class KleinIsometry(Frozen):
     """A lattice isometry together with the holomorphic/anti-holomorphic sign.
 
     The stored matrix is the plain pull-back; the cone action is the dagger
@@ -266,8 +264,7 @@ def isometry_group_order_definite(lat):
 # --- pointwise-fixing decision procedure ----------------------------------
 
 
-@dataclass(frozen=True)
-class FixDecision:
+class FixDecision(Frozen):
     kind: str  # "IdentityOnly" | "Counterexample" | "Undecided"
     witness: tuple = None  # counterexample matrix when kind == "Counterexample"
 
@@ -438,8 +435,7 @@ def _second_condition_holds(a, b, cc, x, z):
 # --- generated groups and stabilizers --------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Element of a generated matrix group: acting matrix, Klein sign, word."""
 
     matrix: tuple
@@ -447,8 +443,7 @@ class GroupElement:
     word: str
 
 
-@dataclass(frozen=True)
-class GeneratedGroup:
+class GeneratedGroup(Frozen):
     """Matrix group given by generators, with an enumeration word bound.
 
     Generators may be Isometry or KleinIsometry; Klein generators act through
@@ -486,7 +481,7 @@ class GeneratedGroup:
     def _bfs(self):
         """The word BFS walked so far: its layers, the matrices seen and the
         generators it multiplies by.  Kept in the instance dictionary, outside
-        the dataclass fields, so equality, hashing and repr do not see it."""
+        the value's fields, so equality, hashing and repr do not see it."""
         ident = GroupElement(la.identity_matrix(self.lattice.rank), 1, "e")
         return [(ident,)], {ident.matrix}, self.generator_elements()
 
@@ -577,8 +572,7 @@ def _pairs_positively(lat, matrix, base):
     return lat.pairing(img, base) > 0
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
+class StabilizerResult(Frozen):
     members: tuple  # Isometry
     completeness: str  # "Certified" or "BoundedSearch"
     bound: int

@@ -4,17 +4,16 @@ discriminant groups and the hyperbolic/elliptic/parabolic trichotomy.
 All arithmetic is exact; a lattice is just its Gram matrix.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
 from . import intlinalg as la
 from .errors import DegenerateLattice, DimensionMismatch, InvalidInput
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Frozen):
     """Finite-rank free abelian group with an integer symmetric bilinear form."""
 
     gram: tuple
@@ -47,8 +46,7 @@ class IntegerLattice:
         return la.bareiss_det(self.gram)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     positive: int
     zero: int
     negative: int
@@ -64,8 +62,7 @@ class LatticeType(Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Frozen):
     """Sublattice given by an explicit basis (row vectors in ambient coords)."""
 
     ambient: IntegerLattice
@@ -152,8 +149,7 @@ def classify_type(lat):
     return LatticeType.OTHER
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Frozen):
     """L*/L of a nondegenerate lattice: invariant factors plus rational lifts.
 
     lift_matrix columns are generators of L* modulo L, in ambient coordinates;

@@ -73,6 +73,20 @@ PELL_ORBIT = [
 ]
 
 
+def klein_d4(sigma):
+    return json.dumps({"carrier": "D4", "eps": [1, 1, 1, 1, -1, -1, -1, -1], "sigma": sigma})
+
+
+Z2_ON_S3 = '{"group": "Z2", "carrier": "S3", "action": "trivial"}'
+Z4_SEQ_OUT_OF_RANGE = json.dumps({
+    "sub": {"group": "Z2", "carrier": "Z2", "action": "trivial"},
+    "mid": {"group": "Z2", "carrier": "Z4", "action": "trivial"},
+    "quot": {"group": "Z2", "carrier": "Z2", "action": "trivial"},
+    "inclusion": [0, 7],
+    "projection": [0, 1, 0, 1],
+})
+
+
 def pell_cert(orbit=PELL_ORBIT):
     """The Pell certificate at xi = (1, 0), with the given orbit elements."""
     group = json.loads(PELL_GROUP)
@@ -159,12 +173,30 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (["cone", "verify", "--cert", pell_cert(), "--samples=-5"], "InvalidInput"),
         (["cone", "verify", "--cert", pell_cert(), "--samples", "0"], "InvalidInput"),
         (["cone", "verify", "--cert", pell_cert(), "--disjoint-bound", "0"], "InvalidInput"),
+        (["h1", "real-forms", "--klein", klein_d4(40)], "InvalidInput"),
+        (["h1", "real-forms", "--klein", klein_d4(-4)], "InvalidInput"),
+        (["h1", "les", "--seq", Z4_SEQ_OUT_OF_RANGE], "InvalidInput"),
+        (
+            ["h1", "filtration", "--spec",
+             '{"kind": "finite", "group": "S3", "chain": [[0, 99]], "g": "Z2"}'],
+            "InvalidInput",
+        ),
+        (
+            ["h1", "twist", "--ggroup", Z2_ON_S3, "--sub", "0,1,2,3,4,9", "--phi", "0,0"],
+            "InvalidInput",
+        ),
+        (
+            ["h1", "twist", "--ggroup", Z2_ON_S3, "--sub", "0,1,2,3,4,5", "--phi", "0,x"],
+            "ParseError",
+        ),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
          "bound-negative", "neither-pos-nor-base", "orbit-singular",
          "orbit-not-unimodular", "samples-negative", "samples-zero",
-         "disjoint-bound-zero"],
+         "disjoint-bound-zero", "sigma-out-of-range", "sigma-negative",
+         "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
+         "phi-not-an-integer"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)

@@ -1,8 +1,8 @@
 """Fuzzing of the CLI's JSON boundary.
 
-Each example breaks a valid --in, --sub, --group, --cert, --pos or --pi1
-document (a subtree replaced by junk, a key or item dropped, the text cut
-short) and runs main() in-process.  Every request must end in exit 0, 1 or 2 without a
+Each example breaks a valid document of one JSON option (a subtree replaced
+by junk, a key or item dropped, the text cut short) and runs main()
+in-process.  Every request must end in exit 0, 1 or 2 without a
 traceback, and exit 1 must name a KleinLatticeError subclass on stderr.
 """
 
@@ -16,8 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from klein_lattice import serialize as ser
 from klein_lattice.cli import main
-from klein_lattice.cones import PositiveCone, dirichlet_domain
+from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
 from klein_lattice.errors import KleinLatticeError
+from klein_lattice.hodge import KahlerModel, hilbert_square_extension, neron_severi
+from klein_lattice.isometry import Isometry
+from test_cli import HODGE6, SIGMA6
 
 PELL_GROUP = {
     "lattice": {"gram": [[2, 0], [0, -4]]},
@@ -27,7 +30,10 @@ PELL_GROUP = {
 }
 PELL_POS = {"lattice": {"gram": [[2, 0], [0, -4]]}, "component_base": [1, 0]}
 PELL_DOMAIN = {"ambient_dim": 2, "rays": [[2, -1], [2, 1]], "halfspaces": [[1, -2], [1, 2]]}
+MON = {"kind": "discriminant", "signs": [-1]}
 X = object()  # where "OPTION=DOCUMENT" goes in a request
+# where the Hilbert square documents of hilbert_square() go
+HILBERT, KAHLER, KLEIN = object(), object(), object()
 
 REQUESTS = {
     "--in": [
@@ -59,7 +65,45 @@ REQUESTS = {
         ["cone", "siegel", "--group", json.dumps(PELL_GROUP), "--base", "1,0", X,
          "--pi2", json.dumps(PELL_DOMAIN), "--bound", "4"],
     ],
+    "--pi2": [
+        ["cone", "siegel", "--group", json.dumps(PELL_GROUP), "--base", "1,0",
+         "--pi1", json.dumps(PELL_DOMAIN), X, "--bound", "4"],
+    ],
+    "--seq": [["h1", "les", X], ["h1", "les", X, "--fibers"]],
+    "--spec": [["h1", "filtration", X]],
+    "--klein": [["h1", "real-forms", X], ["h1", "real-forms", X, "--inner-twist"]],
+    "--ggroup": [["h1", "twist", X, "--sub", "0,1,2,3,4,5", "--phi", "0,0"]],
+    "--hodge": [
+        ["hk", "ns", X],
+        ["hk", "projective", X],
+        ["hk", "hilbert", X, "--n", "3", "--sigma", json.dumps(SIGMA6)],
+    ],
+    "--cone": [
+        ["hk", "kaut-criterion", "--phi", KLEIN, "--hodge", HILBERT, X,
+         "--mon", json.dumps(MON)],
+    ],
+    "--mon": [
+        ["hk", "kaut-criterion", "--phi", KLEIN, "--hodge", HILBERT, "--cone", KAHLER, X],
+        ["hk", "torelli", "--phi", KLEIN, "--source", HILBERT, "--target", HILBERT,
+         "--ksource", KAHLER, "--ktarget", KAHLER, X],
+    ],
 }
+
+
+@cache
+def hilbert_square():
+    """The Hilbert square of HODGE6 with SIGMA6: its Hodge lattice, a Kahler
+    model and the Klein matrix, as JSON text for HILBERT, KAHLER and KLEIN."""
+    h = ser.hodge_from_json(HODGE6)
+    h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, SIGMA6))
+    rays = ((1, 0, 4, 4, 0), (0, 1, 4, 4, 0), (0, 0, 5, 4, 0), (0, 0, 4, 5, 0),
+            (0, 0, 4, 4, 1))
+    km = KahlerModel(cone_from_rays(5, rays), neron_severi(h_ext).basis, h_ext.lattice)
+    return {
+        HILBERT: json.dumps(ser.hodge_to_json(h_ext)),
+        KAHLER: json.dumps(ser.kahler_model_to_json(km)),
+        KLEIN: json.dumps(ser.mat_to_json(klein.matrix)),
+    }
 
 
 @cache
@@ -78,8 +122,29 @@ def valid_documents(option):
         return [PELL_GROUP, {"table": [[0, 1], [1, 0]]}, {"permutations": [[1, 2, 0]]}]
     if option == "--pos":
         return [PELL_POS]
-    if option == "--pi1":
+    if option in ("--pi1", "--pi2"):
         return [PELL_DOMAIN, {"halfspaces": [[1, -2], [1, 2]]}]
+    if option == "--seq":
+        z2 = {"group": "Z2", "carrier": "Z2", "action": "trivial"}
+        return [{"sub": z2, "mid": {"group": "Z2", "carrier": "Z4", "action": "trivial"},
+                 "quot": z2, "inclusion": [0, 2], "projection": [0, 1, 0, 1]}]
+    if option == "--spec":
+        return [
+            {"kind": "finite", "group": "S3", "chain": [[0, 3, 4]], "g": "Z2"},
+            {"kind": "split", "free_rank": 1, "torsion": [], "quotient": "Z2",
+             "q_action": [[[1]], [[-1]]], "g": "Z2"},
+        ]
+    if option == "--klein":
+        return [{"carrier": "D4", "eps": [1, 1, 1, 1, -1, -1, -1, -1], "sigma": 4}]
+    if option == "--ggroup":
+        return [{"group": "Z2", "carrier": "S3", "action": "trivial"}]
+    if option == "--hodge":
+        return [HODGE6]
+    if option == "--cone":
+        return [json.loads(hilbert_square()[KAHLER])]
+    if option == "--mon":
+        return [MON, {"kind": "full_orthogonal_plus"},
+                {"kind": "generators", "generators": [], "word_bound": 2}]
     return [pell_certificate()]
 
 
@@ -87,11 +152,15 @@ KEYS = st.sampled_from(
     ["gram", "name", "rank", "basis", "lattice", "generators", "matrix", "sign",
      "word_bound", "component_base", "table", "names", "permutations", "rays",
      "halfspaces", "lines", "equalities", "ambient_dim", "positive_cone", "group",
-     "xi", "domain", "full_cone", "stabilization_depth", "orbit_elements"]
+     "xi", "domain", "full_cone", "stabilization_depth", "orbit_elements", "sub",
+     "mid", "quot", "inclusion", "projection", "kind", "chain", "g", "free_rank",
+     "torsion", "quotient", "q_action", "carrier", "eps", "sigma", "action",
+     "period_re", "period_im", "signs", "require_orientation", "cone", "embedding"]
 ) | st.text(max_size=3)
 SCALARS = (
-    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(width=16)
-    | st.sampled_from(["1/2", "0/0", "x", "U", "K3", "Z2"]) | st.text(max_size=3)
+    st.none() | st.booleans() | st.integers(-3, 9) | st.sampled_from([-1, 99])
+    | st.floats(width=16) | st.sampled_from(["1/2", "0/0", "x", "U", "K3", "Z2", "S3"])
+    | st.text(max_size=3)
 )
 JUNK = st.recursive(
     SCALARS,
@@ -157,7 +226,8 @@ def error_names():
 def test_malformed_json_ends_in_an_exit_code(option, data):
     template = data.draw(st.sampled_from(REQUESTS[option]))
     text = data.draw(malformed(option))
-    argv = [f"{option}={text}" if arg is X else arg for arg in template]
+    docs = hilbert_square()
+    argv = [f"{option}={text}" if arg is X else docs.get(arg, arg) for arg in template]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

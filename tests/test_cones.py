@@ -1,11 +1,10 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klein_lattice import cones
+from klein_lattice import cones, frozen
 from klein_lattice import intlinalg as la
 from klein_lattice import serialize as ser
 from klein_lattice.cones import (
@@ -393,7 +392,7 @@ def test_verify_needs_samples_and_words(pell_cert, samples, word_len):
 
 
 def test_verify_shrunken_domain_fails_coverage(pell_cert):
-    bad = dataclasses.replace(pell_cert, halfspaces=pell_cert.halfspaces + ((1, -40),))
+    bad = frozen.replace(pell_cert, halfspaces=pell_cert.halfspaces + ((1, -40),))
     with pytest.raises(CoverageFailure):
         verify_fundamental_domain(bad, samples=50, seed=5, disjoint_word_len=2)
 
@@ -401,7 +400,7 @@ def test_verify_shrunken_domain_fails_coverage(pell_cert):
 def test_verify_enlarged_domain_fails_disjointness(pell_cert, pell_cone, pell_group):
     # half-plane containing the domain and overlapping its translates
     bad_cone = cone_from_rays(2, ((1, 2), (2, -1)))
-    bad = dataclasses.replace(
+    bad = frozen.replace(
         pell_cert, halfspaces=bad_cone.halfspaces, domain=bad_cone
     )
     with pytest.raises(DisjointnessFailure):

@@ -166,48 +166,97 @@ def test_e8_isometry_group_order_stretch():
 
 
 def _schreier_sims_order(lat):
+    """Order of the group generated by the reflections in the basis vectors
+    (roots of norm -2), by Schreier-Sims over the base e_1, ..., e_n.
+
+    Level i holds the orbit of e_i under the strong generators that fix
+    e_1, ..., e_(i-1), with a transversal element and its inverse per orbit
+    point; each strong generator is inverted once, when it is added.  A
+    Schreier generator of level i is sifted through the levels below it,
+    and only a nontrivial residue (an element not yet in the group) becomes
+    a new strong generator.  The base spans the lattice, so a residue that
+    fixes every base point is the identity.
+    """
     g = lat.gram
     n = lat.rank
+    ident = la.identity_matrix(n)
+    base = [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
     def reflection(i):
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                val = 1 if r == c else 0
-                # s_i(e_c) = e_c - 2<e_c, e_i>/<e_i, e_i> * e_i
-                if r == i:
-                    val += g[i][c]  # -2*g[i][c]/(-2)
-                row.append(val)
-            rows.append(tuple(row))
-        return tuple(rows)
+        # s_i(e_c) = e_c - 2<e_c, e_i>/<e_i, e_i> e_i = e_c + <e_c, e_i> e_i
+        return tuple(
+            tuple(int(r == c) + (g[i][c] if r == i else 0) for c in range(n))
+            for r in range(n)
+        )
 
-    gens = [reflection(i) for i in range(n)]
-    order = 1
-    points = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for pt in points:
-        orbit = {pt: la.identity_matrix(n)}
-        frontier = [pt]
+    def first_moved(m):
+        return next((j for j, b in enumerate(base) if la.mat_vec(m, b) != b), n)
+
+    strong = []  # (index of the first base point moved, matrix, inverse)
+
+    def add_strong(m):
+        depth = first_moved(m)
+        strong.append((depth, m, la.unimodular_inverse(m)))
+        return depth
+
+    for i in range(n):
+        add_strong(reflection(i))
+    levels = [None] * n
+
+    def build(i):
+        """Orbit of base[i] under the strong generators fixing base[:i]:
+        point -> (transversal element, its inverse)."""
+        gens = [(m, minv) for depth, m, minv in strong if depth >= i]
+        orbit = {base[i]: (ident, ident)}
+        frontier = [base[i]]
         while frontier:
             x = frontier.pop()
-            for m in gens:
+            t, tinv = orbit[x]
+            for m, minv in gens:
                 y = la.mat_vec(m, x)
                 if y not in orbit:
-                    orbit[y] = la.mat_mul(m, orbit[x])
+                    orbit[y] = la.mat_mul(m, t), la.mat_mul(tinv, minv)
                     frontier.append(y)
-        order *= len(orbit)
-        # Schreier generators for the stabilizer of pt
-        new_gens = set()
-        for x, t in orbit.items():
+        levels[i] = [m for m, _ in gens], orbit
+
+    def sift(m, start):
+        """The residue of m after levels start.., and the level it stops at."""
+        for j in range(start, n):
+            y = la.mat_vec(m, base[j])
+            if y not in levels[j][1]:
+                return m, j
+            m = la.mat_mul(levels[j][1][y][1], m)
+        return m, n
+
+    def new_residue(i):
+        """The residue of the first Schreier generator of level i that is
+        not yet in the group, with the level its sifting stopped at."""
+        gens, orbit = levels[i]
+        for x, (t, _) in orbit.items():
             for m in gens:
-                y = la.mat_vec(m, x)
-                rep = orbit[y]
-                sg = la.mat_mul(la.unimodular_inverse(rep), la.mat_mul(m, t))
-                if sg != la.identity_matrix(n):
-                    new_gens.add(sg)
-        gens = list(new_gens)
-        if not gens:
-            break
+                schreier = la.mat_mul(orbit[la.mat_vec(m, x)][1], la.mat_mul(m, t))
+                if schreier != ident:
+                    residue = sift(schreier, i + 1)
+                    if residue[0] != ident:
+                        return residue
+        return None
+
+    for i in range(n):
+        build(i)
+    i = n - 1
+    while i >= 0:
+        residue = new_residue(i)
+        if residue is None:
+            i -= 1
+            continue
+        depth = add_strong(residue[0])
+        assert depth == residue[1] < n  # a residue fixing the base is the identity
+        for j in range(i + 1, depth + 1):
+            build(j)
+        i = depth
+    order = 1
+    for _, orbit in levels:
+        order *= len(orbit)
     return order
 
 

@@ -37,6 +37,28 @@ def test_library_modules_import_no_unused_names():
     assert {name: dead for name, dead in found.items() if dead} == {}
 
 
+def imported_modules(source):
+    """Top-level names of the modules a source imports, absolute imports only."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_imported_modules_sees_every_import_form():
+    source = "import os.path\nfrom dataclasses import field\nfrom . import lattice\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+def test_no_library_module_imports_dataclasses():
+    # the value types derive from frozen.Frozen; dataclasses would load inspect
+    found = {p.name: imported_modules(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name for name, mods in found.items() if "dataclasses" in mods} == set()
+
+
 def names_read(source):
     """Every bare name and attribute name a module reads."""
     read = set()
@@ -76,24 +98,33 @@ def test_every_library_definition_is_read():
 
 
 LOADED = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("klein_lattice."))
+
+def slow():
+    return sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 
 import klein_lattice.lattice
 after_import = loaded()
 from klein_lattice.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["lattice", "signature", "--name", "K3"])
-print(json.dumps({"import": after_import, "request": loaded(), "code": code}))
+request, request_slow = loaded(), slow()
+for name in sys.argv[1:]:
+    importlib.import_module("klein_lattice." + name)
+print(json.dumps({"import": after_import, "request": request, "code": code,
+                  "request_slow": request_slow, "all_slow": slow()}))
 """
 
 
 def test_lattice_request_loads_no_other_library_module():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", LOADED, *modules],
+        capture_output=True, text=True, env=env, check=True,
     )
     out = json.loads(proc.stdout)
     heavy = {f"klein_lattice.{m}" for m in ("cohomology", "cones", "hodge", "isometry")}
@@ -102,3 +133,6 @@ def test_lattice_request_loads_no_other_library_module():
     assert heavy.isdisjoint(out["import"])
     assert "klein_lattice.cli" in out["request"]
     assert heavy.isdisjoint(out["request"])
+    # neither the request nor the whole library loads dataclasses or inspect
+    assert out["request_slow"] == []
+    assert out["all_slow"] == []
