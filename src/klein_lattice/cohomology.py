@@ -126,7 +126,6 @@ class FiniteGroup(Frozen):
             if inv[x] is None:
                 raise InvalidInput("missing inverse")
         object.__setattr__(self, "_inv", tuple(inv))
-        object.__setattr__(self, "_elements", frozenset(range(n)))
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -168,8 +167,8 @@ class FiniteGroup(Frozen):
         return subgroup_closure(tuple(subset), self.op, self.identity)
 
     def check_elements(self, xs, what):
-        """InvalidInput unless every x in xs is an element index 0..order-1."""
-        if not self._elements.issuperset(xs):
+        """InvalidInput unless every int in the collection xs is an element index 0..order-1."""
+        if xs and not 0 <= min(xs) <= max(xs) < len(self.table):
             raise InvalidInput(f"{what}: not an element index in 0..{len(self.table) - 1}")
 
     def is_subgroup(self, subset):

@@ -1,7 +1,8 @@
-"""Immutable value types whose methods are shared, not generated per class.
+"""Immutable values that behave as dataclass(frozen=True) ones from shared, not generated, methods.
 
-The fields are the class-body annotations, in order, and a class attribute of
-the same name is a field's default.  Instances behave as dataclass(frozen=True) ones.
+Fields are the class-body annotations in order; a class attribute of the same name is a default.
+__post_init__ runs once the fields are set and may normalise one through object.__setattr__;
+_uncompared names fields left out of ==, hash and repr.
 """
 
 from operator import attrgetter
@@ -10,14 +11,10 @@ _set = object.__setattr__
 
 
 class Frozen:
-    """__post_init__ runs once the fields are set and may normalise one with
-    object.__setattr__; _uncompared names fields left out of ==, hash and repr."""
-
     _uncompared = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)  # the class's own, evaluated if lazy
         cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
         cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
         get = attrgetter(*cls._compared)  # a tuple, so hash is that of the field tuple
@@ -27,10 +24,8 @@ class Frozen:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             rest = fields[len(args) :]
-            missing = [f for f in rest if f not in kwargs and f not in self._defaults]
-            if len(args) > len(fields) or missing or not set(kwargs) <= set(rest):
-                raise TypeError(f"{type(self).__name__}{fields}: {len(args)} positional, "
-                                f"keywords {sorted(kwargs)}, missing {missing}")
+            if len(args) > len(fields) or not {*kwargs} <= {*rest} <= {*kwargs, *self._defaults}:
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
             args = [*args, *(kwargs[f] if f in kwargs else self._defaults[f] for f in rest)]
         for name, value in zip(fields, args):
             _set(self, name, value)  # not __dict__.update: that slows every attribute read

@@ -159,16 +159,17 @@ BAD = {
 def reference(cls):
     """cls as a frozen dataclass with the same fields, defaults and methods."""
     own = vars(cls)
-    names = list(own["__annotations__"])
+    names = list(cls.__annotations__)
     specs = []
     for name in names:
         spec = {"default": own[name]} if name in own else {}
         if name in cls._uncompared:
             spec.update(compare=False, repr=False)
         specs.append((name, object, dataclasses.field(**spec)))
-    skip = {"__dict__", "__weakref__", "__annotations__", "__module__", "__qualname__",
+    skip = {"__dict__", "__weakref__", "__module__", "__qualname__",
             "_fields", "_defaults", "_compared", "_key", "_uncompared", *names}
-    methods = {k: v for k, v in own.items() if k not in skip}
+    # __annotations__, or with lazy annotations __annotate__ and its cache
+    methods = {k: v for k, v in own.items() if k not in skip and not k.startswith("__annotat")}
     return dataclasses.make_dataclass(cls.__name__, specs, namespace=methods, frozen=True)
 
 
@@ -181,7 +182,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def fields_of(obj):
-    return [getattr(obj, name) for name in vars(type(obj))["__annotations__"]]
+    return [getattr(obj, name) for name in type(obj).__annotations__]
 
 
 def assert_same(mine, theirs):
@@ -206,7 +207,7 @@ def test_every_value_type_has_samples():
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_value_type_matches_its_dataclass(cls):
     ref = reference(cls)
-    names = list(vars(cls)["__annotations__"])
+    names = list(cls.__annotations__)
     required = [n for n in names if n not in vars(cls)]
     objs = samples()[cls]
     pairs = []
