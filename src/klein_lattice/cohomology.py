@@ -23,17 +23,19 @@ from .frozen import Frozen
 
 # --- the subgroup engine ---------------------------------------------------------
 #
-# Shared by FiniteGroup tables, the torsion words of matrix groups and the
-# cone pipeline in hodge; elements are any hashable values with a `mul`.
+# Shared by FiniteGroup tables, permutation groups, the torsion words of
+# matrix groups, the cone pipeline in hodge and the orbit walks below; the
+# closure walk takes any hashable values with a `mul`.
 
 
 def subgroup_closure(gens, mul, identity, bound=None, allowed=None):
-    """The subgroup generated by gens, by BFS from the identity multiplying
-    each new element by every generator.
+    """The closure of {identity} under x -> mul(x, g) for every g in gens,
+    by a walk that applies every g to each new element.
 
-    Generators must have finite order, so closure under products is the
-    subgroup.  Returns None as soon as the set exceeds `bound` elements or
-    leaves the set `allowed`.
+    With group elements as gens and the product as mul, and generators of
+    finite order, this is the subgroup generated by gens; with an action as
+    mul and a point as identity it is the orbit of the point.  Returns None
+    as soon as the set exceeds `bound` elements or leaves the set `allowed`.
     """
     out = {identity}
     frontier = [identity]
@@ -503,6 +505,27 @@ def h1_finite(gg):
 # --- twisting ----------------------------------------------------------------
 
 
+def _twisted_action(gg, phi):
+    """The action twisted by a cocycle phi in the carrier: g . x =
+    phi(g) * (g.x) * phi(g)^-1, one permutation of the carrier per g."""
+    a = gg.carrier
+    # rows from lists: tuple() of a generator over-allocates and shrinks each
+    # row, and that churn fragments the heap enough to raise peak RSS
+    return tuple(
+        tuple([a.conj(phi[s], gg.act(s, x)) for x in range(a.order)])
+        for s in range(gg.group.order)
+    )
+
+
+def _restricted(group, carrier, sub, action):
+    """The G-group on the subgroup sub of carrier, acted on by the carrier
+    permutations in action (which must keep sub stable), plus the embedding."""
+    sub_group, embed = carrier.subgroup_group(sub)
+    pos = {e: i for i, e in enumerate(embed)}
+    act = tuple(tuple(pos[p[e]] for e in embed) for p in action)
+    return GGroup(group, sub_group, act), embed
+
+
 def twist_subgroup(ambient, sub_elements, phi):
     """Twist the action on a G-stable normal subgroup A' of A by a cocycle in A.
 
@@ -522,22 +545,7 @@ def twist_subgroup(ambient, sub_elements, phi):
                 raise NotStable("subgroup is not G-stable")
     if not is_cocycle(ambient, phi):
         raise InvalidInput("phi is not a cocycle in the ambient G-group")
-    sub_group, embed = a.subgroup_group(sub)
-    pos = {e: i for i, e in enumerate(embed)}
-    act = []
-    for s in range(g.order):
-        p = []
-        for i, x in enumerate(embed):
-            y = a.op(a.op(phi[s], ambient.act(s, x)), a.inv(phi[s]))
-            p.append(pos[y])
-        act.append(tuple(p))
-    return GGroup(g, sub_group, tuple(act)), embed
-
-
-def twist_whole(ambient, phi):
-    """Twist the ambient carrier itself (A' = A)."""
-    gg, embed = twist_subgroup(ambient, range(ambient.carrier.order), phi)
-    return gg
+    return _restricted(g, a, sub, _twisted_action(ambient, phi))
 
 
 # --- exact sequence of pointed sets -------------------------------------------
@@ -602,6 +610,22 @@ class ShortExactSequence(Frozen):
         """H^1(G, A''), classified once per sequence."""
         return h1_finite(self.quot)
 
+    @cached_property
+    def h1_mid_to_quot(self):
+        """H^1(G, A) -> H^1(G, A'') as a class-index dictionary."""
+        return {
+            i: self.h1_quot.class_of(tuple(self.projection[v] for v in rep))
+            for i, rep in enumerate(self.h1_mid.representatives)
+        }
+
+    @cached_property
+    def lift(self):
+        """lift[j]: the first A-element that projects to the j-th A''-element."""
+        first = {}
+        for x, j in enumerate(self.projection):
+            first.setdefault(j, x)
+        return tuple(first[j] for j in range(self.quot.carrier.order))
+
 
 def invariants(gg):
     g, a = gg.group, gg.carrier
@@ -611,8 +635,8 @@ def invariants(gg):
 def connecting_map(ses, aq_elem):
     """delta: A''^G -> H^1(G, A'): lift a'' to a in A, g -> a^-1 * (g.a)."""
     a = ses.mid.carrier
-    ap = ses.sub.carrier
-    lift = next(x for x in range(a.order) if ses.projection[x] == aq_elem)
+    ses.quot.carrier.check_elements((aq_elem,), "aq_elem")
+    lift = ses.lift[aq_elem]
     inc_pos = {e: i for i, e in enumerate(ses.inclusion)}
     values = []
     for s in range(ses.mid.group.order):
@@ -660,10 +684,7 @@ def les_of_pointed_sets(ses):
             i: h1.class_of(tuple(ses.inclusion[v] for v in rep))
             for i, rep in enumerate(h1p.representatives)
         },
-        "h1_mid_to_quot": {
-            i: h1q.class_of(tuple(ses.projection[v] for v in rep))
-            for i, rep in enumerate(h1.representatives)
-        },
+        "h1_mid_to_quot": dict(ses.h1_mid_to_quot),
     }
 
     def image(name):
@@ -691,63 +712,47 @@ def twist_fiber_check(ses, phi):
     The fiber of H1(G,A) -> H1(G,A'') through [phi] is matched against the
     orbit set of H1(G, A'_phi) under the twisted A''^G-action, through the
     explicit translation theta -> theta * phi.  Returns a report dict.
+
+    The sequence has checked that A' is normal and G-stable in A, so the
+    twist of A' needs no more checks than those of its G-group.
     """
     g = ses.mid.group
     a = ses.mid.carrier
+    a.check_elements(phi, "phi")
     if not is_cocycle(ses.mid, phi):
         raise InvalidInput("phi must be a cocycle in A")
     h1 = ses.h1_mid
-    h1q = ses.h1_quot
+    to_quot = ses.h1_mid_to_quot
     phi_class = h1.class_of(phi)
-    phi_q = tuple(ses.projection[v] for v in phi)
-    phi_q_class = h1q.class_of(phi_q)
-    fiber = {
-        i
-        for i, rep in enumerate(h1.representatives)
-        if h1q.class_of(tuple(ses.projection[v] for v in rep)) == phi_q_class
-    }
+    fiber = {i for i, j in to_quot.items() if j == to_quot[phi_class]}
 
-    sub_tw, embed = twist_subgroup(
-        ses.mid, set(ses.inclusion), phi
-    )
+    twisted = _twisted_action(ses.mid, phi)
+    sub_tw, embed = _restricted(g, a, ses.inclusion, twisted)
     h1p_tw = h1_finite(sub_tw)
 
-    inv_q_tw = invariants(twist_whole(ses.quot, phi_q))
+    twisted_q = _twisted_action(ses.quot, tuple(ses.projection[v] for v in phi))
+    inv_q_tw = [
+        x for x in range(ses.quot.carrier.order) if all(p[x] == x for p in twisted_q)
+    ]
 
-    # right action of (A''_phi)^G on H1(G, A'_phi)
+    # right action of (A''_phi)^G on H1(G, A'_phi), on class indices
     pos_in_a = {e: i for i, e in enumerate(embed)}
 
-    def act_on_class(aq_elem, theta):
-        lift = next(x for x in range(a.order) if ses.projection[x] == aq_elem)
+    def act_on_class(ci, aq_elem):
+        theta = h1p_tw.representatives[ci]
+        lift = ses.lift[aq_elem]
         vals = []
         for s in range(g.order):
-            # twisted g-action on the lift: phi(s) * (s.lift) * phi(s)^-1
-            tw = a.op(a.op(phi[s], ses.mid.act(s, lift)), a.inv(phi[s]))
-            v = a.op(a.op(a.inv(lift), embed[theta[s]]), tw)
+            v = a.op(a.op(a.inv(lift), embed[theta[s]]), twisted[s][lift])
             if v not in pos_in_a:
                 raise NotExactInput("orbit action left the subgroup")
             vals.append(pos_in_a[v])
-        return tuple(vals)
+        return h1p_tw.class_of(vals)
 
-    class_indices = list(range(h1p_tw.size))
-    orbit_of = {}
     orbits = []
-    for ci in class_indices:
-        if ci in orbit_of:
-            continue
-        orbit = {ci}
-        frontier = [h1p_tw.representatives[ci]]
-        while frontier:
-            theta = frontier.pop()
-            for x in inv_q_tw:
-                moved = act_on_class(x, theta)
-                cj = h1p_tw.class_of(moved)
-                if cj not in orbit:
-                    orbit.add(cj)
-                    frontier.append(h1p_tw.representatives[cj])
-        for cj in orbit:
-            orbit_of[cj] = len(orbits)
-        orbits.append(frozenset(orbit))
+    for ci in range(h1p_tw.size):
+        if not any(ci in orbit for orbit in orbits):
+            orbits.append(subgroup_closure(inv_q_tw, act_on_class, ci))
 
     # translation map: theta -> theta * phi, into H1(G, A)
     images = {}
@@ -1062,8 +1067,8 @@ def h1_abelian(agg):
     return factors, reps
 
 
-def coboundary_witness_abelian(agg, delta_values):
-    """Integer witness a with (g.a - a) = delta(g) in the module, or None."""
+def cocycles_equivalent_abelian(agg, phi, psi):
+    """Integer witness a with (g.a - a) = psi(g) - phi(g) in the module, or None."""
     g, m = agg.group, agg.module
     n = m.dim
     rel_cols = m.relation_columns()
@@ -1072,25 +1077,18 @@ def coboundary_witness_abelian(agg, delta_values):
     aug_width = len(rel_cols) * g.order
     for s in range(g.order):
         mat = agg.action[s]
+        delta = m.normalize(tuple(p - q for p, q in zip(psi[s], phi[s])))
         for i in range(n):
             row = [mat[i][j] - (1 if i == j else 0) for j in range(n)]
             ext = [0] * aug_width
             for ci, col in enumerate(rel_cols):
                 ext[s * len(rel_cols) + ci] = col[i]
             rows.append(tuple(row + ext))
-            rhs.append(delta_values[s][i])
+            rhs.append(delta[i])
     sol = la.solve_int(tuple(rows), tuple(rhs))
     if sol is None:
         return None
     return tuple(sol[:n])
-
-
-def cocycles_equivalent_abelian(agg, phi, psi):
-    delta = tuple(
-        agg.module.normalize(tuple(p - q for p, q in zip(psi[s], phi[s])))
-        for s in range(agg.group.order)
-    )
-    return coboundary_witness_abelian(agg, delta)
 
 
 def h1_abelian_elements(agg):
@@ -1154,30 +1152,22 @@ def filtration_driver_split(spec, g):
             for q in range(q_group.order)
             if all(q_group.conj(rep[s], q) == q for s in range(g.order))
         ]
+
+        def move(idx, q):
+            # the listed class of q^-1 . theta
+            qinv = q_group.inv(q)
+            moved = tuple(
+                m.normalize(la.mat_vec(spec.q_action[qinv], v)) for v in elements[idx]
+            )
+            for j, other in enumerate(elements):
+                if cocycles_equivalent_abelian(k_agg, moved, other) is not None:
+                    return j
+            raise InvalidInput("a moved cocycle matches no listed class")
+
         orbits = []
-        assigned = {}
-        for idx, theta in enumerate(elements):
-            if idx in assigned:
-                continue
-            orbit = {idx}
-            frontier = [theta]
-            while frontier:
-                cur = frontier.pop()
-                for q in centralizer:
-                    qinv = q_group.inv(q)
-                    moved = tuple(
-                        m.normalize(la.mat_vec(spec.q_action[qinv], cur[s]))
-                        for s in range(g.order)
-                    )
-                    for jdx, other in enumerate(elements):
-                        if jdx in orbit:
-                            continue
-                        if cocycles_equivalent_abelian(k_agg, moved, other) is not None:
-                            orbit.add(jdx)
-                            frontier.append(other)
-            for j in orbit:
-                assigned[j] = len(orbits)
-            orbits.append(sorted(orbit))
+        for idx in range(len(elements)):
+            if not any(idx in orbit for orbit in orbits):
+                orbits.append(sorted(subgroup_closure(centralizer, move, idx)))
         fiber_size = len(orbits)
         total += fiber_size
         for orbit in orbits:
@@ -1257,15 +1247,9 @@ def real_structure_classifier(kg):
     ]
     # direct classes under A-conjugacy
     direct = _classes_under(k, anti_invs, a_elems)
-    # H1 route
-    sub_group, embed = k.subgroup_group(a_elems)
-    pos = {e: i for i, e in enumerate(embed)}
-    z2 = cyclic(2)
-    act = (
-        tuple(range(sub_group.order)),
-        tuple(pos[k.conj(kg.sigma, e)] for e in embed),
-    )
-    gg = GGroup(z2, sub_group, act)
+    # H1 route: Z/2 acting on the kernel by conjugation with sigma
+    conj = [[k.conj(c, x) for x in range(k.order)] for c in (k.identity, kg.sigma)]
+    gg, embed = _restricted(cyclic(2), k, a_elems, conj)
     h1 = h1_finite(gg)
     mapped = []
     for rep in h1.representatives:
@@ -1314,40 +1298,32 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
     """
     k = ambient
     sub = sorted(set(sub_elements))
+    k.check_elements(sub, "sub_elements")
+    k.check_elements((sigma,), "sigma")
     if not k.is_subgroup(sub):
         raise InvalidInput("sub_elements is not a subgroup of the ambient group")
     for x in sub:
         if k.conj(sigma, x) not in sub:
             raise NotInner("sigma does not normalize the subgroup")
-    sub_group, embed = k.subgroup_group(sub)
-    pos = {e: i for i, e in enumerate(embed)}
     g = g_group
     # the conjugation action: every nonidentity element of G acts by conj-sigma
     # (the spec's G is Z/m acting through powers of sigma)
-    act = []
+    conj = []
     for s in range(g.order):
         power = _power_in(k, sigma, _exponent_of(g, s))
-        row = tuple(pos[k.conj(power, e)] for e in embed)
-        act.append(row)
+        conj.append([k.conj(power, x) for x in range(k.order)])
     try:
-        gg_conj = GGroup(g, sub_group, tuple(act))
+        gg_conj, _ = _restricted(g, k, sub, conj)
     except InvalidInput as exc:
         raise NotInner("conjugation by sigma is not a valid G-action") from exc
+    sub_group = gg_conj.carrier
     gg_triv = trivial_action(g, sub_group)
     h1_conj = h1_finite(gg_conj)
     h1_triv = h1_finite(gg_triv)
     # canonical route: find phi0 in Hom(G, A), which is Z^1 for the trivial
-    # action, with conj(phi0(g)) = action(g)
+    # action, with conj(phi0(g)) = action(g): the trivial action twisted by phi0
     phi0 = next(
-        (
-            z
-            for z in h1_triv.cocycles
-            if all(
-                tuple(sub_group.conj(z[s], x) for x in range(sub_group.order))
-                == gg_conj.action[s]
-                for s in range(g.order)
-            )
-        ),
+        (z for z in h1_triv.cocycles if _twisted_action(gg_triv, z) == gg_conj.action),
         None,
     )
     report = {

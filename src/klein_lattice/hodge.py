@@ -562,6 +562,14 @@ def anti_invariant_class(kmodel, klein):
 # --- Proposition-style finite subgroup machinery ------------------------------------
 
 
+def _meets_domain(cert, m):
+    """Whether m lies in the set S: m(Sigma) cap Sigma != {0} for the domain
+    Sigma of cert, always true when the domain is the full cone."""
+    return cert.full_cone or not intersect(
+        transform_cone(cert.domain, m), cert.domain
+    ).is_zero()
+
+
 def prop_key_reduction(group_elements, cert, y):
     """Conjugate a finite dagger-image group into the neighborhood of the
     fundamental domain: fix x = sum g.y, reduce x into the domain by the
@@ -590,20 +598,13 @@ def prop_key_reduction(group_elements, cert, y):
     reduced, w, _ = reduce_into_domain(cert, x)
     winv = la.unimodular_inverse(w)
     conjugated = [la.mat_mul(w, la.mat_mul(mt, winv)) for mt in mats]
-    per_element = []
-    all_in = True
-    for cm in conjugated:
-        if cert.full_cone:
-            meets = True
-        else:
-            moved = transform_cone(cert.domain, cm)
-            meets = not intersect(moved, cert.domain).is_zero()
-        per_element.append({"matrix": cm, "meets_domain": meets})
-        all_in = all_in and meets
+    per_element = [
+        {"matrix": cm, "meets_domain": _meets_domain(cert, cm)} for cm in conjugated
+    ]
     return w, conjugated, {
         "fixed_point": x,
         "reduced_point": reduced,
-        "all_in_S": all_in,
+        "all_in_S": all(e["meets_domain"] for e in per_element),
         "elements": per_element,
     }
 
@@ -618,15 +619,7 @@ def classify_finite_subgroups_on_cone(gamma, cert):
     BoundedSearch by construction.
     """
     elements = gamma.elements_up_to()
-    s_set = []
-    for el in elements:
-        if cert.full_cone:
-            s_set.append(el.matrix)
-            continue
-        moved = transform_cone(cert.domain, el.matrix)
-        if not intersect(moved, cert.domain).is_zero():
-            s_set.append(el.matrix)
-    s_set = sorted(set(s_set))
+    s_set = sorted({el.matrix for el in elements if _meets_domain(cert, el.matrix)})
     ident = la.identity_matrix(gamma.lattice.rank)
     subgroups = extension_subgroups(
         s_set, la.mat_mul, ident, allowed=frozenset(s_set)

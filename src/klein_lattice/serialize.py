@@ -406,7 +406,7 @@ def finite_group_from_json(obj):
 
 def group_from_permutations(gens):
     """Finite group generated by permutations in one-line notation."""
-    from .cohomology import FiniteGroup
+    from .cohomology import FiniteGroup, subgroup_closure
 
     if not gens:
         raise ParseError("need at least one permutation")
@@ -414,25 +414,16 @@ def group_from_permutations(gens):
     for p in gens:
         if sorted(p) != list(range(n)):
             raise ParseError("not a permutation")
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = tuple(a[g[i]] for i in range(n))
-                if c not in elems:
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
-        if len(elems) > 10000:
-            raise ParseError("permutation group too large")
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(n))
+
+    elems = subgroup_closure(gens, compose, tuple(range(n)), bound=10000)
+    if elems is None:
+        raise ParseError("permutation group too large")
     ordered = sorted(elems)
     pos = {p: i for i, p in enumerate(ordered)}
-    table = tuple(
-        tuple(pos[tuple(a[b[i]] for i in range(n))] for b in ordered) for a in ordered
-    )
+    table = tuple(tuple(pos[compose(a, b)] for b in ordered) for a in ordered)
     return FiniteGroup(table)
 
 

@@ -2,8 +2,10 @@
 
 Each example breaks a valid document of one JSON option (a subtree replaced
 by junk, a key or item dropped, the text cut short) and runs main()
-in-process.  Every request must end in exit 0, 1 or 2 without a
-traceback, and exit 1 must name a KleinLatticeError subclass on stderr.
+in-process.  A deterministic sweep also sets each integer leaf of the
+documents that carry element indices to -1 and to 99.  Every request must
+end in exit 0, 1 or 2 without a traceback, and exit 1 must name a
+KleinLatticeError subclass on stderr.
 """
 
 import contextlib
@@ -220,22 +222,59 @@ def error_names():
     return out
 
 
+def request(template, option, text):
+    docs = hilbert_square()
+    return [f"{option}={text}" if arg is X else docs.get(arg, arg) for arg in template]
+
+
+def assert_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        first = err.getvalue().split("\n", 1)[0]
+        assert first.startswith("error: "), argv
+        assert first[len("error: "):].split(":", 1)[0] in error_names(), argv
+    else:
+        json.loads(out.getvalue())
+
+
 @pytest.mark.parametrize("option", sorted(REQUESTS))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_malformed_json_ends_in_an_exit_code(option, data):
     template = data.draw(st.sampled_from(REQUESTS[option]))
-    text = data.draw(malformed(option))
-    docs = hilbert_square()
-    argv = [f"{option}={text}" if arg is X else docs.get(arg, arg) for arg in template]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 1:
-        first = err.getvalue().split("\n", 1)[0]
-        assert first.startswith("error: ")
-        assert first[len("error: "):].split(":", 1)[0] in error_names()
-    else:
-        json.loads(out.getvalue())
+    assert_ends_in_an_exit_code(request(template, option, data.draw(malformed(option))))
+
+
+def index_sweep():
+    """Every request of a --seq, --spec or --klein template whose document
+    has one integer leaf set to -1 or 99, and h1 twist with -1 or 99 as the
+    last index of --sub or --phi."""
+    for option in ("--seq", "--spec", "--klein"):
+        for doc in valid_documents(option):
+            for path in paths(doc):
+                leaf = doc
+                for key in path:
+                    leaf = leaf[key]
+                if type(leaf) is not int:
+                    continue
+                for bad in (-1, 99):
+                    text = json.dumps(edited(doc, path, bad))
+                    for template in REQUESTS[option]:
+                        yield request(template, option, text)
+    for template in REQUESTS["--ggroup"]:
+        argv = request(template, "--ggroup", json.dumps(valid_documents("--ggroup")[0]))
+        for flag in ("--sub", "--phi"):
+            at = argv.index(flag) + 1
+            for bad in (-1, 99):
+                yield argv[:at] + [argv[at].rsplit(",", 1)[0] + f",{bad}"] + argv[at + 1:]
+
+
+def test_out_of_range_indices_end_in_an_exit_code():
+    argvs = list(index_sweep())
+    assert len(argvs) == 76
+    for argv in argvs:
+        assert_ends_in_an_exit_code(argv)

@@ -24,6 +24,7 @@ from klein_lattice.cohomology import (
     filtration_driver_split,
     finite_subgroup_classes_matrix,
     h1_abelian,
+    h1_abelian_elements,
     h1_finite,
     inner_twist_bijection,
     is_cocycle,
@@ -490,6 +491,24 @@ def test_les_and_fibers_classify_mid_and_quot_once(monkeypatch):
         assert sum(gg is ses.quot for gg in classified) == 1, name
 
 
+def test_les_maps_copy_the_cached_class_map():
+    z2 = cyclic(2)
+    ses = make_ses(z2, cyclic(2), cyclic(4), cyclic(2), (0, 2), (0, 1, 0, 1))
+    assert ses.lift == (0, 1)
+    rep = les_of_pointed_sets(ses)
+    assert rep.maps["h1_mid_to_quot"] == ses.h1_mid_to_quot
+    rep.maps["h1_mid_to_quot"].clear()
+    assert ses.h1_mid_to_quot and les_of_pointed_sets(ses).maps["h1_mid_to_quot"]
+
+
+def test_twist_fiber_check_rejects_out_of_range_phi():
+    z2 = cyclic(2)
+    ses = make_ses(z2, cyclic(2), cyclic(4), cyclic(2), (0, 2), (0, 1, 0, 1))
+    for phi in ((0, 99), (0, -1)):
+        with pytest.raises(InvalidInput):
+            twist_fiber_check(ses, phi)
+
+
 def test_les_rejects_non_exact_input():
     z2 = cyclic(2)
     z4 = cyclic(4)
@@ -513,6 +532,9 @@ def test_split_sequence_connecting_map_is_trivial():
     base = rep.h1_sub.class_of((0, 0))
     for x in rep.h0_quot:
         assert rep.h1_sub.class_of(connecting_map(ses, x)) == base
+    for x in (-1, 2):
+        with pytest.raises(InvalidInput):
+            connecting_map(ses, x)
 
 
 @pytest.mark.parametrize("gname,g", ACTING_GROUPS)
@@ -679,6 +701,61 @@ def test_filtration_split_agrees_with_matrix_classes(dihedral_group):
     assert out["h1_size"] == len(classes)
 
 
+def reference_split_orbits(spec, g, rep):
+    """Centralizer orbits on the listed classes of H^1(G, K_rep), by the
+    pairwise-equivalence walk that compares each moved cocycle with every
+    listed class outside the orbit."""
+    q_group, m = spec.quotient, spec.kernel_module
+    k_agg = AbelianGGroup(g, m, tuple(spec.q_action[rep[s]] for s in range(g.order)))
+    elements, _ = h1_abelian_elements(k_agg)
+    centralizer = [
+        q for q in range(q_group.order)
+        if all(q_group.conj(rep[s], q) == q for s in range(g.order))
+    ]
+    orbits, assigned = [], set()
+    for idx, theta in enumerate(elements):
+        if idx in assigned:
+            continue
+        orbit, frontier = {idx}, [theta]
+        while frontier:
+            cur = frontier.pop()
+            for q in centralizer:
+                qinv = q_group.inv(q)
+                moved = tuple(
+                    m.normalize(la.mat_vec(spec.q_action[qinv], v)) for v in cur
+                )
+                for jdx, other in enumerate(elements):
+                    if jdx not in orbit and cocycles_equivalent_abelian(
+                        k_agg, moved, other
+                    ) is not None:
+                        orbit.add(jdx)
+                        frontier.append(other)
+        assigned |= orbit
+        orbits.append(sorted(orbit))
+    return elements, orbits
+
+
+def test_filtration_split_orbits_merge_classes():
+    # Q = Z/2 swaps the two factors of (Z/2)^2; the swap merges two of the
+    # four classes over the trivial quotient class
+    z2 = cyclic(2)
+    swap = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    spec = SplitExtensionSpec(FgAbelian(0, (2, 2)), cyclic(2), swap)
+    out = filtration_driver_split(spec, z2)
+    assert out["h1_size"] == 4
+    assert [
+        (f["quotient_class"], f["h1_kernel_factors"], f["fiber_size"])
+        for f in out["fibers"]
+    ] == [((0, 0), (2, 2), 3), ((0, 1), (), 1)]
+    want = []
+    for f in out["fibers"]:
+        rep = f["quotient_class"]
+        elements, orbits = reference_split_orbits(spec, z2, rep)
+        assert f["fiber_size"] == len(orbits)
+        want += [tuple(zip(elements[o[0]], rep)) for o in orbits]
+    assert out["representatives"] == want
+
+
 def test_abelian_equivalence_witness():
     z2 = cyclic(2)
     m = FgAbelian(1, ())
@@ -790,6 +867,13 @@ def test_inner_twist_z4_in_d4():
     assert rep["bijection_holds"]
     assert rep["h1_inner_size"] == 2 and rep["h1_trivial_size"] == 2
     assert not rep["sigma_in_subgroup"]
+
+
+def test_inner_twist_rejects_out_of_range_elements():
+    s3 = symmetric(3)
+    for sub, sigma in ((range(6), -1), (range(6), 99), ([0, 99], 1)):
+        with pytest.raises(InvalidInput):
+            inner_twist_bijection(cyclic(2), s3, sub, sigma)
 
 
 def test_inner_twist_not_inner():

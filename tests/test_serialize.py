@@ -141,3 +141,7 @@ def test_finite_group_from_permutations():
     assert v4.order == 4 and v4.is_abelian()
     with pytest.raises(ParseError):
         ser.finite_group_from_json({"permutations": [[0, 0, 1]]})
+    # S8 has 40320 elements, past the 10000-element bound
+    s8 = {"permutations": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]}
+    with pytest.raises(ParseError):
+        ser.finite_group_from_json(s8)
