@@ -102,7 +102,6 @@ class FiniteGroup(Frozen):
     """Finite group as a multiplication table on indices 0..n-1."""
 
     table: tuple
-    names: tuple = None
 
     def __post_init__(self):
         t = tuple(tuple(row) for row in self.table)
@@ -205,44 +204,53 @@ class FiniteGroup(Frozen):
 
     def subgroup_group(self, subset):
         """The subgroup as its own FiniteGroup plus the index embedding."""
-        elems = sorted(subset)
+        elems = tuple(sorted(subset))
         if not self.is_subgroup(elems):
             raise InvalidInput("subset is not a subgroup")
-        pos = {e: i for i, e in enumerate(elems)}
-        table = tuple(
-            tuple(pos[self.op(a, b)] for b in elems) for a in elems
-        )
-        names = None
-        if self.names:
-            names = tuple(self.names[e] for e in elems)
-        return FiniteGroup(table, names), tuple(elems)
+        return group_from_rule(elems, self.op), elems
 
     def quotient_group(self, normal_subset):
-        """The quotient by a normal subgroup plus the projection map."""
+        """The quotient by a normal subgroup plus the projection map; cosets
+        are numbered in the order of their least elements."""
         if not self.is_subgroup(normal_subset) or not self.is_normal(normal_subset):
             raise NotNormal("quotient needs a normal subgroup")
-        cosets = []
-        proj = [None] * self.order
+        rep = [None] * self.order  # rep[x]: the least element of the coset xN
         for x in range(self.order):
-            if proj[x] is not None:
-                continue
-            coset = frozenset(self.op(x, h) for h in normal_subset)
-            idx = len(cosets)
-            cosets.append(min(coset))
-            for y in coset:
-                proj[y] = idx
-        table = tuple(
-            tuple(proj[self.op(cosets[a], cosets[b])] for b in range(len(cosets)))
-            for a in range(len(cosets))
-        )
-        return FiniteGroup(table), tuple(proj)
+            if rep[x] is None:
+                coset = [self.op(x, h) for h in normal_subset]
+                least = min(coset)
+                for y in coset:
+                    rep[y] = least
+        minima = sorted(set(rep))
+        pos = {m: i for i, m in enumerate(minima)}
+        quotient = group_from_rule(minima, lambda a, b: rep[self.op(a, b)])
+        return quotient, tuple(pos[m] for m in rep)
+
+
+def group_from_rule(elements, mul):
+    """The FiniteGroup on the listed hashable elements, numbered in list
+    order: table[i][j] is the index of mul(elements[i], elements[j])."""
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup(tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
+
+
+def permutation_group(gens, bound=None):
+    """The group generated by permutations of 0..n-1 in one-line notation,
+    composed as (a b)[i] = a[b[i]], on its sorted permutations.  None when it
+    has more than `bound` elements."""
+    n = len(gens[0])
+
+    def compose(a, b):
+        return tuple(a[i] for i in b)
+
+    elems = subgroup_closure(gens, compose, tuple(range(n)), bound)
+    if elems is None:
+        return None
+    return group_from_rule(sorted(elems), compose)
 
 
 def cyclic(n):
-    return FiniteGroup(
-        tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
-        tuple(str(i) for i in range(n)),
-    )
+    return group_from_rule(range(n), lambda a, b: (a + b) % n)
 
 
 def dihedral(n):
@@ -254,85 +262,43 @@ def dihedral(n):
         k = (k1 + (k2 if e1 == 0 else -k2)) % n
         return k + n * ((e1 + e2) % 2)
 
-    return FiniteGroup(
-        tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n)),
-        tuple(
-            (f"r{k}" if e == 0 else f"sr{k}")
-            for e in (0, 1)
-            for k in range(n)
-        ),
-    )
+    return group_from_rule(range(2 * n), mul)
 
 
 def symmetric(n):
-    perms = []
-
-    def gen(prefix, rest):
-        if not rest:
-            perms.append(tuple(prefix))
-            return
-        for i, x in enumerate(rest):
-            gen(prefix + [x], rest[:i] + rest[i + 1:])
-
-    gen([], list(range(n)))
-    perms.sort()
-    pos = {p: i for i, p in enumerate(perms)}
-
-    def mul(a, b):
-        pa, pb = perms[a], perms[b]
-        return pos[tuple(pa[pb[i]] for i in range(n))]
-
-    m = len(perms)
-    return FiniteGroup(
-        tuple(tuple(mul(a, b) for b in range(m)) for a in range(m)),
-        tuple("".join(map(str, p)) for p in perms),
-    )
+    """S_n on the sorted permutations of 0..n-1, generated by the n-cycle
+    and the transposition (0 1)."""
+    ident = tuple(range(n))
+    return permutation_group([ident[1:] + ident[:1], ident[1::-1] + ident[2:]])
 
 
 def quaternion8():
     """Q8 with elements 1, -1, i, -i, j, -j, k, -k."""
-    names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    idx = {s: n for n, s in enumerate(names)}
+    rules = {
+        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1),
+        ("1", "k"): ("k", 1), ("i", "1"): ("i", 1), ("j", "1"): ("j", 1),
+        ("k", "1"): ("k", 1), ("i", "i"): ("1", -1), ("j", "j"): ("1", -1),
+        ("k", "k"): ("1", -1), ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
+        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1), ("k", "i"): ("j", 1),
+        ("i", "k"): ("j", -1),
+    }
 
     def base_sign(s):
         return (s[1], -1) if s.startswith("-") else (s[0], 1)
 
     def mul(a, b):
-        ba, sa = base_sign(names[a])
-        bb, sb = base_sign(names[b])
-        rules = {
-            ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1),
-            ("1", "k"): ("k", 1), ("i", "1"): ("i", 1), ("j", "1"): ("j", 1),
-            ("k", "1"): ("k", 1), ("i", "i"): ("1", -1), ("j", "j"): ("1", -1),
-            ("k", "k"): ("1", -1), ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-            ("j", "k"): ("i", 1), ("k", "j"): ("i", -1), ("k", "i"): ("j", 1),
-            ("i", "k"): ("j", -1),
-        }
+        ba, sa = base_sign(a)
+        bb, sb = base_sign(b)
         base, sign = rules[(ba, bb)]
-        sign *= sa * sb
-        return idx[base if sign == 1 else "-" + base]
+        return base if sign * sa * sb == 1 else "-" + base
 
-    return FiniteGroup(
-        tuple(tuple(mul(a, b) for b in range(8)) for a in range(8)), names
-    )
+    return group_from_rule(("1", "-1", "i", "-i", "j", "-j", "k", "-k"), mul)
 
 
 def direct_product(g1, g2):
-    n1, n2 = g1.order, g2.order
-
-    def enc(a, b):
-        return a * n2 + b
-
-    table = tuple(
-        tuple(
-            enc(g1.op(a1, b1), g2.op(a2, b2))
-            for b1 in range(n1)
-            for b2 in range(n2)
-        )
-        for a1 in range(n1)
-        for a2 in range(n2)
-    )
-    return FiniteGroup(table)
+    """G1 x G2; index a*|G2| + b encodes the pair (a, b)."""
+    pairs = [(a, b) for a in range(g1.order) for b in range(g2.order)]
+    return group_from_rule(pairs, lambda x, y: (g1.op(x[0], y[0]), g2.op(x[1], y[1])))
 
 
 def klein_four():
@@ -517,13 +483,13 @@ def _twisted_action(gg, phi):
     )
 
 
-def _restricted(group, carrier, sub, action):
-    """The G-group on the subgroup sub of carrier, acted on by the carrier
-    permutations in action (which must keep sub stable), plus the embedding."""
-    sub_group, embed = carrier.subgroup_group(sub)
+def _restricted(group, sub_group, embed, action):
+    """The G-group on sub_group, whose i-th element is the carrier element
+    embed[i], acted on by the carrier permutations in action (which must
+    keep the image of embed stable)."""
     pos = {e: i for i, e in enumerate(embed)}
     act = tuple(tuple(pos[p[e]] for e in embed) for p in action)
-    return GGroup(group, sub_group, act), embed
+    return GGroup(group, sub_group, act)
 
 
 def twist_subgroup(ambient, sub_elements, phi):
@@ -545,7 +511,8 @@ def twist_subgroup(ambient, sub_elements, phi):
                 raise NotStable("subgroup is not G-stable")
     if not is_cocycle(ambient, phi):
         raise InvalidInput("phi is not a cocycle in the ambient G-group")
-    return _restricted(g, a, sub, _twisted_action(ambient, phi))
+    sub_group, embed = a.subgroup_group(sub)
+    return _restricted(g, sub_group, embed, _twisted_action(ambient, phi)), embed
 
 
 # --- exact sequence of pointed sets -------------------------------------------
@@ -714,7 +681,8 @@ def twist_fiber_check(ses, phi):
     explicit translation theta -> theta * phi.  Returns a report dict.
 
     The sequence has checked that A' is normal and G-stable in A, so the
-    twist of A' needs no more checks than those of its G-group.
+    twist of A' is built on the sequence's own A' and inclusion and needs no
+    more checks than those of its G-group.
     """
     g = ses.mid.group
     a = ses.mid.carrier
@@ -727,8 +695,8 @@ def twist_fiber_check(ses, phi):
     fiber = {i for i, j in to_quot.items() if j == to_quot[phi_class]}
 
     twisted = _twisted_action(ses.mid, phi)
-    sub_tw, embed = _restricted(g, a, ses.inclusion, twisted)
-    h1p_tw = h1_finite(sub_tw)
+    embed = ses.inclusion
+    h1p_tw = h1_finite(_restricted(g, ses.sub.carrier, embed, twisted))
 
     twisted_q = _twisted_action(ses.quot, tuple(ses.projection[v] for v in phi))
     inv_q_tw = [
@@ -1249,8 +1217,8 @@ def real_structure_classifier(kg):
     direct = _classes_under(k, anti_invs, a_elems)
     # H1 route: Z/2 acting on the kernel by conjugation with sigma
     conj = [[k.conj(c, x) for x in range(k.order)] for c in (k.identity, kg.sigma)]
-    gg, embed = _restricted(cyclic(2), k, a_elems, conj)
-    h1 = h1_finite(gg)
+    kernel, embed = k.subgroup_group(a_elems)
+    h1 = h1_finite(_restricted(cyclic(2), kernel, embed, conj))
     mapped = []
     for rep in h1.representatives:
         anti = k.op(embed[rep[1]], kg.sigma)
@@ -1306,17 +1274,21 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
         if k.conj(sigma, x) not in sub:
             raise NotInner("sigma does not normalize the subgroup")
     g = g_group
-    # the conjugation action: every nonidentity element of G acts by conj-sigma
-    # (the spec's G is Z/m acting through powers of sigma)
-    conj = []
-    for s in range(g.order):
-        power = _power_in(k, sigma, _exponent_of(g, s))
-        conj.append([k.conj(power, x) for x in range(k.order)])
+    gens = g.generating_set()
+    if len(gens) > 1:
+        raise NotInner("inner twist needs a cyclic acting group")
+    # the conjugation action: gen^e acts by conjugation with sigma^e
+    gen = gens[0] if gens else g.identity
+    conj = [None] * g.order
+    s, power = g.identity, k.identity
+    for _ in range(g.order):
+        conj[s] = [k.conj(power, x) for x in range(k.order)]
+        s, power = g.op(s, gen), k.op(power, sigma)
+    sub_group, embed = k.subgroup_group(sub)
     try:
-        gg_conj, _ = _restricted(g, k, sub, conj)
+        gg_conj = _restricted(g, sub_group, embed, conj)
     except InvalidInput as exc:
         raise NotInner("conjugation by sigma is not a valid G-action") from exc
-    sub_group = gg_conj.carrier
     gg_triv = trivial_action(g, sub_group)
     h1_conj = h1_finite(gg_conj)
     h1_triv = h1_finite(gg_triv)
@@ -1361,26 +1333,3 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
         else (),
     )
     return report
-
-
-def _exponent_of(group, element):
-    """Write a cyclic-group element as a power of a fixed generator."""
-    gens = group.generating_set()
-    if len(gens) > 1:
-        raise NotInner("inner twist needs a cyclic acting group")
-    if not gens:
-        return 0
-    gen = gens[0]
-    x = group.identity
-    for e in range(group.order):
-        if x == element:
-            return e
-        x = group.op(x, gen)
-    raise NotInner("element not a power of the generator")
-
-
-def _power_in(group, x, e):
-    out = group.identity
-    for _ in range(e):
-        out = group.op(out, x)
-    return out

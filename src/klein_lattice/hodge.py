@@ -273,6 +273,8 @@ class KahlerModel(Frozen):
         emb = tuple(tuple(int(c) for c in row) for row in self.embedding)
         object.__setattr__(self, "embedding", emb)
         d = len(emb)
+        if any(len(row) != self.lattice.rank for row in emb):
+            raise DimensionMismatch("embedding row length != lattice rank")
         if self.cone.ambient_dim != d:
             raise DimensionMismatch("cone dimension != NS rank")
         if not self.cone.is_full_dimensional():

@@ -312,39 +312,24 @@ def fixes_pointwise_implies_identity(lat, sub, search_bound=1):
         stacked = a + (p,) if t else ((0,) * t,)
         for x in la.int_kernel(stacked):
             if not la.is_zero_vector(x):
-                m_new = _corank1_matrix(t, x, 1)
-                return check_and_wrap(m_new)
+                return check_and_wrap(_block_matrix(t, 1, tuple((c,) for c in x), ((1,),)))
         # z = -1: A x = 2p
         if t == 0:
-            return check_and_wrap(_corank1_matrix(0, (), -1))
+            return check_and_wrap(_block_matrix(0, 1, (), ((-1,),)))
         x = la.solve_int(a, tuple(2 * pi for pi in p))
         if x is not None:
-            return check_and_wrap(_corank1_matrix(t, x, -1))
+            return check_and_wrap(_block_matrix(t, 1, tuple((c,) for c in x), ((-1,),)))
         return FixDecision("IdentityOnly")
 
     # corank >= 2: bounded search over the unknown block
-    k = corank
-    a = tuple(tuple(gn[i][j] for j in range(t)) for i in range(t))
-    b = tuple(tuple(gn[i][t + j] for j in range(k)) for i in range(t))
-    cc = tuple(tuple(gn[t + i][t + j] for j in range(k)) for i in range(k))
-    found = _search_corank_ge2(a, b, cc, t, k, search_bound)
+    found = _search_corank_ge2(gn, t, corank, search_bound)
     if found is not None:
-        x_block, z_block = found
-        m_new = _block_matrix(t, k, x_block, z_block)
-        return check_and_wrap(m_new)
+        return check_and_wrap(found)
     return FixDecision("Undecided")
 
 
-def _corank1_matrix(t, x, z):
-    n = t + 1
-    rows = []
-    for i in range(t):
-        rows.append(tuple(1 if j == i else (x[i] if j == t else 0) for j in range(n)))
-    rows.append(tuple(z if j == t else 0 for j in range(n)))
-    return tuple(rows)
-
-
 def _block_matrix(t, k, x_block, z_block):
+    """[[I, X], [0, Z]] with I of size t and X, Z given as t x k and k x k rows."""
     n = t + k
     rows = []
     for i in range(t):
@@ -358,12 +343,16 @@ def _block_matrix(t, k, x_block, z_block):
     return tuple(rows)
 
 
-def _search_corank_ge2(a, b, cc, t, k, bound):
-    """Bounded search for [[I, X], [0, Z]] with the isometry conditions.
+def _search_corank_ge2(gn, t, k, bound):
+    """Bounded search for a nonidentity M = [[I, X], [0, Z]] with
+    M^T gn M = gn, where gn = [[A, B], [B^T, C]] with A of size t.
 
-    Conditions: A X = B (I - Z),  X^T A X + X^T B Z + Z^T B^T X + Z^T C Z = C,
-    |det Z| = 1.  Entries of Z and kernel coefficients range over [-bound, bound].
+    |det Z| = 1, and X solves A X = B (I - Z), which is the upper right block
+    of the isometry condition.  Entries of Z and kernel coefficients range
+    over [-bound, bound].
     """
+    a = tuple(tuple(gn[i][j] for j in range(t)) for i in range(t))
+    b = tuple(tuple(gn[i][t + j] for j in range(k)) for i in range(t))
     rng = range(-bound, bound + 1)
     ker = la.int_kernel(a) if t else []
     max_candidates = 300000
@@ -407,29 +396,10 @@ def _search_corank_ge2(a, b, cc, t, k, bound):
             x = tuple(tuple(cols[j][i] for j in range(k)) for i in range(t))
             if z == ident_z and all(la.is_zero_vector(row) for row in x):
                 continue
-            if _second_condition_holds(a, b, cc, x, z):
-                return x, z
+            m = _block_matrix(t, k, x, z)
+            if la.mat_mul(la.transpose(m), la.mat_mul(gn, m)) == gn:
+                return m
     return None
-
-
-def _second_condition_holds(a, b, cc, x, z):
-    t = len(a)
-    xt = la.transpose(x) if t else ()
-    zt = la.transpose(z)
-    term = [[0] * len(z) for _ in range(len(z))]
-    if t:
-        xtax = la.mat_mul(xt, la.mat_mul(a, x))
-        xtbz = la.mat_mul(xt, la.mat_mul(b, z))
-        ztbtx = la.mat_mul(zt, la.mat_mul(la.transpose(b), x))
-        for i in range(len(z)):
-            for j in range(len(z)):
-                term[i][j] = xtax[i][j] + xtbz[i][j] + ztbtx[i][j]
-    ztcz = la.mat_mul(zt, la.mat_mul(cc, z))
-    for i in range(len(z)):
-        for j in range(len(z)):
-            if term[i][j] + ztcz[i][j] != cc[i][j]:
-                return False
-    return True
 
 
 # --- generated groups and stabilizers --------------------------------------

@@ -396,8 +396,7 @@ def finite_group_from_json(obj):
         if "name" in obj:
             return finite_group_from_json(obj["name"])
         if "table" in obj:
-            names = list_from_json(obj.get("names", []), "group element names")
-            return FiniteGroup(int_mat_from_json(obj["table"]), tuple(names) or None)
+            return FiniteGroup(int_mat_from_json(obj["table"]))
         if "permutations" in obj:
             perms = list_from_json(obj["permutations"], "permutations")
             return group_from_permutations([int_vec_from_json(p) for p in perms])
@@ -405,8 +404,9 @@ def finite_group_from_json(obj):
 
 
 def group_from_permutations(gens):
-    """Finite group generated by permutations in one-line notation."""
-    from .cohomology import FiniteGroup, subgroup_closure
+    """Finite group generated by permutations in one-line notation, of at
+    most 120 elements (|S5|): the group table is checked in cubic time."""
+    from .cohomology import permutation_group
 
     if not gens:
         raise ParseError("need at least one permutation")
@@ -414,24 +414,14 @@ def group_from_permutations(gens):
     for p in gens:
         if sorted(p) != list(range(n)):
             raise ParseError("not a permutation")
-
-    def compose(a, b):
-        return tuple(a[b[i]] for i in range(n))
-
-    elems = subgroup_closure(gens, compose, tuple(range(n)), bound=10000)
-    if elems is None:
-        raise ParseError("permutation group too large")
-    ordered = sorted(elems)
-    pos = {p: i for i, p in enumerate(ordered)}
-    table = tuple(tuple(pos[compose(a, b)] for b in ordered) for a in ordered)
-    return FiniteGroup(table)
+    group = permutation_group(gens, bound=120)
+    if group is None:
+        raise ParseError("permutation group has more than 120 elements")
+    return group
 
 
 def finite_group_to_json(g):
-    out = {"table": [list(row) for row in g.table]}
-    if g.names:
-        out["names"] = list(g.names)
-    return out
+    return {"table": [list(row) for row in g.table]}
 
 
 def ggroup_from_json(obj):

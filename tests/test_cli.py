@@ -78,6 +78,14 @@ def klein_d4(sigma):
 
 
 Z2_ON_S3 = '{"group": "Z2", "carrier": "S3", "action": "trivial"}'
+S6_GENERATORS = '{"permutations": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}'
+HODGE4 = {
+    "lattice": {"gram": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]]},
+    "period_re": [1, 0, 0, 0],
+    "period_im": [0, 1, 0, 0],
+}
+# a one-ray Kahler model on HODGE4, whose NS basis is the embedding
+KAHLER4 = {"cone": {"rays": [[1]]}, "embedding": [[0, 0, 1, 0]], "lattice": HODGE4["lattice"]}
 Z4_SEQ_OUT_OF_RANGE = json.dumps({
     "sub": {"group": "Z2", "carrier": "Z2", "action": "trivial"},
     "mid": {"group": "Z2", "carrier": "Z4", "action": "trivial"},
@@ -85,6 +93,17 @@ Z4_SEQ_OUT_OF_RANGE = json.dumps({
     "inclusion": [0, 7],
     "projection": [0, 1, 0, 1],
 })
+
+
+def kaut_criterion(embedding):
+    """hk kaut-criterion for the identity on HODGE4, with KAHLER4 given the
+    embedding."""
+    model = {**KAHLER4, "embedding": embedding}
+    return [
+        "hk", "kaut-criterion", "--phi", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+        "--hodge", json.dumps(HODGE4), "--cone", json.dumps(model),
+        "--mon", '{"kind": "discriminant", "signs": [-1]}',
+    ]
 
 
 def pell_cert(orbit=PELL_ORBIT):
@@ -189,6 +208,9 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
             ["h1", "twist", "--ggroup", Z2_ON_S3, "--sub", "0,1,2,3,4,5", "--phi", "0,x"],
             "ParseError",
         ),
+        (["h1", "compute", "--group", "Z2", "--coeff", S6_GENERATORS], "ParseError"),
+        (kaut_criterion([[1]]), "DimensionMismatch"),
+        (kaut_criterion([[0, 0, 1, 0, 7]]), "DimensionMismatch"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -196,7 +218,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "orbit-not-unimodular", "samples-negative", "samples-zero",
          "disjoint-bound-zero", "sigma-out-of-range", "sigma-negative",
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
-         "phi-not-an-integer"],
+         "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
+         "embedding-row-long"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)
@@ -580,6 +603,8 @@ def test_hk_torelli_and_kaut(tmp_path, capsys):
     assert code == 0
     assert rep["result"]["verdict"] == "KleinRealizable"
     assert rep["result"]["sign"] == -1
+    code, rep = run_cli(kaut_criterion([[0, 0, 1, 0]]), capsys)
+    assert code == 0 and rep["result"]["verdict"]
 
 
 def test_hk_classify_subgroups(tmp_path, capsys):

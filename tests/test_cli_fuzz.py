@@ -5,7 +5,8 @@ by junk, a key or item dropped, the text cut short) and runs main()
 in-process.  A deterministic sweep also sets each integer leaf of the
 documents that carry element indices to -1 and to 99.  Every request must
 end in exit 0, 1 or 2 without a traceback, and exit 1 must name a
-KleinLatticeError subclass on stderr.
+KleinLatticeError subclass on stderr.  The serialize readers get broken
+documents too, and must return a value or raise a KleinLatticeError.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import json
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klein_lattice import serialize as ser
 from klein_lattice.cli import main
@@ -22,7 +23,7 @@ from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
 from klein_lattice.errors import KleinLatticeError
 from klein_lattice.hodge import KahlerModel, hilbert_square_extension, neron_severi
 from klein_lattice.isometry import Isometry
-from test_cli import HODGE6, SIGMA6
+from test_cli import HODGE6, KAHLER4, SIGMA6
 
 PELL_GROUP = {
     "lattice": {"gram": [[2, 0], [0, -4]]},
@@ -201,13 +202,19 @@ def edited(doc, path, value):
 
 
 @st.composite
-def malformed(draw, option):
-    doc = draw(st.sampled_from(valid_documents(option)))
+def mutated(draw, docs):
+    """One of docs with one or two subtrees replaced by junk or dropped."""
+    doc = draw(st.sampled_from(docs))
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(paths(doc))))
         drop = path and draw(st.booleans())
         doc = edited(doc, path, DROP if drop else draw(JUNK))
-    text = json.dumps(doc)
+    return doc
+
+
+@st.composite
+def malformed(draw, option):
+    text = json.dumps(draw(mutated(valid_documents(option))))
     if draw(st.integers(0, 4)) == 0:
         text = text[: draw(st.integers(0, len(text) - 1))]
     return text
@@ -278,3 +285,64 @@ def test_out_of_range_indices_end_in_an_exit_code():
     assert len(argvs) == 76
     for argv in argvs:
         assert_ends_in_an_exit_code(argv)
+
+
+@cache
+def readers():
+    """Every serialize.*_from_json reader as a function of one document,
+    with valid documents for it."""
+    u = ser.lattice_from_json("U")
+    return {
+        "rat_from_json": (ser.rat_from_json, [3, "1/2"]),
+        "int_from_json": (ser.int_from_json, [3, "4"]),
+        "list_from_json": (lambda v: ser.list_from_json(v, "list"), [[1, 2]]),
+        "vec_from_json": (ser.vec_from_json, [[1, "1/2"]]),
+        "int_vec_from_json": (ser.int_vec_from_json, [[1, 2]]),
+        "int_mat_from_json": (ser.int_mat_from_json, [[[1, 0], [0, 1]]]),
+        "lattice_from_json": (ser.lattice_from_json, valid_documents("--in") + ["U"]),
+        "sublattice_from_json": (
+            lambda obj: ser.sublattice_from_json(u, obj), valid_documents("--sub")
+        ),
+        "generated_group_from_json": (ser.generated_group_from_json, [PELL_GROUP]),
+        "cone_from_json": (ser.cone_from_json, valid_documents("--pi1")),
+        "positive_cone_from_json": (ser.positive_cone_from_json, [PELL_POS]),
+        "certificate_from_json": (ser.certificate_from_json, [pell_certificate()]),
+        "hodge_from_json": (ser.hodge_from_json, [HODGE6]),
+        "monodromy_spec_from_json": (ser.monodromy_spec_from_json, valid_documents("--mon")),
+        "kahler_model_from_json": (ser.kahler_model_from_json, [KAHLER4]),
+        "finite_group_from_json": (
+            ser.finite_group_from_json,
+            ["S3", {"table": [[0, 1], [1, 0]]}, {"permutations": [[1, 2, 0]]}],
+        ),
+        "ggroup_from_json": (
+            ser.ggroup_from_json,
+            valid_documents("--ggroup")
+            + [{"group": "Z2", "carrier": "Z3", "action": [[0, 1, 2], [0, 2, 1]]}],
+        ),
+    }
+
+
+def test_every_reader_is_fuzzed():
+    assert set(readers()) == {name for name in dir(ser) if name.endswith("_from_json")}
+    for read, docs in readers().values():
+        for doc in docs:
+            read(doc)
+
+
+@st.composite
+def reader_cases(draw):
+    name = draw(st.sampled_from(sorted(readers())))
+    return name, draw(mutated(readers()[name][1]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=reader_cases())
+@example(case=("kahler_model_from_json", {**KAHLER4, "embedding": [[1]]}))
+@example(case=("kahler_model_from_json", {**KAHLER4, "embedding": [[0, 0, 1, 0, 7]]}))
+def test_readers_raise_only_library_errors(case):
+    name, doc = case
+    read, _ = readers()[name]
+    try:
+        read(doc)
+    except KleinLatticeError:
+        pass

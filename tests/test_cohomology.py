@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from itertools import product as iproduct
 
 import pytest
 
 from klein_lattice import intlinalg as la
+from klein_lattice import serialize as ser
 from klein_lattice.cohomology import (
     AbelianGGroup,
     FgAbelian,
@@ -142,6 +145,44 @@ def test_quotient_group():
     assert quot.order == 4
     assert quot.is_abelian()
     assert all(quot.op(x, x) == quot.identity for x in range(4))  # V4
+
+
+# sha256 of the JSON of [table, [subgroup table, embedding] or [quotient
+# table, projection] for each subgroup in all_subgroups() order], recorded
+# when every builder still wrote its own table and index map
+PINNED_TABLES = {
+    "Z1": "22cd45b08aa11cbaef0630557d0a8e9aa49d67dea46dcec55189760b22f5359b",
+    "Z2": "bf4a90631d517b580e234fe35de23583e9cb4bcfaa457d254d409e0ecc5aeb91",
+    "Z3": "b81ea3b5fbc689400c14a7eeeaf3b294097e90d102c6fc7fdfaf13826a2f2342",
+    "Z4": "7dcec7ed88d5cb80cd6960710e1eb4a301f13a73323472236190ab68e9686ed9",
+    "Z5": "fd5c6a444febce9e0320c532738330acb484b2e2f361a7a32a9e34ec330ad480",
+    "Z6": "5c64d6c8d315806bdd61da2ffbaeebd37d0387650c81e177e338935e2e537b9d",
+    "V4": "f7f76a3ed9f8570c6de7cc4df839fc83d99f6a06a31309cb8eee6432fd7999ea",
+    "Z2xZ2": "f7f76a3ed9f8570c6de7cc4df839fc83d99f6a06a31309cb8eee6432fd7999ea",
+    "S3": "1f4eb27c5a785cf42a12d1d4e121adb13c4c55cd755dde67e7119282acae1d34",
+    "S4": "31ef77ae46447ac53eedd948d414552a861d0d4c674fe24b49675320a61619e9",
+    "D4": "54a33a94ef283d1fd9fd0520c3909ccc17e3421895e8559eaed6ee1bb2f21d8e",
+    "D6": "e543053df68e8ddde7fe38502337ec4ee4cfb1586c3db7aca394f50ecd93383d",
+    "Q8": "8dd6670daee08fcfaa7c95cfa3afd35caaa2d12e569337f9760b3e8e452ac4e1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ser.BUILTIN_GROUPS))
+def test_builtin_group_tables_are_pinned(name):
+    g = ser.BUILTIN_GROUPS[name]()
+    parts = [g.table]
+    for h in g.all_subgroups():
+        sub, embed = g.subgroup_group(h)
+        parts.append([sub.table, embed])
+        if g.is_normal(h):
+            quot, proj = g.quotient_group(h)
+            parts.append([quot.table, proj])
+    assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == PINNED_TABLES[name]
+
+
+def test_small_symmetric_groups():
+    assert symmetric(1).table == ((0,),)
+    assert symmetric(2).table == ((0, 1), (1, 0))
 
 
 # --- cocycles and H1 ---------------------------------------------------------------
@@ -874,6 +915,15 @@ def test_inner_twist_rejects_out_of_range_elements():
     for sub, sigma in ((range(6), -1), (range(6), 99), ([0, 99], 1)):
         with pytest.raises(InvalidInput):
             inner_twist_bijection(cyclic(2), s3, sub, sigma)
+
+
+def test_inner_twist_needs_a_cyclic_acting_group():
+    s3 = symmetric(3)
+    with pytest.raises(NotInner):
+        inner_twist_bijection(klein_four(), s3, range(6), 1)
+    rep = inner_twist_bijection(cyclic(1), s3, range(6), 1)
+    assert rep["mode"] == "canonical" and rep["bijection_holds"]
+    assert rep["h1_inner_size"] == rep["h1_trivial_size"] == 1
 
 
 def test_inner_twist_not_inner():

@@ -129,6 +129,10 @@ def test_finite_group_names():
     assert g.order == 6
     back = ser.finite_group_from_json(ser.finite_group_to_json(g))
     assert back.table == g.table
+    assert ser.finite_group_to_json(g) == {"table": [list(row) for row in g.table]}
+    # a "names" key is ignored like any other unknown key
+    named = ser.finite_group_from_json({"table": [[0, 1], [1, 0]], "names": ["e", "a"]})
+    assert named.table == ((0, 1), (1, 0))
     with pytest.raises(ParseError):
         ser.finite_group_from_json("nope")
 
@@ -141,7 +145,11 @@ def test_finite_group_from_permutations():
     assert v4.order == 4 and v4.is_abelian()
     with pytest.raises(ParseError):
         ser.finite_group_from_json({"permutations": [[0, 0, 1]]})
-    # S8 has 40320 elements, past the 10000-element bound
+    # S5 has 120 elements, the bound; S6 (720) and S8 (40320) are past it
+    s5 = {"permutations": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
+    assert ser.finite_group_from_json(s5).order == 120
+    s6 = {"permutations": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}
     s8 = {"permutations": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]}
-    with pytest.raises(ParseError):
-        ser.finite_group_from_json(s8)
+    for doc in (s6, s8):
+        with pytest.raises(ParseError):
+            ser.finite_group_from_json(doc)
