@@ -190,8 +190,8 @@ def _project_off(v, lines):
     """Project v off span(lines) with the euclidean form, exactly."""
     w = [Fraction(x) for x in v]
     for b in lines:
-        bb = sum(Fraction(x) * x for x in b)
-        wb = sum(x * Fraction(y) for x, y in zip(w, b))
+        bb = la.dot(b, b)
+        wb = la.dot(w, b)
         if bb:
             w = [x - wb / bb * Fraction(y) for x, y in zip(w, b)]
     return tuple(w)
@@ -578,9 +578,15 @@ def find_trivial_stabilizer_point(gamma, pos, height_bound=12):
     """Deterministic search for a rational point of C with certified trivial
     stabilizer: integer vectors enumerated by increasing height, lex order."""
     n = pos.dim
+    ident = la.identity_matrix(n)
+    # a nonidentity element of gamma fixing v is an integral isometry fixing
+    # v, so stabilizer would count it as a member and v would be rejected
+    moving = [el.matrix for el in gamma.elements_up_to() if el.matrix != ident]
     for height in range(1, height_bound + 1):
         for v in _integer_vectors_of_height(n, height):
             if not pos.contains_open(v):
+                continue
+            if any(la.mat_vec(m, v) == v for m in moving):
                 continue
             st = stabilizer(gamma, v)
             if st.is_certified() and len(st.members) == 1:
@@ -615,6 +621,8 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
     """
     if word_bound is None:
         word_bound = gamma.word_bound
+    if word_bound < 1:
+        raise InvalidInput("word bound must be at least 1")
     for cone in (pi1, pi2):
         for r in cone.rays:
             if not rational_closure_member(pos, r):

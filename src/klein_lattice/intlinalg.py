@@ -6,7 +6,9 @@ matrices act on column vectors, sublattice bases are stored as row vectors.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
+from operator import mul, sub
 
 
 def identity_matrix(n):
@@ -17,36 +19,36 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
+# Products are summed as sum(map(mul, ...)), which iterates in C; a generator
+# expression resumes a Python frame per entry.  Values, types (int stays int)
+# and zip's truncation to the shorter operand are those of the plain sum.
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vector(v):
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def primitive_vector(v):
     """Scale a rational vector to a primitive integer vector, same direction."""
-    if all(x == 0 for x in v):
-        return tuple(0 for _ in v)
-    den = 1
-    for x in v:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    w = [int(x * den) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in w)
+    if not any(v):
+        return (0,) * len(v)
+    den = lcm(*[x.denominator for x in v])
+    w = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*w)
+    return tuple([x // g for x in w])
 
 
 def bareiss_det(a):
@@ -297,7 +299,7 @@ def _row_reduce(rows, ncols):
     nonzero entry at or below the current row; the loop stops once every row
     has a pivot.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(map(Fraction, row)) for row in rows]
     nrows = len(m)
     pivots = []
     r = 0
@@ -311,11 +313,10 @@ def _row_reduce(rows, ncols):
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = pivot_row = list(map(mul, m[r], repeat(inv)))
         for i in range(nrows):
             if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = list(map(sub, m[i], map(mul, repeat(m[i][c]), pivot_row)))
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -281,6 +281,8 @@ def fixes_pointwise_implies_identity(lat, sub, search_bound=1):
     against h.  Corank >= 2 runs a bounded search and returns Undecided when
     it finds nothing.
     """
+    if search_bound < 1:
+        raise InvalidInput("search bound must be at least 1")
     if sub.ambient.gram != lat.gram:
         raise DimensionMismatch("sublattice does not live in the given lattice")
     if not sub.is_primitive():

@@ -67,6 +67,10 @@ PELL_GROUP = json.dumps(
 )
 
 
+PELL_PI = '{"rays": [[2, 1], [2, -1]]}'
+DIAG_2_M2_M2 = '{"gram": [[2,0,0],[0,-2,0],[0,0,-2]]}'
+
+
 PELL_ORBIT = [
     {"matrix": [[3, 4], [2, 3]], "word": "g0"},
     {"matrix": [[3, -4], [-2, 3]], "word": "g0^-1"},
@@ -211,6 +215,14 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (["h1", "compute", "--group", "Z2", "--coeff", S6_GENERATORS], "ParseError"),
         (kaut_criterion([[1]]), "DimensionMismatch"),
         (kaut_criterion([[0, 0, 1, 0, 7]]), "DimensionMismatch"),
+        (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
+          "--pi2", PELL_PI, "--bound", "0"], "InvalidInput"),
+        (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
+          "--pi2", PELL_PI, "--bound=-3"], "InvalidInput"),
+        (["isom", "fix-sublattice", "--in", DIAG_2_M2_M2, "--sub", '{"basis": [[1,0,0]]}',
+          "--bound", "0"], "InvalidInput"),
+        (["isom", "fix-sublattice", "--in", DIAG_2_M2_M2, "--sub", '{"basis": [[1,0,0]]}',
+          "--bound=-1"], "InvalidInput"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -219,7 +231,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "disjoint-bound-zero", "sigma-out-of-range", "sigma-negative",
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
-         "embedding-row-long"],
+         "embedding-row-long", "siegel-bound-zero", "siegel-bound-negative",
+         "fix-sublattice-bound-zero", "fix-sublattice-bound-negative"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)

@@ -423,6 +423,19 @@ def test_membership_tester(pell_cert):
     assert tester(la.unimodular_inverse(PELL)) == "in"
 
 
+def first_trivial_stabilizer_point(gamma, pos, height_bound=12):
+    """Reference search: the stabilizer of every cone point, in order."""
+    from klein_lattice.isometry import stabilizer
+
+    for height in range(1, height_bound + 1):
+        for v in cones._integer_vectors_of_height(pos.dim, height):
+            if pos.contains_open(v):
+                st_ = stabilizer(gamma, v)
+                if st_.is_certified() and len(st_.members) == 1:
+                    return v
+    return None
+
+
 def test_find_trivial_stabilizer_point_examples(
     pell_lattice, pell_cone, pell_group, dihedral_group
 ):
@@ -446,6 +459,9 @@ def test_find_trivial_stabilizer_point_examples(
 
     st_ = stabilizer(dihedral_group, pt_d)
     assert st_.is_certified() and len(st_.members) == 1
+    # skipping points that a group element fixes picks the same points
+    assert pt == first_trivial_stabilizer_point(gamma_u, pos_u)
+    assert pt_d == first_trivial_stabilizer_point(dihedral_group, pell_cone)
 
 
 def test_siegel_pell(pell_cert, pell_group, pell_cone):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -206,3 +207,115 @@ def test_primitive_vector():
     assert la.primitive_vector((-2, 4)) == (-1, 2)
     assert la.primitive_vector((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert la.primitive_vector((0, 0)) == (0, 0)
+
+
+# Reference formulas for the kernels: plain sums of products over zip, the
+# gcd loop, and Gauss-Jordan elimination with list-comprehension row updates.
+
+
+def ref_dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def ref_mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def ref_mat_mul(a, b):
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def ref_is_zero_vector(v):
+    return all(x == 0 for x in v)
+
+
+def ref_primitive_vector(v):
+    if all(x == 0 for x in v):
+        return tuple(0 for _ in v)
+    den = 1
+    for x in v:
+        if isinstance(x, Fraction):
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    w = [int(x * den) for x in v]
+    g = 0
+    for x in w:
+        g = math.gcd(g, abs(x))
+    return tuple(x // g for x in w)
+
+
+def ref_row_reduce(rows, ncols):
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def ref_rank(a):
+    return len(ref_row_reduce(a, len(a[0]))[1]) if a else 0
+
+
+def ref_frac_inverse(a):
+    n = len(a)
+    ident = la.identity_matrix(n)
+    m, pivots = ref_row_reduce([tuple(row) + ident[i] for i, row in enumerate(a)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def assert_same(got, want):
+    """Equal values of equal types, entry by entry through nested tuples."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want), (got, want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert got == want
+
+
+@st.composite
+def kernel_inputs(draw):
+    ints = st.integers(-9, 9)
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    entry = draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
+    zeros = st.lists(st.sampled_from([0, Fraction(0)]), max_size=4).map(tuple)
+    vector = st.one_of(st.lists(entry, max_size=4).map(tuple), zeros)
+    # rows of any length, the empty matrix and empty rows included
+    ragged = st.lists(vector, max_size=4).map(tuple)
+    r, c = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    rect = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(r))
+    n = draw(st.integers(0, 4))
+    square = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    return draw(vector), draw(vector), draw(ragged), draw(ragged), rect, square
+
+
+@given(kernel_inputs())
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def test_kernels_match_reference_formulas(inputs):
+    u, v, a, b, rect, square = inputs
+    assert_same(la.dot(u, v), ref_dot(u, v))
+    assert_same(la.mat_vec(a, v), ref_mat_vec(a, v))
+    assert_same(la.mat_mul(a, b), ref_mat_mul(a, b))
+    assert_same(la.mat_mul(rect, la.transpose(rect)), ref_mat_mul(rect, la.transpose(rect)))
+    assert_same(la.mat_mul(square, square), ref_mat_mul(square, square))
+    assert_same(la.is_zero_vector(u), ref_is_zero_vector(u))
+    assert_same(la.primitive_vector(u), ref_primitive_vector(u))
+    assert_same(la.rank(rect), ref_rank(rect))
+    assert_same(la.frac_inverse(square), ref_frac_inverse(square))

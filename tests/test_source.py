@@ -59,6 +59,52 @@ def test_no_library_module_imports_dataclasses():
     assert {name for name, mods in found.items() if "dataclasses" in mods} == set()
 
 
+def name_of(node):
+    """The name a bare or dotted name node ends in, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def summed_products(source):
+    """Lines of sum(...) calls that add up products taken pairwise from two
+    sequences: a generator or list of x * y over zip(...), or map(mul, ...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and name_of(node.func) == "sum" and node.args):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+            over_zip = any(
+                isinstance(gen.iter, ast.Call) and name_of(gen.iter.func) == "zip"
+                for gen in arg.generators
+            )
+            if over_zip and isinstance(arg.elt, ast.BinOp) and isinstance(arg.elt.op, ast.Mult):
+                found.append(node.lineno)
+        elif (isinstance(arg, ast.Call) and name_of(arg.func) == "map" and arg.args
+              and name_of(arg.args[0]) == "mul"):
+            found.append(node.lineno)
+    return found
+
+
+def test_summed_products_sees_both_forms():
+    source = (
+        "a = sum(x * y for x, y in zip(u, v))\n"
+        "b = sum([x * Fraction(y) for x, y in zip(u, v)])\n"
+        "c = sum(map(mul, u, v))\n"
+        "d = sum(map(operator.mul, u, v))\n"
+        "e = sum(x * x for x in u)\n"
+        "f = sum(x + y for x, y in zip(u, v))\n"
+        "g = sum(1 for d in u if d > 0)\n"
+    )
+    assert summed_products(source) == [1, 2, 3, 4]
+
+
+def test_only_intlinalg_sums_products():
+    # dot products go through the intlinalg kernels, which sum in C
+    found = {p.name: summed_products(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("intlinalg.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def names_read(source):
     """Every bare name and attribute name a module reads."""
     read = set()
