@@ -3,6 +3,13 @@
 One request per process; reports are JSON with the request echoed, a result
 payload, completeness flags, a seed (mandatory even when unused) and timing.
 Exit codes: 0 success, 1 input error, 2 verification failure.
+
+Each command is one entry of COMMANDS: its handler and its options.  An
+option is a flag, its argparse keywords and a reader that turns the option's
+text into a library value (None keeps the text).  main() echoes the text,
+runs the readers in table order and passes the values to the handler.
+Options that depend on each other (--in/--name, --pos/--base, a lattice
+command's --sub) are read by the handler.
 """
 
 import argparse
@@ -13,26 +20,11 @@ import time
 
 from . import serialize as ser
 from .errors import (
-    CoverageFailure,
-    DisjointnessFailure,
     KleinLatticeError,
-    NonStabilizing,
-    NontrivialStabilizer,
     ParseError,
-    ReductionFailure,
-    SearchExhausted,
     Undecidable,
     UnsupportedRank,
-)
-
-VERIFICATION_ERRORS = (
-    CoverageFailure,
-    DisjointnessFailure,
-    NonStabilizing,
-    NontrivialStabilizer,
-    ReductionFailure,
-    SearchExhausted,
-    Undecidable,
+    VerificationFailure,
 )
 
 
@@ -65,6 +57,16 @@ def _parse_vector(text):
 
 def _parse_ints(text):
     return tuple(ser.int_from_json(part.strip()) for part in text.split(","))
+
+
+def _membership_tester(text):
+    """Reduction-based membership from a domain certificate; none when the
+    text is empty."""
+    if not text:
+        return None
+    from .cones import make_membership_tester
+
+    return make_membership_tester(ser.certificate_from_json(_maybe_inline_json(text)))
 
 
 def _lattice_arg(args):
@@ -133,9 +135,7 @@ def cmd_lattice_saturate(args):
 def cmd_isom_check(args):
     from .isometry import is_isometry
 
-    lat = _lattice_arg(args)
-    m = ser.int_mat_from_json(_maybe_inline_json(args.matrix))
-    return {"isometry": bool(is_isometry(lat, m))}, "Certified"
+    return {"isometry": bool(is_isometry(_lattice_arg(args), args.matrix))}, "Certified"
 
 
 def cmd_isom_definite_group(args):
@@ -165,15 +165,7 @@ def cmd_isom_fix_sublattice(args):
 def cmd_isom_stabilizer(args):
     from .isometry import stabilizer
 
-    gamma = ser.generated_group_from_json(_maybe_inline_json(args.group))
-    x = _parse_vector(args.point)
-    tester = None
-    if getattr(args, "cert", None):
-        from .cones import make_membership_tester
-
-        cert = ser.certificate_from_json(_maybe_inline_json(args.cert))
-        tester = make_membership_tester(cert)
-    st = stabilizer(gamma, x, tester=tester)
+    st = stabilizer(args.group, args.point, tester=args.cert)
     return {
         "members": [ser.mat_to_json(m.matrix) for m in st.members],
         "unresolved": [ser.mat_to_json(m) for m in st.unresolved],
@@ -199,10 +191,8 @@ def _positive_cone_from_args(args, gamma=None):
 def cmd_cone_domain(args):
     from .cones import dirichlet_domain
 
-    gamma = ser.generated_group_from_json(_maybe_inline_json(args.group))
-    pos = _positive_cone_from_args(args, gamma)
-    xi = _parse_vector(args.xi)
-    cert = dirichlet_domain(gamma, pos, xi, word_bound=args.bound)
+    pos = _positive_cone_from_args(args, args.group)
+    cert = dirichlet_domain(args.group, pos, args.xi, word_bound=args.bound)
     if args.sectors_csv:
         emit_sectors(cert, args.sectors_csv, depth=args.sectors_depth)
     return {
@@ -216,9 +206,8 @@ def cmd_cone_domain(args):
 def cmd_cone_verify(args):
     from .cones import verify_fundamental_domain
 
-    cert = ser.certificate_from_json(_maybe_inline_json(args.cert))
     report, updated = verify_fundamental_domain(
-        cert,
+        args.cert,
         samples=args.samples,
         seed=args.seed,
         disjoint_word_len=args.disjoint_bound,
@@ -234,11 +223,10 @@ def cmd_cone_verify(args):
 def cmd_cone_siegel(args):
     from .cones import siegel_intersections
 
-    gamma = ser.generated_group_from_json(_maybe_inline_json(args.group))
-    pos = _positive_cone_from_args(args, gamma)
-    pi1 = ser.cone_from_json(_maybe_inline_json(args.pi1))
-    pi2 = ser.cone_from_json(_maybe_inline_json(args.pi2))
-    cones, report = siegel_intersections(pos, pi1, pi2, gamma, word_bound=args.bound)
+    pos = _positive_cone_from_args(args, args.group)
+    cones, report = siegel_intersections(
+        pos, args.pi1, args.pi2, args.group, word_bound=args.bound
+    )
     return {
         "count": report["count"],
         "stabilized_at_depth": report["stabilized_at_depth"],
@@ -250,8 +238,7 @@ def cmd_cone_member(args):
     from .cones import rational_closure_member
 
     pos = _positive_cone_from_args(args)
-    x = _parse_vector(args.point)
-    return {"member": bool(rational_closure_member(pos, x))}, "Certified"
+    return {"member": bool(rational_closure_member(pos, args.point))}, "Certified"
 
 
 def emit_sectors(cert, out_path, depth=3):
@@ -349,34 +336,17 @@ def cmd_h1_compute(args):
 def cmd_h1_twist(args):
     from .cohomology import twist_subgroup
 
-    obj = _maybe_inline_json(args.ggroup)
-    ambient = ser.ggroup_from_json(obj)
-    twisted, embed = twist_subgroup(ambient, _parse_ints(args.sub), _parse_ints(args.phi))
+    twisted, embed = twist_subgroup(args.ggroup, args.sub, args.phi)
     return {
         "carrier_elements": list(embed),
         "action": [list(p) for p in twisted.action],
     }, "Certified"
 
 
-def _ses_from_json(obj):
-    from .cohomology import ShortExactSequence
-
-    def need(key):
-        return ser.required(obj, key, "exact sequence")
-
-    return ShortExactSequence(
-        ser.ggroup_from_json(need("sub")),
-        ser.ggroup_from_json(need("mid")),
-        ser.ggroup_from_json(need("quot")),
-        ser.int_vec_from_json(need("inclusion")),
-        ser.int_vec_from_json(need("projection")),
-    )
-
-
 def cmd_h1_les(args):
     from .cohomology import les_of_pointed_sets, twist_fiber_check
 
-    ses = _ses_from_json(_maybe_inline_json(args.seq))
+    ses = args.seq
     rep = les_of_pointed_sets(ses)
     payload = {
         "exact_at": rep.exact_at,
@@ -402,76 +372,36 @@ def cmd_h1_les(args):
 
 
 def cmd_h1_filtration(args):
-    from .cohomology import (
-        FgAbelian,
-        SplitExtensionSpec,
-        filtration_driver_finite,
-        filtration_driver_split,
-    )
+    from .cohomology import filtration_driver_finite, filtration_driver_split
 
-    obj = _maybe_inline_json(args.spec)
-
-    def need(key):
-        return ser.required(obj, key, "filtration spec")
-
-    kind = need("kind")
+    kind, *spec = args.spec
     if kind == "finite":
-        group = ser.finite_group_from_json(need("group"))
-        gg = ser.ggroup_from_json(
+        out = filtration_driver_finite(*spec)
+        return {
+            "h1_size": out["h1_size"],
+            "per_layer": out["per_layer"],
+            "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
+        }, "Certified"
+    out = filtration_driver_split(*spec)
+    return {
+        "h1_size": out["h1_size"],
+        "fibers": [
             {
-                "group": need("g"),
-                "carrier": obj["group"],
-                "action": obj.get("action", "trivial"),
+                "quotient_class": list(f["quotient_class"]),
+                "h1_kernel_factors": list(f["h1_kernel_factors"]),
+                "fiber_size": f["fiber_size"],
             }
-        )
-        layers = ser.list_from_json(obj.get("chain", []), "chain")
-        chain = [ser.int_vec_from_json(layer) for layer in layers]
-        out = filtration_driver_finite(group, chain, gg)
-        return {
-            "h1_size": out["h1_size"],
-            "per_layer": out["per_layer"],
-            "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
-        }, "Certified"
-    if kind == "split":
-        module = FgAbelian(
-            ser.int_from_json(need("free_rank")),
-            ser.int_vec_from_json(obj.get("torsion", [])),
-        )
-        quotient = ser.finite_group_from_json(need("quotient"))
-        q_action = tuple(
-            ser.int_mat_from_json(m) for m in ser.list_from_json(need("q_action"), "q_action")
-        )
-        spec = SplitExtensionSpec(module, quotient, q_action)
-        g = ser.finite_group_from_json(need("g"))
-        out = filtration_driver_split(spec, g)
-        return {
-            "h1_size": out["h1_size"],
-            "fibers": [
-                {
-                    "quotient_class": list(f["quotient_class"]),
-                    "h1_kernel_factors": list(f["h1_kernel_factors"]),
-                    "fiber_size": f["fiber_size"],
-                }
-                for f in out["fibers"]
-            ],
-            "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
-            "per_layer": out["per_layer"],
-        }, "Certified"
-    raise ParseError("filtration spec kind must be 'finite' or 'split'")
+            for f in out["fibers"]
+        ],
+        "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
+        "per_layer": out["per_layer"],
+    }, "Certified"
 
 
 def cmd_h1_real_forms(args):
-    from .cohomology import KleinGroupData, real_structure_classifier
+    from .cohomology import real_structure_classifier
 
-    obj = _maybe_inline_json(args.klein)
-
-    def need(key):
-        return ser.required(obj, key, "klein group")
-
-    carrier = ser.finite_group_from_json(need("carrier"))
-    kg = KleinGroupData(
-        carrier, ser.int_vec_from_json(need("eps")), ser.int_from_json(need("sigma"))
-    )
+    kg = args.klein
     out = real_structure_classifier(kg)
     payload = {
         "class_count": len(out["direct_classes"]),
@@ -511,7 +441,7 @@ def cmd_hk_ns(args):
     from .hodge import neron_severi, ns_plus_t_index, transcendental
     from .lattice import classify_type
 
-    h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
+    h = args.hodge
     ns = neron_severi(h)
     t = transcendental(h)
     return {
@@ -525,20 +455,15 @@ def cmd_hk_ns(args):
 def cmd_hk_projective(args):
     from .hodge import is_projective_type
 
-    h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
-    return {"projective_type": bool(is_projective_type(h))}, "Certified"
+    return {"projective_type": bool(is_projective_type(args.hodge))}, "Certified"
 
 
 def cmd_hk_torelli(args):
     from .hodge import torelli_anti_check
 
-    phi = ser.int_mat_from_json(_maybe_inline_json(args.phi))
-    h_src = ser.hodge_from_json(_maybe_inline_json(args.source))
-    h_tgt = ser.hodge_from_json(_maybe_inline_json(args.target))
-    k_src = ser.kahler_model_from_json(_maybe_inline_json(args.ksource))
-    k_tgt = ser.kahler_model_from_json(_maybe_inline_json(args.ktarget))
-    spec = ser.monodromy_spec_from_json(_maybe_inline_json(args.mon))
-    out = torelli_anti_check(phi, h_src, h_tgt, k_src, k_tgt, spec)
+    out = torelli_anti_check(
+        args.phi, args.source, args.target, args.ksource, args.ktarget, args.mon
+    )
     completeness = (
         "BoundedSearch" if out["parallel_transport_mode"] == "bounded" else "Certified"
     )
@@ -549,10 +474,9 @@ def cmd_hk_hilbert(args):
     from .hodge import hilbert_square_extension
     from .isometry import Isometry
 
-    h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
-    sigma = ser.int_mat_from_json(_maybe_inline_json(args.sigma))
+    h = args.hodge
     h_ext, klein, report = hilbert_square_extension(
-        h, args.n, Isometry(h.lattice, sigma)
+        h, args.n, Isometry(h.lattice, args.sigma)
     )
     payload = {
         "lattice": ser.lattice_to_json(h_ext.lattice),
@@ -570,11 +494,7 @@ def cmd_hk_hilbert(args):
 def cmd_hk_kaut_criterion(args):
     from .hodge import kaut_star_criterion
 
-    phi = ser.int_mat_from_json(_maybe_inline_json(args.phi))
-    h = ser.hodge_from_json(_maybe_inline_json(args.hodge))
-    km = ser.kahler_model_from_json(_maybe_inline_json(args.cone))
-    spec = ser.monodromy_spec_from_json(_maybe_inline_json(args.mon))
-    v = kaut_star_criterion(phi, h, km, spec)
+    v = kaut_star_criterion(args.phi, args.hodge, args.cone, args.mon)
     payload = {"verdict": v.kind}
     if v.kind == "KleinRealizable":
         payload["sign"] = v.sign
@@ -587,9 +507,7 @@ def cmd_hk_kaut_criterion(args):
 def cmd_hk_classify_subgroups(args):
     from .hodge import classify_finite_subgroups_on_cone
 
-    gamma = ser.generated_group_from_json(_maybe_inline_json(args.gamma))
-    cert = ser.certificate_from_json(_maybe_inline_json(args.domain))
-    classes, report = classify_finite_subgroups_on_cone(gamma, cert)
+    classes, report = classify_finite_subgroups_on_cone(args.gamma, args.domain)
     return {
         "class_count": len(classes),
         "classes": [[ser.mat_to_json(m) for m in cl] for cl in classes],
@@ -598,7 +516,128 @@ def cmd_hk_classify_subgroups(args):
     }, report["completeness"]
 
 
-# --- dispatcher -------------------------------------------------------------------------------
+# --- command table -------------------------------------------------------------------------
+
+
+def _opt(flag, reader=None, **kwargs):
+    """An option: its flag, its argparse keywords and the reader of its text."""
+    return flag, kwargs, reader
+
+
+def _doc(flag, read):
+    """A required option holding a JSON document, inline or in a file, that
+    the serialize reader `read` turns into a library value."""
+    return _opt(flag, lambda text: read(_maybe_inline_json(text)), required=True)
+
+
+LATTICE = (
+    _opt("--in", dest="infile", help="lattice JSON file or inline JSON"),
+    _opt("--name", help="built-in lattice name (U, E8(-1), K3, ...)"),
+)
+SECTORS = (_opt("--sectors-csv"), _opt("--sectors-depth", type=int, default=3))
+GROUP = _doc("--group", ser.generated_group_from_json)
+HODGE = _doc("--hodge", ser.hodge_from_json)
+PHI = _doc("--phi", ser.int_mat_from_json)
+MON = _doc("--mon", ser.monodromy_spec_from_json)
+
+COMMANDS = {
+    "lattice": {
+        "signature": (cmd_lattice_signature, LATTICE),
+        "radical": (cmd_lattice_radical, LATTICE),
+        "classify": (cmd_lattice_classify, LATTICE),
+        "discriminant": (cmd_lattice_discriminant, LATTICE),
+        "saturate": (
+            cmd_lattice_saturate,
+            LATTICE + (_opt("--sub", required=True, help="sublattice JSON"),),
+        ),
+    },
+    "isom": {
+        "check": (cmd_isom_check, LATTICE + (_doc("--matrix", ser.int_mat_from_json),)),
+        "definite-group": (cmd_isom_definite_group, LATTICE),
+        "fix-sublattice": (
+            cmd_isom_fix_sublattice,
+            LATTICE + (_opt("--sub", required=True), _opt("--bound", type=int, default=1)),
+        ),
+        "stabilizer": (cmd_isom_stabilizer, (
+            GROUP,
+            _opt("--point", _parse_vector, required=True),
+            _opt("--cert", _membership_tester,
+                 help="domain certificate enabling reduction-based membership"),
+        )),
+    },
+    "cone": {
+        "domain": (cmd_cone_domain, (
+            GROUP,
+            _opt("--base", help="component base vector, e.g. '1,0'"),
+            _opt("--pos", help="positive cone JSON (alternative to --base)"),
+            _opt("--xi", _parse_vector, required=True),
+            _opt("--bound", type=int, default=12),
+        ) + SECTORS),
+        "verify": (cmd_cone_verify, (
+            _doc("--cert", ser.certificate_from_json),
+            _opt("--samples", type=int, default=200),
+            _opt("--disjoint-bound", type=int, default=6),
+        ) + SECTORS),
+        "siegel": (cmd_cone_siegel, (
+            GROUP,
+            _opt("--base"),
+            _opt("--pos"),
+            _doc("--pi1", ser.cone_from_json),
+            _doc("--pi2", ser.cone_from_json),
+            _opt("--bound", type=int, default=12),
+        )),
+        "member": (cmd_cone_member, LATTICE + (
+            _opt("--base", required=True),
+            _opt("--pos"),
+            _opt("--point", _parse_vector, required=True),
+        )),
+    },
+    "h1": {
+        "compute": (cmd_h1_compute, (
+            _opt("--group", required=True, help="acting group name, e.g. Z2"),
+            _opt("--coeff", required=True, help="coefficient group name"),
+            _opt("--action", default="trivial"),
+        )),
+        "twist": (cmd_h1_twist, (
+            _doc("--ggroup", ser.ggroup_from_json),
+            _opt("--sub", _parse_ints, required=True, help="comma-separated carrier indices"),
+            _opt("--phi", _parse_ints, required=True, help="comma-separated cocycle values"),
+        )),
+        "les": (cmd_h1_les, (
+            _doc("--seq", ser.exact_sequence_from_json),
+            _opt("--fibers", action="store_true"),
+        )),
+        "filtration": (cmd_h1_filtration, (_doc("--spec", ser.filtration_spec_from_json),)),
+        "real-forms": (cmd_h1_real_forms, (
+            _doc("--klein", ser.klein_group_from_json),
+            _opt("--inner-twist", action="store_true"),
+        )),
+    },
+    "hk": {
+        "ns": (cmd_hk_ns, (HODGE,)),
+        "projective": (cmd_hk_projective, (HODGE,)),
+        "torelli": (cmd_hk_torelli, (
+            PHI,
+            _doc("--source", ser.hodge_from_json),
+            _doc("--target", ser.hodge_from_json),
+            _doc("--ksource", ser.kahler_model_from_json),
+            _doc("--ktarget", ser.kahler_model_from_json),
+            MON,
+        )),
+        "hilbert": (cmd_hk_hilbert, (
+            HODGE,
+            _opt("--n", type=int, required=True),
+            _doc("--sigma", ser.int_mat_from_json),
+        )),
+        "kaut-criterion": (cmd_hk_kaut_criterion, (
+            PHI, HODGE, _doc("--cone", ser.kahler_model_from_json), MON,
+        )),
+        "classify-subgroups": (cmd_hk_classify_subgroups, (
+            _doc("--gamma", ser.generated_group_from_json),
+            _doc("--domain", ser.certificate_from_json),
+        )),
+    },
+}
 
 
 def build_parser():
@@ -612,142 +651,14 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command")
-
-    def add_parser(group, name):
-        return group.add_parser(name, parents=[common])
-
-    def add_lattice_io(p):
-        p.add_argument("--in", dest="infile", help="lattice JSON file or inline JSON")
-        p.add_argument("--name", help="built-in lattice name (U, E8(-1), K3, ...)")
-
-    p_lat = sub.add_parser("lattice").add_subparsers(dest="subcommand")
-    for name, fn in (
-        ("signature", cmd_lattice_signature),
-        ("radical", cmd_lattice_radical),
-        ("classify", cmd_lattice_classify),
-        ("discriminant", cmd_lattice_discriminant),
-        ("saturate", cmd_lattice_saturate),
-    ):
-        p = add_parser(p_lat, name)
-        add_lattice_io(p)
-        if name == "saturate":
-            p.add_argument("--sub", required=True, help="sublattice JSON")
-        p.set_defaults(func=fn)
-
-    p_isom = sub.add_parser("isom").add_subparsers(dest="subcommand")
-    p = add_parser(p_isom, "check")
-    add_lattice_io(p)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_isom_check)
-    p = add_parser(p_isom, "definite-group")
-    add_lattice_io(p)
-    p.set_defaults(func=cmd_isom_definite_group)
-    p = add_parser(p_isom, "fix-sublattice")
-    add_lattice_io(p)
-    p.add_argument("--sub", required=True)
-    p.add_argument("--bound", type=int, default=1)
-    p.set_defaults(func=cmd_isom_fix_sublattice)
-    p = add_parser(p_isom, "stabilizer")
-    p.add_argument("--group", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--cert", help="domain certificate enabling reduction-based membership")
-    p.set_defaults(func=cmd_isom_stabilizer)
-
-    p_cone = sub.add_parser("cone").add_subparsers(dest="subcommand")
-    p = add_parser(p_cone, "domain")
-    p.add_argument("--group", required=True)
-    p.add_argument("--base", help="component base vector, e.g. '1,0'")
-    p.add_argument("--pos", help="positive cone JSON (alternative to --base)")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--sectors-csv", dest="sectors_csv")
-    p.add_argument("--sectors-depth", dest="sectors_depth", type=int, default=3)
-    p.set_defaults(func=cmd_cone_domain)
-    p = add_parser(p_cone, "verify")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--disjoint-bound", dest="disjoint_bound", type=int, default=6)
-    p.add_argument("--sectors-csv", dest="sectors_csv")
-    p.add_argument("--sectors-depth", dest="sectors_depth", type=int, default=3)
-    p.set_defaults(func=cmd_cone_verify)
-    p = add_parser(p_cone, "siegel")
-    p.add_argument("--group", required=True)
-    p.add_argument("--base")
-    p.add_argument("--pos")
-    p.add_argument("--pi1", required=True)
-    p.add_argument("--pi2", required=True)
-    p.add_argument("--bound", type=int, default=12)
-    p.set_defaults(func=cmd_cone_siegel)
-    p = add_parser(p_cone, "member")
-    add_lattice_io(p)
-    p.add_argument("--base", required=True)
-    p.add_argument("--pos")
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=cmd_cone_member)
-
-    p_h1 = sub.add_parser("h1").add_subparsers(dest="subcommand")
-    p = add_parser(p_h1, "compute")
-    p.add_argument("--group", required=True, help="acting group name, e.g. Z2")
-    p.add_argument("--coeff", required=True, help="coefficient group name")
-    p.add_argument("--action", default="trivial")
-    p.set_defaults(func=cmd_h1_compute)
-    p = add_parser(p_h1, "twist")
-    p.add_argument("--ggroup", required=True)
-    p.add_argument("--sub", required=True, help="comma-separated carrier indices")
-    p.add_argument("--phi", required=True, help="comma-separated cocycle values")
-    p.set_defaults(func=cmd_h1_twist)
-    p = add_parser(p_h1, "les")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--fibers", action="store_true")
-    p.set_defaults(func=cmd_h1_les)
-    p = add_parser(p_h1, "filtration")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_h1_filtration)
-    p = add_parser(p_h1, "real-forms")
-    p.add_argument("--klein", required=True)
-    p.add_argument("--inner-twist", dest="inner_twist", action="store_true")
-    p.set_defaults(func=cmd_h1_real_forms)
-
-    p_hk = sub.add_parser("hk").add_subparsers(dest="subcommand")
-    p = add_parser(p_hk, "ns")
-    p.add_argument("--hodge", required=True)
-    p.set_defaults(func=cmd_hk_ns)
-    p = add_parser(p_hk, "projective")
-    p.add_argument("--hodge", required=True)
-    p.set_defaults(func=cmd_hk_projective)
-    p = add_parser(p_hk, "torelli")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--ksource", required=True)
-    p.add_argument("--ktarget", required=True)
-    p.add_argument("--mon", required=True)
-    p.set_defaults(func=cmd_hk_torelli)
-    p = add_parser(p_hk, "hilbert")
-    p.add_argument("--hodge", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", required=True)
-    p.set_defaults(func=cmd_hk_hilbert)
-    p = add_parser(p_hk, "kaut-criterion")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--hodge", required=True)
-    p.add_argument("--cone", required=True)
-    p.add_argument("--mon", required=True)
-    p.set_defaults(func=cmd_hk_kaut_criterion)
-    p = add_parser(p_hk, "classify-subgroups")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--domain", required=True)
-    p.set_defaults(func=cmd_hk_classify_subgroups)
-
+    groups = parser.add_subparsers(dest="command")
+    for group, commands in COMMANDS.items():
+        names = groups.add_parser(group).add_subparsers(dest="subcommand")
+        for name, (_, options) in commands.items():
+            p = names.add_parser(name, parents=[common])
+            for flag, kwargs, _ in options:
+                p.add_argument(flag, **kwargs)
     return parser
-
-
-def _echo_request(args):
-    skip = {"func", "out"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
 
 
 def _write_output(text, out):
@@ -776,33 +687,30 @@ def main(argv=None):
         # argparse exits 2 on usage errors; that code is reserved for
         # verification failures here, so unknown commands/flags map to 1
         return 0 if exc.code == 0 else 1
-    if not getattr(args, "func", None):
+    if getattr(args, "subcommand", None) is None:
         parser.print_help()
         return 1
+    handler, options = COMMANDS[args.command][args.subcommand]
+    request = {k: v for k, v in vars(args).items() if k != "out" and v is not None}
     start = time.monotonic()
     try:
-        result, completeness = args.func(args)
-    except VERIFICATION_ERRORS as exc:
-        report = {
-            "request": _echo_request(args),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "seed": args.seed,
-            "elapsed_ms": int((time.monotonic() - start) * 1000),
-        }
-        _write_output(json.dumps(report, indent=2, sort_keys=True), args.out)
-        return 2
+        for flag, kwargs, reader in options:
+            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+            text = getattr(args, dest)
+            if reader and text is not None:
+                setattr(args, dest, reader(text))
+        result, completeness = handler(args)
+        report, code = {"result": result, "completeness": completeness}, 0
+    except VerificationFailure as exc:
+        report, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
     except KleinLatticeError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    report = {
-        "request": _echo_request(args),
-        "result": result,
-        "completeness": completeness,
-        "seed": args.seed,
-        "elapsed_ms": int((time.monotonic() - start) * 1000),
-    }
+    report.update(
+        request=request, seed=args.seed, elapsed_ms=int((time.monotonic() - start) * 1000)
+    )
     _write_output(json.dumps(report, indent=2, sort_keys=True), args.out)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -752,11 +752,6 @@ def twist_fiber_check(ses, phi):
 # --- conjugacy classes of finite subgroups ------------------------------------
 
 
-def conjugacy_classes_of_finite_subgroups(group):
-    """Representatives of conjugacy classes of subgroups of a finite group."""
-    return group.subgroups_up_to_conjugacy()
-
-
 def torsion_elements(gamma, order_bound=24):
     """Torsion elements among words of the generated matrix group, detected by
     exact order computation (bounded)."""

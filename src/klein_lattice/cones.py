@@ -247,20 +247,6 @@ def intersect(c1, c2):
     )
 
 
-def faces(cone):
-    """All faces (every codimension; the cone itself and its apex included)."""
-    out = {}
-    m = len(cone.halfspaces)
-    for k in range(m + 1):
-        for subset in combinations(range(m), k):
-            extra = tuple(cone.halfspaces[j] for j in subset)
-            f = cone_from_halfspaces(
-                cone.ambient_dim, cone.halfspaces, cone.equalities + extra
-            )
-            out.setdefault(f.canonical_key(), f)
-    return list(out.values())
-
-
 def transform_cone(cone, matrix):
     rays = tuple(la.mat_vec(matrix, r) for r in cone.rays)
     lines = tuple(la.mat_vec(matrix, l) for l in cone.lines)

@@ -33,11 +33,15 @@ class NonPositiveVector(KleinLatticeError):
     pass
 
 
-class NontrivialStabilizer(KleinLatticeError):
+class VerificationFailure(KleinLatticeError):
+    """A computation on valid input could not be verified; the CLI exits 2."""
+
+
+class NontrivialStabilizer(VerificationFailure):
     pass
 
 
-class NonStabilizing(KleinLatticeError):
+class NonStabilizing(VerificationFailure):
     """A finiteness claim failed to stabilize before the word bound ran out."""
 
     def __init__(self, message, bound=None):
@@ -45,25 +49,25 @@ class NonStabilizing(KleinLatticeError):
         self.bound = bound
 
 
-class SearchExhausted(KleinLatticeError):
+class SearchExhausted(VerificationFailure):
     def __init__(self, message, bound=None):
         super().__init__(message)
         self.bound = bound
 
 
-class CoverageFailure(KleinLatticeError):
+class CoverageFailure(VerificationFailure):
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
 
 
-class DisjointnessFailure(KleinLatticeError):
+class DisjointnessFailure(VerificationFailure):
     def __init__(self, message, word=None):
         super().__init__(message)
         self.word = word
 
 
-class ReductionFailure(KleinLatticeError):
+class ReductionFailure(VerificationFailure):
     def __init__(self, message, bound=None):
         super().__init__(message)
         self.bound = bound
@@ -97,7 +101,7 @@ class InvalidInput(KleinLatticeError):
     pass
 
 
-class Undecidable(KleinLatticeError):
+class Undecidable(VerificationFailure):
     def __init__(self, message, bound=None):
         super().__init__(message)
         self.bound = bound

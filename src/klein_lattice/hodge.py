@@ -199,6 +199,8 @@ class MonodromySpec(Frozen):
             raise InvalidInput(f"unknown monodromy spec kind {self.kind!r}")
         if any(e not in (1, -1) for e in self.signs):
             raise InvalidInput("monodromy signs must be +1 or -1")
+        if self.word_bound < 1:
+            raise InvalidInput("word bound must be at least 1")
 
 
 def mon_contains(spec, lat, matrix):

@@ -431,6 +431,8 @@ class GeneratedGroup(Frozen):
     component_base: tuple = None
 
     def __post_init__(self):
+        if self.word_bound < 1:
+            raise InvalidInput("word bound must be at least 1")
         for g in self.generators:
             if g.lattice.gram != self.lattice.gram:
                 raise DimensionMismatch("generator on a different lattice")

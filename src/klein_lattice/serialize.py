@@ -434,3 +434,67 @@ def ggroup_from_json(obj):
         return trivial_action(group, carrier)
     perms = tuple(int_vec_from_json(p) for p in list_from_json(action, "action"))
     return GGroup(group, carrier, perms)
+
+
+# --- cohomology inputs -------------------------------------------------------------
+
+
+def exact_sequence_from_json(obj):
+    from .cohomology import ShortExactSequence
+
+    def need(key):
+        return required(obj, key, "exact sequence")
+
+    return ShortExactSequence(
+        ggroup_from_json(need("sub")),
+        ggroup_from_json(need("mid")),
+        ggroup_from_json(need("quot")),
+        int_vec_from_json(need("inclusion")),
+        int_vec_from_json(need("projection")),
+    )
+
+
+def klein_group_from_json(obj):
+    from .cohomology import KleinGroupData
+
+    def need(key):
+        return required(obj, key, "klein group")
+
+    carrier = finite_group_from_json(need("carrier"))
+    return KleinGroupData(
+        carrier, int_vec_from_json(need("eps")), int_from_json(need("sigma"))
+    )
+
+
+def filtration_spec_from_json(obj):
+    """The kind of a filtration spec, "finite" or "split", followed by the
+    arguments of its driver: (group, chain, G-group) or (split extension
+    spec, acting group)."""
+    from .cohomology import FgAbelian, SplitExtensionSpec
+
+    def need(key):
+        return required(obj, key, "filtration spec")
+
+    kind = need("kind")
+    if kind == "finite":
+        group = finite_group_from_json(need("group"))
+        gg = ggroup_from_json(
+            {
+                "group": need("g"),
+                "carrier": obj["group"],
+                "action": obj.get("action", "trivial"),
+            }
+        )
+        layers = list_from_json(obj.get("chain", []), "chain")
+        return kind, group, [int_vec_from_json(layer) for layer in layers], gg
+    if kind == "split":
+        module = FgAbelian(
+            int_from_json(need("free_rank")), int_vec_from_json(obj.get("torsion", []))
+        )
+        quotient = finite_group_from_json(need("quotient"))
+        q_action = tuple(
+            int_mat_from_json(m) for m in list_from_json(need("q_action"), "q_action")
+        )
+        spec = SplitExtensionSpec(module, quotient, q_action)
+        return kind, spec, finite_group_from_json(need("g"))
+    raise ParseError("filtration spec kind must be 'finite' or 'split'")

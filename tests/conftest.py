@@ -1,23 +1,8 @@
-import os
-
 import pytest
 
 from klein_lattice.cones import PositiveCone, dirichlet_domain
 from klein_lattice.isometry import GeneratedGroup, Isometry
 from klein_lattice.lattice import IntegerLattice
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running stretch tests")
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("KLEIN_LATTICE_SLOW_TESTS") == "1":
-        return
-    skip = pytest.mark.skip(reason="set KLEIN_LATTICE_SLOW_TESTS=1 to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 PELL = ((3, 4), (2, 3))

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from klein_lattice import serialize as ser
-from klein_lattice.cli import main
+from klein_lattice.cli import COMMANDS, main
 
 
 def run_cli(args, capsys):
@@ -108,6 +110,14 @@ def kaut_criterion(embedding):
         "--hodge", json.dumps(HODGE4), "--cone", json.dumps(model),
         "--mon", '{"kind": "discriminant", "signs": [-1]}',
     ]
+
+
+def u_swap_stabilizer(word_bound):
+    """isom stabilizer of (1, 1) under the swap of U, with the given word
+    bound."""
+    group = {"lattice": {"name": "U"}, "generators": [{"matrix": [[0, 1], [1, 0]]}],
+             "word_bound": word_bound}
+    return ["isom", "stabilizer", "--group", json.dumps(group), "--point", "1,1"]
 
 
 def pell_cert(orbit=PELL_ORBIT):
@@ -223,6 +233,10 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
           "--bound", "0"], "InvalidInput"),
         (["isom", "fix-sublattice", "--in", DIAG_2_M2_M2, "--sub", '{"basis": [[1,0,0]]}',
           "--bound=-1"], "InvalidInput"),
+        (u_swap_stabilizer(0), "InvalidInput"),
+        (u_swap_stabilizer(-3), "InvalidInput"),
+        (kaut_criterion(KAHLER4["embedding"])[:-1]
+         + ['{"kind": "generators", "generators": [], "word_bound": 0}'], "InvalidInput"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -232,7 +246,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
          "embedding-row-long", "siegel-bound-zero", "siegel-bound-negative",
-         "fix-sublattice-bound-zero", "fix-sublattice-bound-negative"],
+         "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",
+         "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)
@@ -241,6 +256,13 @@ def test_malformed_request_is_an_input_error(argv, error, capsys):
     assert captured.err.startswith(f"error: {error}: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    line = readme.split("Subcommands: ", 1)[1].split("\n\n", 1)[0]
+    listed = {group: names.split(", ") for group, names in re.findall(r"`(\S+) \{([^}]*)\}`", line)}
+    assert listed == {group: list(commands) for group, commands in COMMANDS.items()}
 
 
 def test_exit_code_1_on_unknown_command(capsys):

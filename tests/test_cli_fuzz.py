@@ -319,6 +319,11 @@ def readers():
             valid_documents("--ggroup")
             + [{"group": "Z2", "carrier": "Z3", "action": [[0, 1, 2], [0, 2, 1]]}],
         ),
+        "exact_sequence_from_json": (ser.exact_sequence_from_json, valid_documents("--seq")),
+        "filtration_spec_from_json": (
+            ser.filtration_spec_from_json, valid_documents("--spec")
+        ),
+        "klein_group_from_json": (ser.klein_group_from_json, valid_documents("--klein")),
     }
 
 

@@ -17,7 +17,6 @@ from klein_lattice.cohomology import (
     SplitExtensionSpec,
     cocycles_equivalent,
     cocycles_equivalent_abelian,
-    conjugacy_classes_of_finite_subgroups,
     conjugation_action,
     cyclic,
     dihedral,
@@ -127,7 +126,7 @@ def test_builders():
 def test_subgroup_machinery():
     s3 = symmetric(3)
     assert len(s3.all_subgroups()) == 6
-    assert len(conjugacy_classes_of_finite_subgroups(s3)) == 4
+    assert len(s3.subgroups_up_to_conjugacy()) == 4
     d4 = dihedral(4)
     assert len(d4.all_subgroups()) == 10
     assert len(d4.subgroups_up_to_conjugacy()) == 8
@@ -688,7 +687,7 @@ def test_matrix_group_pell_torsion_free(pell_group):
 
 def test_trivial_group_classes():
     t = FiniteGroup(((0,),))
-    assert conjugacy_classes_of_finite_subgroups(t) == [frozenset({0})]
+    assert t.subgroups_up_to_conjugacy() == [frozenset({0})]
 
 
 # --- filtration driver ---------------------------------------------------------------

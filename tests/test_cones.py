@@ -15,7 +15,6 @@ from klein_lattice.cones import (
     cone_meets_component,
     dirichlet_domain,
     dual,
-    faces,
     find_trivial_stabilizer_point,
     interiors_meet_component,
     intersect,
@@ -54,14 +53,6 @@ def test_intersect_quadrant():
     c2 = cone_from_halfspaces(2, ((0, 1),))
     ci = intersect(c1, c2)
     assert set(ci.rays) == {(1, 0), (0, 1)}
-
-
-def test_faces_simplicial_3d():
-    c = cone_from_rays(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    fs = faces(c)
-    assert len(fs) == 8  # 1 + 3 + 3 + 1
-    dims = sorted(f.dim() for f in fs)
-    assert dims == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
 def test_double_description_roundtrip():

@@ -541,7 +541,7 @@ def test_classify_subgroups_matches_closed_subset_scan(dihedral_group, dihedral_
 def test_classify_subgroups_order4_matches_abstract_lattice():
     # the sign-flip V4 on diag(2,-2,-2): the cone pipeline recovers all five
     # subgroup classes of the abstract Klein four-group
-    from klein_lattice.cohomology import klein_four, conjugacy_classes_of_finite_subgroups
+    from klein_lattice.cohomology import klein_four
     from klein_lattice.isometry import GeneratedGroup
     from klein_lattice.cones import PositiveCone, dirichlet_domain, find_trivial_stabilizer_point
 
@@ -553,7 +553,7 @@ def test_classify_subgroups_order4_matches_abstract_lattice():
     xi = find_trivial_stabilizer_point(gamma, pos)
     cert = dirichlet_domain(gamma, pos, xi)
     classes, _ = classify_finite_subgroups_on_cone(gamma, cert)
-    abstract = conjugacy_classes_of_finite_subgroups(klein_four())
+    abstract = klein_four().subgroups_up_to_conjugacy()
     assert len(classes) == len(abstract) == 5
 
 

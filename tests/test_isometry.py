@@ -154,7 +154,6 @@ def test_vectors_of_norm_e8_roots():
     assert len(vectors_of_norm(E8().gram, 2)) == 240
 
 
-@pytest.mark.slow
 def test_e8_isometry_group_order_stretch():
     """|O(E8(-1))| = 696729600, counted by the stabilizer chain and
     cross-checked by a Schreier-Sims orbit-stabilizer oracle over the
