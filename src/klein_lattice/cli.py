@@ -70,9 +70,11 @@ def _membership_tester(text):
 
 
 def _lattice_arg(args):
-    if getattr(args, "name", None):
+    if args.name and args.infile:
+        raise ParseError("give --in or --name, not both")
+    if args.name:
         return ser.lattice_from_json(args.name)
-    if getattr(args, "infile", None):
+    if args.infile:
         return ser.lattice_from_json(_maybe_inline_json(args.infile))
     raise ParseError("need --in or --name")
 
@@ -176,22 +178,22 @@ def cmd_isom_stabilizer(args):
 # --- cone subcommands ---------------------------------------------------------------
 
 
-def _positive_cone_from_args(args, gamma=None):
+def _positive_cone_from_args(args):
     from .cones import PositiveCone
 
+    if args.pos is not None and args.base is not None:
+        raise ParseError("give --pos or --base, not both")
     if args.pos is not None:
         return ser.positive_cone_from_json(_maybe_inline_json(args.pos))
     if args.base is None:
         raise ParseError("need --pos or --base")
-    lat = gamma.lattice if gamma else _lattice_arg(args)
-    base = _parse_vector(args.base)
-    return PositiveCone(lat, base)
+    return PositiveCone(args.group.lattice, _parse_vector(args.base))
 
 
 def cmd_cone_domain(args):
     from .cones import dirichlet_domain
 
-    pos = _positive_cone_from_args(args, args.group)
+    pos = _positive_cone_from_args(args)
     cert = dirichlet_domain(args.group, pos, args.xi, word_bound=args.bound)
     if args.sectors_csv:
         emit_sectors(cert, args.sectors_csv, depth=args.sectors_depth)
@@ -223,7 +225,7 @@ def cmd_cone_verify(args):
 def cmd_cone_siegel(args):
     from .cones import siegel_intersections
 
-    pos = _positive_cone_from_args(args, args.group)
+    pos = _positive_cone_from_args(args)
     cones, report = siegel_intersections(
         pos, args.pi1, args.pi2, args.group, word_bound=args.bound
     )
@@ -235,9 +237,9 @@ def cmd_cone_siegel(args):
 
 
 def cmd_cone_member(args):
-    from .cones import rational_closure_member
+    from .cones import PositiveCone, rational_closure_member
 
-    pos = _positive_cone_from_args(args)
+    pos = PositiveCone(_lattice_arg(args), _parse_vector(args.base))
     return {"member": bool(rational_closure_member(pos, args.point))}, "Certified"
 
 
@@ -588,7 +590,6 @@ COMMANDS = {
         )),
         "member": (cmd_cone_member, LATTICE + (
             _opt("--base", required=True),
-            _opt("--pos"),
             _opt("--point", _parse_vector, required=True),
         )),
     },

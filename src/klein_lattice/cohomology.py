@@ -756,16 +756,9 @@ def torsion_elements(gamma, order_bound=24):
     """Torsion elements among words of the generated matrix group, detected by
     exact order computation (bounded)."""
     out = []
-    n = gamma.lattice.rank
-    ident = la.identity_matrix(n)
     for el in gamma.elements_up_to():
-        m = el.matrix
-        power = m
-        order = 1
-        while power != ident and order <= order_bound:
-            power = la.mat_mul(power, m)
-            order += 1
-        if power == ident:
+        order = la.matrix_order(el.matrix, order_bound)
+        if order is not None:
             out.append((el.matrix, order))
     return out
 

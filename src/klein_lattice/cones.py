@@ -485,7 +485,7 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
     stabilization_depth = 1 + facet_sets.index(facet_sets[-1])
     if stabilization_depth >= word_bound:
         raise NonStabilizing(
-            "halfspace set still growing at the word bound", bound=word_bound
+            f"halfspace set still growing at word bound {word_bound}"
         )
     if cone.lines:
         # rays beside lines depend on the order of insertion: take them from
@@ -536,7 +536,7 @@ def reduce_into_domain(cert, x, max_steps=1000):
             raise ReductionFailure("no strictly decreasing move available")
         _, current, mv = best
         word_matrix = la.mat_mul(mv, word_matrix)
-    raise ReductionFailure("reduction step budget exhausted", bound=max_steps)
+    raise ReductionFailure(f"reduction step budget of {max_steps} exhausted")
 
 
 def make_membership_tester(cert):
@@ -578,8 +578,7 @@ def find_trivial_stabilizer_point(gamma, pos, height_bound=12):
             if st.is_certified() and len(st.members) == 1:
                 return v
     raise SearchExhausted(
-        f"no certified trivial-stabilizer point up to height {height_bound}",
-        bound=height_bound,
+        f"no certified trivial-stabilizer point up to height {height_bound}"
     )
 
 
@@ -636,7 +635,7 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
             break
     if stabilized_at is None or stabilized_at >= word_bound:
         raise NonStabilizing(
-            "intersection collection still growing at the bound", bound=word_bound
+            f"intersection collection still growing at word bound {word_bound}"
         )
     report = {
         "count": len(found),
@@ -690,9 +689,9 @@ def verify_fundamental_domain(
         try:
             reduced, _, steps = reduce_into_domain(cert, p, max_steps=max_steps)
         except ReductionFailure as exc:
-            raise CoverageFailure(f"point {p} could not be reduced", point=p) from exc
+            raise CoverageFailure(f"point {p} could not be reduced") from exc
         if not cert.domain_contains(reduced):
-            raise CoverageFailure(f"point {p} reduced outside D", point=p)
+            raise CoverageFailure(f"point {p} reduced outside D")
         max_moves = max(max_moves, steps)
     covering = {
         "samples": samples,
@@ -707,9 +706,7 @@ def verify_fundamental_domain(
             moved = transform_cone(dcone, el.matrix)
             checked += 1
             if interiors_meet_component(dcone, moved, pos):
-                raise DisjointnessFailure(
-                    f"interior overlap with translate by {el.word}", word=el.word
-                )
+                raise DisjointnessFailure(f"interior overlap with translate by {el.word}")
     disjointness = {
         "word_bound": disjoint_word_len,
         "checked": checked,

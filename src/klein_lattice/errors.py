@@ -44,33 +44,21 @@ class NontrivialStabilizer(VerificationFailure):
 class NonStabilizing(VerificationFailure):
     """A finiteness claim failed to stabilize before the word bound ran out."""
 
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
 
 class SearchExhausted(VerificationFailure):
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
+    pass
 
 
 class CoverageFailure(VerificationFailure):
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
+    pass
 
 
 class DisjointnessFailure(VerificationFailure):
-    def __init__(self, message, word=None):
-        super().__init__(message)
-        self.word = word
+    pass
 
 
 class ReductionFailure(VerificationFailure):
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
+    pass
 
 
 class NotNormal(KleinLatticeError):
@@ -102,9 +90,7 @@ class InvalidInput(KleinLatticeError):
 
 
 class Undecidable(VerificationFailure):
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
+    pass
 
 
 class UnsupportedRank(KleinLatticeError):

@@ -24,8 +24,10 @@ from .cones import (
     transform_cone,
 )
 from .isometry import (
+    GeneratedGroup,
     Isometry,
     KleinIsometry,
+    group_membership,
     is_isometry,
     preserves_positive_orientation,
 )
@@ -33,6 +35,7 @@ from .lattice import (
     IntegerLattice,
     LatticeType,
     Sublattice,
+    acts_as_scalar,
     classify_type,
     direct_sum,
     discriminant_acts_as,
@@ -184,8 +187,9 @@ class MonodromySpec(Frozen):
 
     discriminant: membership means the induced action on the discriminant
     group is epsilon * id with epsilon in `signs`, plus (when required) the
-    exactly computed orientation of the positive part.  generators: bounded
-    word search, answers may be 'unknown'.
+    exactly computed orientation of the positive part.  generators: membership
+    in the group they generate, decided by isometry.group_membership; answers
+    may be 'unknown'.
     """
 
     kind: str
@@ -204,8 +208,10 @@ class MonodromySpec(Frozen):
 
 
 def mon_contains(spec, lat, matrix):
-    """Membership of an isometry in the specified monodromy group:
-    'in', 'out', or 'unknown' (generators variant only)."""
+    """Membership of an isometry in the specified monodromy group: 'in',
+    'out', or 'unknown' (generators variant only, when no word up to the
+    bound reaches the matrix, the words do not exhaust a finite group and
+    the determinant does not rule it out)."""
     if not is_isometry(lat, matrix):
         return "out"
     if spec.kind == "full_orthogonal_plus":
@@ -216,15 +222,8 @@ def mon_contains(spec, lat, matrix):
         ):
             return "out"
         return "in" if discriminant_acts_as(lat, matrix, *spec.signs) else "out"
-    # generators: bounded BFS
-    from .isometry import GeneratedGroup
-
-    gens = tuple(Isometry(IntegerLattice(lat.gram), m) for m in spec.generators)
-    gamma = GeneratedGroup(IntegerLattice(lat.gram), gens, spec.word_bound)
-    for el in gamma.elements_up_to():
-        if el.matrix == matrix:
-            return "in"
-    return "unknown"
+    gens = tuple(Isometry(lat, m) for m in spec.generators)
+    return group_membership(GeneratedGroup(lat, gens, spec.word_bound), matrix)
 
 
 def mon2_khdg_member(matrix, h, spec):
@@ -236,8 +235,8 @@ def mon2_khdg_member(matrix, h, spec):
     the positive part (its rank, 3, is odd); the monodromy group only
     contains that one, so the anti branch tests the orientation-preserving
     representative of {phi, -phi}.  Both input conventions are thereby
-    accepted.  Raises Undecidable when the generators variant runs out of
-    words.
+    accepted.  Raises Undecidable when the generators variant answers
+    'unknown'.
     """
     kind = hodge_kind(matrix, h)
     lat = h.lattice
@@ -252,7 +251,9 @@ def mon2_khdg_member(matrix, h, spec):
             rep = tuple(tuple(-x for x in row) for row in matrix)
         verdict = mon_contains(spec, lat, rep)
     if verdict == "unknown":
-        raise Undecidable("monodromy membership undecided at the word bound")
+        raise Undecidable(
+            f"monodromy membership undecided at word bound {spec.word_bound}"
+        )
     return verdict == "in"
 
 
@@ -456,11 +457,7 @@ def hilbert_square_extension(h, n, sigma_star):
     delta_gen = tuple(
         Fraction(0) if i < rank else Fraction(1, 2 * (n - 1)) for i in range(rank + 1)
     )
-    img = la.mat_vec(phi, delta_gen)
-    diff = tuple(a + b for a, b in zip(img, delta_gen))
-    report["discriminant_minus_id_on_delta"] = all(
-        Fraction(c).denominator == 1 for c in diff
-    )
+    report["discriminant_minus_id_on_delta"] = acts_as_scalar(phi, [delta_gen], -1)
     if abs(lat.det()) == 1:
         report["discriminant_factors"] = discriminant_group(ext).invariant_factors
         report["discriminant_minus_id"] = discriminant_acts_as(ext, phi, -1)
@@ -540,14 +537,9 @@ def anti_invariant_class(kmodel, klein):
     moved = transform_cone(kmodel.cone, r)
     if not moved.same_cone(kmodel.cone):
         raise InvalidInput("dagger action does not preserve the cone")
-    order = 1
-    power = r
-    ident = la.identity_matrix(kmodel.cone.ambient_dim)
-    while power != ident:
-        power = la.mat_mul(power, r)
-        order += 1
-        if order > 64:
-            raise InvalidInput("dagger restriction has unbounded order")
+    order = la.matrix_order(r, 64)
+    if order is None:
+        raise InvalidInput("dagger restriction has unbounded order")
     omega = kmodel.interior_point()
     total = list(omega)
     current = tuple(omega)

@@ -33,6 +33,17 @@ def mat_vec(a, v):
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
+def matrix_order(m, bound):
+    """The least k <= bound with m^k = I, or None when there is none."""
+    ident = identity_matrix(len(m))
+    power, k = m, 1
+    while power != ident:
+        if k >= bound:
+            return None
+        power, k = mat_mul(power, m), k + 1
+    return k
+
+
 def dot(u, v):
     return sum(map(mul, u, v))
 

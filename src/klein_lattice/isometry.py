@@ -580,9 +580,10 @@ def stabilizer(gamma, x, tester=None):
     phis = isometry_group_definite(comp_lat)
     p_cols = la.transpose((xprim,) + tuple(comp))
     p_inv = la.frac_inverse(p_cols)
+    k = comp_lat.rank
     candidates = []
     for phi in phis:
-        block = _block_diag_one(phi.matrix)
+        block = _block_matrix(1, k, ((0,) * k,), phi.matrix)
         m = la.mat_mul(p_cols, la.mat_mul(block, p_inv))
         if all(all(Fraction(v).denominator == 1 for v in row) for row in m):
             mi = tuple(tuple(int(v) for v in row) for row in m)
@@ -613,12 +614,3 @@ def stabilizer(gamma, x, tester=None):
 def _orthogonal_rows(lat, x):
     row = (la.mat_vec(lat.gram, x),)
     return la.int_kernel(row)
-
-
-def _block_diag_one(m):
-    k = len(m)
-    n = k + 1
-    rows = [tuple(1 if j == 0 else 0 for j in range(n))]
-    for i in range(k):
-        rows.append(tuple(0 if j == 0 else m[i][j - 1] for j in range(n)))
-    return tuple(rows)

@@ -6,7 +6,6 @@ All arithmetic is exact; a lattice is just its Gram matrix.
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from . import intlinalg as la
 from .errors import DegenerateLattice, DimensionMismatch, InvalidInput
@@ -190,67 +189,22 @@ def discriminant_group(lat):
     return DiscriminantGroup(tuple(factors), lift)
 
 
-def discriminant_action(lat, disc, matrix):
-    """Matrix of the action of an isometry on L*/L over the stored generators.
-
-    Entry (i, j) is the coefficient of generator i in the image of generator j,
-    reduced mod invariant_factors[i].
-    """
-    gens = disc.generators()
-    k = len(gens)
-    if k == 0:
-        return ()
-    cols = []
-    for g in gens:
-        img = la.mat_vec(matrix, g)
-        # solve img = sum_i c_i gens_i + integral vector
-        # over the generators with their orders: set up integer system after
-        # clearing denominators by the lcm of orders
-        cols.append(_express_in_disc(lat, disc, img))
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-def _express_in_disc(lat, disc, vec):
-    """Coefficients of a dual vector in terms of the discriminant generators."""
-    gens = disc.generators()
-    orders = disc.invariant_factors
-    n = lat.rank
-    # unknowns: c_1..c_k integers, m in Z^n; equation sum c_i g_i + m = vec
-    # scale by D = lcm of denominators to make everything integral
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    for g in gens:
-        for x in g:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    k = len(gens)
-    a = []
-    for r in range(n):
-        row = [int(gens[i][r] * scale) for i in range(k)]
-        row += [scale if c == r else 0 for c in range(n)]
-        a.append(tuple(row))
-    b = tuple(int(vec[r] * scale) for r in range(n))
-    sol = la.solve_int(tuple(a), b)
-    if sol is None:
-        raise InvalidInput("vector is not in the dual lattice")
-    return tuple(sol[i] % orders[i] for i in range(k))
+def acts_as_scalar(matrix, lifts, eps):
+    """True iff an isometry acts as eps on the classes of the dual vectors
+    `lifts` modulo L: (matrix - eps) * g is integral for every lift g."""
+    return all(
+        (x - eps * c).denominator == 1
+        for g in lifts
+        for x, c in zip(la.mat_vec(matrix, g), g)
+    )
 
 
 def discriminant_acts_as(lat, matrix, *signs):
     """True iff the isometry acts as eps * id on the discriminant group L*/L
     for one of the given signs eps; both signs hold on 2-torsion groups, and
-    vacuously on the trivial group.  L*/L and the action are computed once."""
-    disc = discriminant_group(lat)
-    act = discriminant_action(lat, disc, matrix)
-
-    def acts_as(eps):
-        return all(
-            act[i][j] % d == (eps % d if i == j else 0)
-            for i, d in enumerate(disc.invariant_factors)
-            for j in range(len(act))
-        )
-
-    return any(acts_as(eps) for eps in signs)
+    vacuously on the trivial group.  L*/L is computed once."""
+    gens = discriminant_group(lat).generators()
+    return any(acts_as_scalar(matrix, gens, eps) for eps in signs)
 
 
 def direct_sum(l1, l2):

@@ -70,6 +70,7 @@ PELL_GROUP = json.dumps(
 
 
 PELL_PI = '{"rays": [[2, 1], [2, -1]]}'
+PELL_POS = '{"lattice": {"gram": [[2,0],[0,-4]]}, "component_base": [1,0]}'
 DIAG_2_M2_M2 = '{"gram": [[2,0,0],[0,-2,0],[0,0,-2]]}'
 
 
@@ -237,6 +238,11 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (u_swap_stabilizer(-3), "InvalidInput"),
         (kaut_criterion(KAHLER4["embedding"])[:-1]
          + ['{"kind": "generators", "generators": [], "word_bound": 0}'], "InvalidInput"),
+        (["lattice", "signature", "--name", "U", "--in", "not-a-file.json"], "ParseError"),
+        (["cone", "domain", "--group", PELL_GROUP, "--pos", PELL_POS, "--base", "x,y",
+          "--xi", "1,0"], "ParseError"),
+        (["cone", "siegel", "--group", PELL_GROUP, "--pos", PELL_POS, "--base", "1,0",
+          "--pi1", PELL_PI, "--pi2", PELL_PI], "ParseError"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -247,7 +253,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
          "embedding-row-long", "siegel-bound-zero", "siegel-bound-negative",
          "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",
-         "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero"],
+         "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero",
+         "in-and-name", "domain-pos-and-base", "siegel-pos-and-base"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)
@@ -256,6 +263,14 @@ def test_malformed_request_is_an_input_error(argv, error, capsys):
     assert captured.err.startswith(f"error: {error}: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_cone_member_takes_no_pos_option(capsys):
+    # --base is required, so a --pos would only ever be overridden
+    code = main(["cone", "member", "--in", '{"gram": [[2,0],[0,-4]]}', "--base", "1,0",
+                 "--pos", PELL_POS, "--point", "1,0"])
+    assert code == 1
+    assert "unrecognized arguments: --pos" in capsys.readouterr().err
 
 
 def test_readme_lists_every_command():

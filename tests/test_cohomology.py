@@ -680,6 +680,16 @@ def test_closure_of_two_reflections_aborts_at_bound(dihedral_group):
     assert subgroup_closure((r1, r2), la.mat_mul, ident, bound=64) is None
 
 
+def test_torsion_elements_respect_the_order_bound():
+    # the 25-cycle on I_25 has order 25, one past the default bound of 24
+    n = 25
+    lat = IntegerLattice(la.identity_matrix(n))
+    cycle = tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
+    gamma = GeneratedGroup(lat, (Isometry(lat, cycle),), word_bound=1)
+    assert [order for _, order in torsion_elements(gamma)] == [1]
+    assert [order for _, order in torsion_elements(gamma, order_bound=25)] == [1, 25, 25]
+
+
 def test_matrix_group_pell_torsion_free(pell_group):
     classes, _ = finite_subgroup_classes_matrix(pell_group)
     assert len(classes) == 1

@@ -40,6 +40,35 @@ from klein_lattice.lattice import (
 
 PELL = ((3, 4), (2, 3))
 REFLECTION = ((1, 0), (0, -1))
+SWAP = ((0, 1), (1, 0))
+# the Eichler transvection x -> x + <e2, x> e1 - <e1, x> e2 of U + U with
+# basis e1, f1, e2, f2: unipotent, so of infinite order
+EICHLER = ((1, 0, 0, 1), (0, 1, 0, 0), (0, -1, 1, 0), (0, 0, 0, 1))
+
+
+def padded(block, n, at=0):
+    """The n x n identity with block placed on the diagonal at index at."""
+    k = len(block)
+    return tuple(
+        tuple(
+            block[i - at][j - at] if at <= i < at + k and at <= j < at + k
+            else int(i == j)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+EICHLER6 = padded(EICHLER, 6)
+
+
+def undecided_on_hilbert_square():
+    """Generators on U^3 + <-2> that neither reach nor exclude the Hilbert
+    operator of config_u3: the transvection on U1 + U2 and the swap on U3,
+    which has determinant -1."""
+    return MonodromySpec(
+        "generators", generators=(padded(EICHLER, 7), padded(SWAP, 7, 4)), word_bound=3
+    )
 
 
 # --- shipped configurations ---------------------------------------------------
@@ -248,15 +277,18 @@ def test_mon_contains_variants():
     gens = MonodromySpec("generators", generators=(sigma,), word_bound=4)
     assert mon_contains(gens, lat, sigma) == "in"
     assert mon_contains(gens, lat, la.identity_matrix(6)) == "in"
-    other = ((0, 1), (1, 0))
-    other6 = tuple(
-        tuple(
-            other[i][j] if i < 2 and j < 2 else (1 if i == j else 0)
-            for j in range(6)
-        )
-        for i in range(6)
+    other6 = padded(SWAP, 6)
+    # {id, sigma} is closed, so the walk certifies everything else outside
+    assert mon_contains(gens, lat, other6) == "out"
+    # no word of the transvection has determinant -1
+    eichler = MonodromySpec("generators", generators=(EICHLER6,), word_bound=4)
+    assert mon_contains(eichler, lat, other6) == "out"
+    assert mon_contains(eichler, lat, la.mat_mul(EICHLER6, EICHLER6)) == "in"
+    # an infinite group with a determinant -1 generator leaves it open
+    open_spec = MonodromySpec(
+        "generators", generators=(EICHLER6, padded(SWAP, 6, 4)), word_bound=4
     )
-    assert mon_contains(gens, lat, other6) == "unknown"
+    assert mon_contains(open_spec, lat, other6) == "unknown"
     with pytest.raises(InvalidInput):
         MonodromySpec("discriminant", signs=(3,))
 
@@ -288,10 +320,14 @@ def test_mon2_khdg_examples():
     # Hodge isometry violating the sign-set: identity against {-1} on Z/4
     h_ext3, _, _ = hilbert_square_extension(h, 3, Isometry(h.lattice, sigma))
     assert mon2_khdg_member(la.identity_matrix(7), h_ext3, spec) is False
-    # generators variant exhausting its bound raises
-    gens = MonodromySpec("generators", generators=(), word_bound=2)
-    with pytest.raises(Undecidable):
-        mon2_khdg_member(klein.matrix, h_ext, gens)
+    # the trivial group certifies that phi is not a member
+    trivial = MonodromySpec("generators", generators=(), word_bound=2)
+    assert mon2_khdg_member(klein.matrix, h_ext, trivial) is False
+    own = MonodromySpec("generators", generators=(klein.matrix,), word_bound=2)
+    assert mon2_khdg_member(klein.matrix, h_ext, own) is True
+    # an infinite group that the words cannot settle raises
+    with pytest.raises(Undecidable, match="word bound 3"):
+        mon2_khdg_member(klein.matrix, h_ext, undecided_on_hilbert_square())
 
 
 # --- the Hilbert operator -----------------------------------------------------------------
@@ -440,8 +476,10 @@ def test_kaut_criterion_undecided_on_bounded_mon():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
     km = hilbert_kahler_model(h_ext, 2)
-    gens = MonodromySpec("generators", generators=(), word_bound=1)
-    v = kaut_star_criterion(klein.matrix, h_ext, km, gens)
+    trivial = MonodromySpec("generators", generators=(), word_bound=1)
+    v = kaut_star_criterion(klein.matrix, h_ext, km, trivial)
+    assert v.kind == "NotRealizable"
+    v = kaut_star_criterion(klein.matrix, h_ext, km, undecided_on_hilbert_square())
     assert v.kind == "Undecided"
 
 

@@ -202,6 +202,14 @@ def test_complete_basis_spans_same_lattice():
             assert la.solve_int(la.transpose(c[:t]), row) is not None
 
 
+def test_matrix_order():
+    rot = ((0, -1), (1, 0))
+    assert la.matrix_order(la.identity_matrix(2), 1) == 1
+    assert la.matrix_order(rot, 4) == 4
+    assert la.matrix_order(rot, 3) is None
+    assert la.matrix_order(((1, 1), (0, 1)), 64) is None
+
+
 def test_primitive_vector():
     assert la.primitive_vector((2, 4, -6)) == (1, 2, -3)
     assert la.primitive_vector((-2, 4)) == (-1, 2)

@@ -19,7 +19,6 @@ from klein_lattice.lattice import (
     builtin,
     classify_type,
     direct_sum,
-    discriminant_action,
     discriminant_acts_as,
     discriminant_group,
     orthogonal_complement,
@@ -211,9 +210,43 @@ def test_discriminant_lift_matrix_orders():
             assert Fraction(lat.pairing(gen, e)).denominator == 1
 
 
-def test_discriminant_action_minus_id():
-    lat = IntegerLattice(((-4,),))
-    assert discriminant_action(lat, discriminant_group(lat), ((-1,),)) == ((3,),)
+def acts_as_in_coordinates(lat, matrix, eps):
+    """Reference: with U*G*V = D, L*/L is the sum of Z/d_j generated by the
+    columns V e_j / d_j, and a dual vector y has coordinates D * V^-1 * y mod
+    d.  The isometry acts as eps iff the image of generator j has coordinate
+    eps at j and 0 elsewhere."""
+    d, _, v = la.snf(lat.gram)
+    vinv = la.unimodular_inverse(v)
+    orders = [d[i][i] for i in range(lat.rank)]
+    for j, dj in enumerate(orders):
+        gen = tuple(Fraction(row[j], dj) for row in v)
+        coords = la.mat_vec(vinv, la.mat_vec(matrix, gen))
+        for i, di in enumerate(orders):
+            w = di * coords[i]
+            assert w.denominator == 1  # the image lies in L*
+            if (int(w) - (eps if i == j else 0)) % di:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "gram, neither",
+    [(((2, -1), (-1, 2)), 0), (((2, 0, 0), (0, 4, 0), (0, 0, 6)), 4),
+     (((4, 2), (2, 4)), 10), (((-6,),), 0), (((2, 1, 0), (1, 4, 1), (0, 1, 6)), 0)],
+    ids=["A2", "diag-2-4-6", "4-2-2-4", "minus-6", "tridiagonal"],
+)
+def test_discriminant_acts_as_matches_coordinates(gram, neither):
+    from klein_lattice.isometry import isometry_group_definite
+
+    lat = IntegerLattice(gram)
+    acts_as_neither = 0
+    for phi in isometry_group_definite(lat):
+        ref = {eps: acts_as_in_coordinates(lat, phi.matrix, eps) for eps in (1, -1)}
+        for signs in ((1,), (-1,), (1, -1)):
+            expected = any(ref[eps] for eps in signs)
+            assert discriminant_acts_as(lat, phi.matrix, *signs) is expected
+        acts_as_neither += not (ref[1] or ref[-1])
+    assert acts_as_neither == neither
 
 
 @pytest.mark.parametrize("n,also_plus", [(2, True), (3, False), (4, False)])
