@@ -61,16 +61,22 @@ def extension_subgroups(candidates, mul, identity, bound=None, allowed=None):
 
     Each subgroup is reached through a chain of subgroups that it contains,
     so with `allowed` the result is exactly the subgroups inside `allowed`.
+    A closure depends only on its generating set, so each set is closed once.
     """
     trivial = frozenset({identity})
     found = {trivial}
+    closed = set()
     frontier = [trivial]
     while frontier:
         h = frontier.pop()
         for t in candidates:
             if t in h:
                 continue
-            k = subgroup_closure(h | {t}, mul, identity, bound, allowed)
+            gens = h | {t}
+            if gens in closed:
+                continue
+            closed.add(gens)
+            k = subgroup_closure(gens, mul, identity, bound, allowed)
             if k is not None and k not in found:
                 found.add(k)
                 frontier.append(k)

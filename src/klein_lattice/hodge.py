@@ -211,7 +211,7 @@ def mon_contains(spec, lat, matrix):
     """Membership of an isometry in the specified monodromy group: 'in',
     'out', or 'unknown' (generators variant only, when no word up to the
     bound reaches the matrix, the words do not exhaust a finite group and
-    the determinant does not rule it out)."""
+    neither the determinant nor the orientation rules it out)."""
     if not is_isometry(lat, matrix):
         return "out"
     if spec.kind == "full_orthogonal_plus":

@@ -502,14 +502,16 @@ class GeneratedGroup(Frozen):
 def group_membership(gamma, matrix, tester=None, bound=None):
     """Classify matrix against gamma: returns 'in', 'out' or 'unknown'.
 
-    Certified answers come from the full-orthogonal-plus contract, from an
+    A matrix that is not an isometry of the lattice is 'out'.  Other
+    certified answers come from the full-orthogonal-plus contract, from an
     externally supplied tester (fundamental-domain reduction), or from
-    invariant obstructions (determinant sign, component preservation).
+    invariant obstructions (determinant sign, component preservation,
+    orientation of the positive part).
     """
     lat = gamma.lattice
+    if not is_isometry(lat, matrix):
+        return "out"
     if gamma.full_orthogonal_plus:
-        if not is_isometry(lat, matrix):
-            return "out"
         base = gamma.component_base
         if base is None:
             raise InvalidInput("full_orthogonal_plus needs a component base")
@@ -525,19 +527,19 @@ def group_membership(gamma, matrix, tester=None, bound=None):
     if closed:
         # the BFS exhausted a finite group: absence is a certified answer
         return "out"
-    # determinant obstruction: dets of group elements multiply from the
-    # generator dets, so -1 is reachable only if some generator has det -1
-    gen_dets = {la.bareiss_det(g.matrix) for g in gamma.generator_elements()}
-    if -1 not in gen_dets and la.bareiss_det(matrix) == -1:
-        return "out"
-    # component obstruction
+    # the determinant, the component of the base and the orientation of the
+    # positive part are characters: if every generator keeps one, every word
+    # does, and a matrix that breaks it is outside
+    keeps = [lambda m: la.bareiss_det(m) == 1]
     base = gamma.component_base
     if base is not None:
-        gens_preserve = all(
-            _pairs_positively(lat, g.matrix, base) for g in gamma.generator_elements()
-        )
-        if gens_preserve and not _pairs_positively(lat, matrix, base):
-            return "out"
+        keeps.append(lambda m: _pairs_positively(lat, m, base))
+    sig = signature(lat)
+    if sig.zero == 0 and sig.positive > 0:
+        keeps.append(lambda m: preserves_positive_orientation(lat, m))
+    gens = [g.matrix for g in gamma.generator_elements()]
+    if any(not keep(matrix) and all(map(keep, gens)) for keep in keeps):
+        return "out"
     return "unknown"
 
 

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from klein_lattice import intlinalg as la
 from klein_lattice.cohomology import (
     AbelianGGroup,
@@ -24,7 +26,9 @@ from klein_lattice.cohomology import (
     twist_fiber_check,
 )
 from klein_lattice.cones import (
+    PositiveCone,
     dirichlet_domain,
+    find_trivial_stabilizer_point,
     siegel_intersections,
     verify_fundamental_domain,
 )
@@ -33,7 +37,11 @@ from klein_lattice.hodge import (
     classify_finite_subgroups_on_cone,
     hilbert_square_extension,
 )
-from klein_lattice.isometry import Isometry, fixes_pointwise_implies_identity
+from klein_lattice.isometry import (
+    GeneratedGroup,
+    Isometry,
+    fixes_pointwise_implies_identity,
+)
 from klein_lattice.lattice import (
     IntegerLattice,
     K3,
@@ -193,17 +201,12 @@ def test_criterion_5_siegel_property(pell_group, pell_cone, pell_cert):
     _report(5, "Siegel property witness", started)
 
 
-def test_criterion_6_finite_subgroup_cross_check(
-    dihedral_group, dihedral_cert
-):
-    started = time.monotonic()
-    cone_classes, _ = classify_finite_subgroups_on_cone(
-        dihedral_group, dihedral_cert
-    )
-    mat_classes, _ = finite_subgroup_classes_matrix(dihedral_group)
+def _cross_check_finite_subgroups(gamma, cert, conjugators):
+    """Both routes give 3 classes, matched one to one by conjugation."""
+    cone_classes, _ = classify_finite_subgroups_on_cone(gamma, cert)
+    mat_classes, _ = finite_subgroup_classes_matrix(gamma)
     assert len(cone_classes) == 3
     assert len(mat_classes) == 3
-    conjugators = [el.matrix for el in dihedral_group.elements_up_to()]
 
     def same_class(h1, h2):
         s1 = frozenset(h1)
@@ -215,13 +218,45 @@ def test_criterion_6_finite_subgroup_cross_check(
             for c in conjugators
         )
 
-    matched = 0
-    for cl in cone_classes:
-        if any(same_class(cl, m) for m in mat_classes):
-            matched += 1
-    assert matched == 3
+    matches = [[m for m in mat_classes if same_class(cl, m)] for cl in cone_classes]
+    assert all(len(ms) == 1 for ms in matches)
+    assert len({frozenset(ms[0]) for ms in matches}) == 3
+
+
+def test_criterion_6_finite_subgroup_cross_check(
+    dihedral_group, dihedral_cert
+):
+    started = time.monotonic()
+    conjugators = [el.matrix for el in dihedral_group.elements_up_to()]
+    _cross_check_finite_subgroups(dihedral_group, dihedral_cert, conjugators)
     assert time.monotonic() - started < 120
     _report(6, "finite-subgroup classification cross-check", started)
+
+
+# fundamental solutions of x^2 - k y^2 = 1, with the word bound of each
+# dihedral group <[[x, k y], [y, x]], diag(1, -1)> on diag(2, -2k)
+DIHEDRAL_FAMILY = {
+    2: ((3, 2), 3), 3: ((2, 1), 3), 5: ((9, 4), 3),
+    6: ((5, 2), 4), 7: ((8, 3), 4), 10: ((19, 6), 4),
+}
+
+
+@pytest.mark.parametrize("k", sorted(DIHEDRAL_FAMILY))
+def test_criterion_6_on_the_dihedral_family(k):
+    started = time.monotonic()
+    (x, y), bound = DIHEDRAL_FAMILY[k]
+    lat = IntegerLattice(((2, 0), (0, -2 * k)))
+    gens = (Isometry(lat, ((x, k * y), (y, x))), Isometry(lat, ((1, 0), (0, -1))))
+    pos = PositiveCone(lat, (1, 0))
+    full = GeneratedGroup(lat, gens, word_bound=12, component_base=(1, 0))
+    cert = dirichlet_domain(
+        full, pos, find_trivial_stabilizer_point(full, pos), word_bound=12
+    )
+    gamma = GeneratedGroup(lat, gens, word_bound=bound, component_base=(1, 0))
+    conjugators = [el.matrix for el in gamma.elements_up_to()]
+    _cross_check_finite_subgroups(gamma, cert, conjugators)
+    assert time.monotonic() - started < 120
+    _report(6, f"finite-subgroup cross-check on diag(2, -{2 * k})", started)
 
 
 def test_criterion_7_pointwise_fixing_decision():

@@ -5,6 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from klein_lattice import cohomology
 from klein_lattice import intlinalg as la
 from klein_lattice import serialize as ser
 from klein_lattice.cohomology import (
@@ -678,6 +679,26 @@ def test_closure_of_two_reflections_aborts_at_bound(dihedral_group):
     r1, r2 = [m for m, order in torsion_elements(dihedral_group) if order == 2][:2]
     assert subgroup_closure((r1,), la.mat_mul, ident, bound=64) == {ident, r1}
     assert subgroup_closure((r1, r2), la.mat_mul, ident, bound=64) is None
+
+
+def test_extension_subgroups_closes_each_generating_set_once(monkeypatch, dihedral_group):
+    # a closure depends only on its generating set, so closing one twice is
+    # wasted work; S4 is built before the wrap, since its rule closes too
+    s4 = symmetric(4)
+    closed = []
+    real = cohomology.subgroup_closure
+
+    def recording(gens, *args):
+        closed.append(frozenset(gens))
+        return real(gens, *args)
+
+    monkeypatch.setattr(cohomology, "subgroup_closure", recording)
+    classes, _ = finite_subgroup_classes_matrix(dihedral_group)
+    assert len(classes) == 3
+    assert closed and len(closed) - len(set(closed)) == 0
+    closed.clear()
+    assert len(s4.subgroups_up_to_conjugacy()) == 11
+    assert closed and len(closed) - len(set(closed)) == 0
 
 
 def test_torsion_elements_respect_the_order_bound():

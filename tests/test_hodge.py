@@ -284,6 +284,10 @@ def test_mon_contains_variants():
     eichler = MonodromySpec("generators", generators=(EICHLER6,), word_bound=4)
     assert mon_contains(eichler, lat, other6) == "out"
     assert mon_contains(eichler, lat, la.mat_mul(EICHLER6, EICHLER6)) == "in"
+    assert mon_contains(eichler, lat, padded(((1, 1), (0, 1)), 6)) == "out"  # not an isometry
+    # the transvection preserves the orientation of the positive part, which
+    # -id (det +1) reverses
+    assert mon_contains(eichler, lat, neg) == "out"
     # an infinite group with a determinant -1 generator leaves it open
     open_spec = MonodromySpec(
         "generators", generators=(EICHLER6, padded(SWAP, 6, 4)), word_bound=4

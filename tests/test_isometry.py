@@ -34,6 +34,8 @@ from klein_lattice.lattice import (
     direct_sum,
 )
 
+from test_hodge import EICHLER6
+
 PELL = ((3, 4), (2, 3))
 
 
@@ -414,6 +416,13 @@ def test_group_membership_verdicts(pell_group):
     m2 = la.mat_mul(PELL, PELL)
     assert group_membership(pell_group, m2) == "in"
     assert group_membership(pell_group, ((1, 0), (0, -1))) == "out"  # det -1
+    assert group_membership(pell_group, ((1, 1), (0, 1))) == "out"  # not an isometry
+    # the Eichler transvection preserves the orientation of the positive
+    # part of U^3, and -id (det +1) reverses it, so no word reaches -id
+    u3 = direct_sum(direct_sum(U(), U()), U())
+    gamma = GeneratedGroup(u3, (Isometry(u3, EICHLER6),), word_bound=4)
+    neg = tuple(tuple(-int(i == j) for j in range(6)) for i in range(6))
+    assert group_membership(gamma, neg) == "out"
 
 
 def test_group_membership_closed_enumeration_certifies_out():
