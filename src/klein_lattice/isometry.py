@@ -505,8 +505,8 @@ def group_membership(gamma, matrix, tester=None, bound=None):
     A matrix that is not an isometry of the lattice is 'out'.  Other
     certified answers come from the full-orthogonal-plus contract, from an
     externally supplied tester (fundamental-domain reduction), or from
-    invariant obstructions (determinant sign, component preservation,
-    orientation of the positive part).
+    invariant obstructions (determinant sign, orientation of the positive
+    part).
     """
     lat = gamma.lattice
     if not is_isometry(lat, matrix):
@@ -527,13 +527,10 @@ def group_membership(gamma, matrix, tester=None, bound=None):
     if closed:
         # the BFS exhausted a finite group: absence is a certified answer
         return "out"
-    # the determinant, the component of the base and the orientation of the
-    # positive part are characters: if every generator keeps one, every word
-    # does, and a matrix that breaks it is outside
+    # the determinant and the orientation of the positive part are
+    # characters: if every generator keeps one, every word does, and a
+    # matrix that breaks it is outside
     keeps = [lambda m: la.bareiss_det(m) == 1]
-    base = gamma.component_base
-    if base is not None:
-        keeps.append(lambda m: _pairs_positively(lat, m, base))
     sig = signature(lat)
     if sig.zero == 0 and sig.positive > 0:
         keeps.append(lambda m: preserves_positive_orientation(lat, m))

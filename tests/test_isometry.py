@@ -34,8 +34,6 @@ from klein_lattice.lattice import (
     direct_sum,
 )
 
-from test_hodge import EICHLER6
-
 PELL = ((3, 4), (2, 3))
 
 
@@ -420,7 +418,15 @@ def test_group_membership_verdicts(pell_group):
     # the Eichler transvection preserves the orientation of the positive
     # part of U^3, and -id (det +1) reverses it, so no word reaches -id
     u3 = direct_sum(direct_sum(U(), U()), U())
-    gamma = GeneratedGroup(u3, (Isometry(u3, EICHLER6),), word_bound=4)
+    eichler = (
+        (1, 0, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (0, -1, 1, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 1),
+    )
+    gamma = GeneratedGroup(u3, (Isometry(u3, eichler),), word_bound=4)
     neg = tuple(tuple(-int(i == j) for j in range(6)) for i in range(6))
     assert group_membership(gamma, neg) == "out"
 
