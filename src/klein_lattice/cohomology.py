@@ -599,25 +599,39 @@ class ShortExactSequence(Frozen):
             first.setdefault(j, x)
         return tuple(first[j] for j in range(self.quot.carrier.order))
 
+    @cached_property
+    def _sub_index(self):
+        """The A'-index of each A-element in the image of the inclusion."""
+        return {e: i for i, e in enumerate(self.inclusion)}
+
 
 def invariants(gg):
     g, a = gg.group, gg.carrier
     return [x for x in range(a.order) if all(gg.act(s, x) == x for s in range(g.order))]
 
 
+def _pull_back(ses, aq_elem, theta, action):
+    """g -> a^-1 * theta(g) * (g.a) as A'-indices, for a the lift of a'' and
+    theta a cochain in A' (A'-indices), under the action given as one
+    permutation of A per g."""
+    a, inc = ses.mid.carrier, ses.inclusion
+    lift = ses.lift[aq_elem]
+    lift_inv = a.inv(lift)
+    pos = ses._sub_index
+    values = []
+    for t, p in zip(theta, action):
+        v = a.op(a.op(lift_inv, inc[t]), p[lift])
+        if v not in pos:
+            raise NotExactInput("pulled-back cocycle left the subgroup")
+        values.append(pos[v])
+    return tuple(values)
+
+
 def connecting_map(ses, aq_elem):
     """delta: A''^G -> H^1(G, A'): lift a'' to a in A, g -> a^-1 * (g.a)."""
-    a = ses.mid.carrier
     ses.quot.carrier.check_elements((aq_elem,), "aq_elem")
-    lift = ses.lift[aq_elem]
-    inc_pos = {e: i for i, e in enumerate(ses.inclusion)}
-    values = []
-    for s in range(ses.mid.group.order):
-        v = a.op(a.inv(lift), ses.mid.act(s, lift))
-        if v not in inc_pos:
-            raise NotExactInput("connecting map left the subgroup")
-        values.append(inc_pos[v])
-    return tuple(values)
+    trivial = (ses.sub.carrier.identity,) * ses.mid.group.order
+    return _pull_back(ses, aq_elem, trivial, ses.mid.action)
 
 
 class ExactSequenceReport(Frozen):
@@ -710,18 +724,9 @@ def twist_fiber_check(ses, phi):
     ]
 
     # right action of (A''_phi)^G on H1(G, A'_phi), on class indices
-    pos_in_a = {e: i for i, e in enumerate(embed)}
-
     def act_on_class(ci, aq_elem):
         theta = h1p_tw.representatives[ci]
-        lift = ses.lift[aq_elem]
-        vals = []
-        for s in range(g.order):
-            v = a.op(a.op(a.inv(lift), embed[theta[s]]), twisted[s][lift])
-            if v not in pos_in_a:
-                raise NotExactInput("orbit action left the subgroup")
-            vals.append(pos_in_a[v])
-        return h1p_tw.class_of(vals)
+        return h1p_tw.class_of(_pull_back(ses, aq_elem, theta, twisted))
 
     orbits = []
     for ci in range(h1p_tw.size):
@@ -769,14 +774,15 @@ def torsion_elements(gamma, order_bound=24):
     return out
 
 
-def finite_subgroup_classes_matrix(gamma, conj_bound=None):
+def finite_subgroup_classes_matrix(gamma):
     """Conjugacy classes of finite subgroups of a matrix group, by bounded
     enumeration: finite subgroups generated by torsion words, deduplicated by
-    conjugation with words up to the bound.  Flagged BoundedSearch."""
+    conjugation with words up to the group's word bound.  Flagged
+    BoundedSearch."""
     ident = la.identity_matrix(gamma.lattice.rank)
     torsion = [m for m, _ in torsion_elements(gamma)]
     subgroups = extension_subgroups(torsion, la.mat_mul, ident, bound=64)
-    conjugators = [el.matrix for el in gamma.elements_up_to(conj_bound)]
+    conjugators = [el.matrix for el in gamma.elements_up_to()]
     classes = conjugacy_representatives(
         subgroups, conjugators, la.mat_mul, la.unimodular_inverse
     )
@@ -836,6 +842,8 @@ class FgAbelian(Frozen):
     torsion: tuple
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise InvalidInput("free rank must be nonnegative")
         for i, d in enumerate(self.torsion):
             if d <= 1:
                 raise InvalidInput("torsion factors must exceed 1")
@@ -922,110 +930,101 @@ def _module_matrix_is_identity(module, mat):
     return _module_matrices_equal(module, mat, la.identity_matrix(module.dim))
 
 
-def h1_abelian(agg):
-    """H^1(G, M) for a f.g. abelian carrier, via integer lattices.
+def _h1_smith(agg):
+    """H^1(G, M) = Z^1 / (B^1 + relation shifts), read off one Smith form.
 
-    Cocycles are stored on all of G; Z^1 and B^1 + relation shifts are
-    computed as integer lattices and the quotient extracted with Smith normal
-    form.  Returns (invariant_factors, representative cocycles); the free
-    rank is always zero (the result is |G|-torsion) and asserted.
+    Cocycles are stored on all of G as integer vectors.  Z^1 is the row-HNF
+    basis of their lifts: the kernel of the cocycle conditions, with one
+    slack column per condition on a torsion coordinate for its relation.
+    With B^1 and the relation shifts written in that basis as the rows of
+    C and U*C*V = D, a cocycle with Z^1 coordinates c lies in the class
+    (c*V)_j mod d_j.  Returns (factors, reps, elements, class_of): the
+    invariant factors above 1, one cocycle per factor (the class with
+    (c*V)_j = 1 there and 0 elsewhere), every class as the combination
+    of reps with coefficients 0 <= c_j < factors_j in iproduct order, and
+    the map from a cocycle to the index of its class in that list.
     """
-    g = agg.group
-    m = agg.module
-    n = m.dim
-    ng = g.order
+    g, m = agg.group, agg.module
+    n, ng, r = m.dim, g.order, m.free_rank
     big = n * ng
 
-    def slot(s, i):
-        return s * n + i
+    def values(lift):
+        return tuple(m.normalize(lift[s * n:(s + 1) * n]) for s in range(ng))
 
-    rel_cols = m.relation_columns()
     # cocycle condition rows: for each (s, t): phi(st) - phi(s) - s.phi(t) = 0
     rows = []
+    width, slack = big + ng * ng * len(m.torsion), big
     for s in range(ng):
         for t in range(ng):
             st = g.op(s, t)
             for i in range(n):
-                row = [0] * big
-                row[slot(st, i)] += 1
-                row[slot(s, i)] -= 1
+                row = [0] * width
+                row[st * n + i] += 1
+                row[s * n + i] -= 1
                 for j in range(n):
-                    if agg.action[s][i][j]:
-                        row[slot(t, j)] -= agg.action[s][i][j]
+                    row[t * n + j] -= agg.action[s][i][j]
+                if i >= r:
+                    row[slack] = -m.torsion[i - r]
+                    slack += 1
                 rows.append(tuple(row))
-    # target relations: each condition row is modulo the torsion of coord i
-    # solve: rows * x = R_t * y  ->  kernel of [rows | -R_t]
-    cond_count = len(rows)
-    rel_per_row = []
-    for idx in range(cond_count):
-        i = idx % n
-        if i >= m.free_rank:
-            rel_per_row.append(m.torsion[i - m.free_rank])
-        else:
-            rel_per_row.append(0)
-    aug_cols = [k for k, d in enumerate(rel_per_row) if d != 0]
-    width = big + len(aug_cols)
-    aug = []
-    for ridx, row in enumerate(rows):
-        ext = list(row) + [0] * len(aug_cols)
-        if ridx in aug_cols:
-            ext[big + aug_cols.index(ridx)] = -rel_per_row[ridx]
-        aug.append(tuple(ext))
-    kernel = la.int_kernel(tuple(aug))
-    z_gens = [k[:big] for k in kernel]
-    # coboundaries: for each module generator, g -> (g.e_i - e_i)
-    b_gens = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        vec = [0] * big
-        for s in range(ng):
-            img = la.mat_vec(agg.action[s], tuple(e))
-            for j in range(n):
-                vec[slot(s, j)] = img[j] - e[j]
-        b_gens.append(tuple(vec))
-    # relation shifts inside Maps(G, M)
-    for s in range(ng):
-        for col in rel_cols:
-            vec = [0] * big
-            for j in range(n):
-                vec[slot(s, j)] = col[j]
-            b_gens.append(tuple(vec))
+    z_gens = [k[:big] for k in la.int_kernel(tuple(rows))]
     if not z_gens:
-        return (), []
+        return (), [], [values((0,) * big)], lambda cocycle: 0
     hk, _ = la.row_hnf(tuple(z_gens))
-    basis = [row for row in hk if not la.is_zero_vector(row)]
+    basis_t = la.transpose(tuple(row for row in hk if not la.is_zero_vector(row)))
+    # coboundaries g -> g.e_i - e_i, then the relation shifts inside Maps(G, M)
+    b_gens = [
+        tuple(agg.action[s][j][i] - (i == j) for s in range(ng) for j in range(n))
+        for i in range(n)
+    ]
+    b_gens += [
+        tuple(col[j] if u == s else 0 for u in range(ng) for j in range(n))
+        for s in range(ng)
+        for col in m.relation_columns()
+    ]
     coeffs = []
     for bg in b_gens:
-        sol = la.solve_int(la.transpose(tuple(basis)), bg)
+        sol = la.solve_int(basis_t, bg)
         if sol is None:
             raise InvalidInput("coboundary lattice not inside the cocycle lattice")
         coeffs.append(sol)
-    rho = len(basis)
-    if not coeffs:
-        coeffs = [tuple([0] * rho)]
+    rho = len(basis_t[0])
     d, _, v = la.snf(tuple(coeffs))
-    diag = [d[i][i] for i in range(min(len(d), rho))]
-    diag += [0] * (rho - len(diag))
+    diag = [d[i][i] if i < len(d) else 0 for i in range(rho)]
     assert all(x != 0 for x in diag), "H^1 of a f.g. abelian G-module must be finite"
-    factors = tuple(x for x in diag if x > 1)
+    ones = diag.count(1)
+    factors = tuple(diag[ones:])
     # |G| annihilates the quotient: every invariant factor divides |G|
-    assert all(g.order % f == 0 for f in factors), factors
-    # representatives: columns of V beyond nothing -- new basis f_j = sum V^T
-    vinv = la.unimodular_inverse(v)
-    reps = []
-    for j, x in enumerate(diag):
-        if x > 1:
-            coeff_row = vinv[j] if j < len(vinv) else None
-            rep = [0] * big
-            for c, brow in zip(coeff_row, basis):
-                if c:
-                    for k in range(big):
-                        rep[k] += c * brow[k]
-            values = []
-            for s in range(ng):
-                values.append(m.normalize(tuple(rep[slot(s, i)] for i in range(n))))
-            reps.append(tuple(values))
+    assert all(ng % f == 0 for f in factors), factors
+    # column j: the lift of the class with (c*V)_j = 1, c = row j of V^-1
+    gen_lifts = la.mat_mul(basis_t, la.transpose(la.unimodular_inverse(v)))
+    reps = [values(col) for col in la.transpose(gen_lifts)[ones:]]
+    elements = [
+        values(la.mat_vec(gen_lifts, (0,) * ones + c))
+        for c in iproduct(*[range(f) for f in factors])
+    ]
+    class_rows = la.transpose(v)[ones:]
+
+    def class_of(cocycle):
+        c = la.solve_int(basis_t, tuple(x for value in cocycle for x in value))
+        if c is None:
+            raise InvalidInput("not a cocycle of the module")
+        index = 0
+        for f, y in zip(factors, la.mat_vec(class_rows, c)):
+            index = index * f + y % f
+        return index
+
+    return factors, reps, elements, class_of
+
+
+def h1_abelian(agg):
+    """H^1(G, M) for a f.g. abelian carrier, via integer lattices.
+
+    Returns (invariant_factors, representative cocycles), one representative
+    per factor; the free rank is always zero (the result is |G|-torsion)
+    and asserted.
+    """
+    factors, reps, _, _ = _h1_smith(agg)
     return factors, reps
 
 
@@ -1055,24 +1054,8 @@ def cocycles_equivalent_abelian(agg, phi, psi):
 
 def h1_abelian_elements(agg):
     """All classes of H^1(G, M) as explicit cocycles (one per class)."""
-    factors, reps = h1_abelian(agg)
-    if not factors:
-        zero = tuple(
-            tuple([0] * agg.module.dim) for _ in range(agg.group.order)
-        )
-        return [zero], factors
-    out = []
-    for coeffs in iproduct(*[range(f) for f in factors]):
-        values = []
-        for s in range(agg.group.order):
-            v = [0] * agg.module.dim
-            for c, rep in zip(coeffs, reps):
-                if c:
-                    for i in range(agg.module.dim):
-                        v[i] += c * rep[s][i]
-            values.append(agg.module.normalize(tuple(v)))
-        out.append(tuple(values))
-    return out, factors
+    factors, _, elements, _ = _h1_smith(agg)
+    return elements, factors
 
 
 class SplitExtensionSpec(Frozen):
@@ -1107,8 +1090,7 @@ def filtration_driver_split(spec, g):
     representatives = []
     for rep in h1q.representatives:
         act = tuple(spec.q_action[rep[s]] for s in range(g.order))
-        k_agg = AbelianGGroup(g, m, act)
-        elements, factors = h1_abelian_elements(k_agg)
+        factors, _, elements, class_of = _h1_smith(AbelianGGroup(g, m, act))
         centralizer = [
             q
             for q in range(q_group.order)
@@ -1117,14 +1099,8 @@ def filtration_driver_split(spec, g):
 
         def move(idx, q):
             # the listed class of q^-1 . theta
-            qinv = q_group.inv(q)
-            moved = tuple(
-                m.normalize(la.mat_vec(spec.q_action[qinv], v)) for v in elements[idx]
-            )
-            for j, other in enumerate(elements):
-                if cocycles_equivalent_abelian(k_agg, moved, other) is not None:
-                    return j
-            raise InvalidInput("a moved cocycle matches no listed class")
+            mat = spec.q_action[q_group.inv(q)]
+            return class_of([la.mat_vec(mat, v) for v in elements[idx]])
 
         orbits = []
         for idx in range(len(elements)):

@@ -560,10 +560,12 @@ def make_membership_tester(cert):
     return tester
 
 
-def find_trivial_stabilizer_point(gamma, pos, height_bound=12):
+def find_trivial_stabilizer_point(gamma, pos):
     """Deterministic search for a rational point of C with certified trivial
-    stabilizer: integer vectors enumerated by increasing height, lex order."""
+    stabilizer: integer vectors enumerated by increasing height up to 12,
+    lex order."""
     n = pos.dim
+    height_bound = 12
     ident = la.identity_matrix(n)
     # a nonidentity element of gamma fixing v is an integral isometry fixing
     # v, so stabilizer would count it as a member and v would be rejected
@@ -649,30 +651,33 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
 # --- fundamental domain verification ----------------------------------------
 
 
-def sample_cone_points(pos, samples, seed, box=9):
-    """Seeded rational sample points of the open component C."""
+def sample_cone_points(pos, samples, seed):
+    """Seeded rational sample points of the open component C, drawn from the
+    integer vectors in the box [-9, 9]^n."""
     rng = random.Random(seed)
     n = pos.dim
+    box = 9
     out = []
     attempts = 0
     while len(out) < samples:
         attempts += 1
         if attempts > 10000 * samples:
-            raise SearchExhausted("sampling the cone failed; box too small?")
+            raise SearchExhausted(
+                f"sampling the cone failed in the box [-{box}, {box}]^{n}"
+            )
         v = tuple(rng.randint(-box, box) for _ in range(n))
         if pos.contains_open(v):
             out.append(v)
     return out
 
 
-def verify_fundamental_domain(
-    cert, samples=200, seed=0, disjoint_word_len=6, max_steps=2000
-):
+def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
     """Sampled covering plus exact interior disjointness for a certificate.
 
     Covering: each sample point of C is moved into D by the reduction
-    procedure.  Disjointness: for every nonidentity word up to the bound,
-    int(D) cap gamma . int(D) cap C is empty (exact polyhedral check).
+    procedure, in at most 2000 steps.  Disjointness: for every nonidentity
+    word up to the bound, int(D) cap gamma . int(D) cap C is empty (exact
+    polyhedral check).
     Raises CoverageFailure / DisjointnessFailure accordingly; returns
     (report, certificate-with-evidence) on success.  samples or
     disjoint_word_len below 1 is InvalidInput: that check would pass
@@ -684,12 +689,15 @@ def verify_fundamental_domain(
         raise InvalidInput("disjointness needs a word bound of at least 1")
     pos = cert.positive_cone
     points = sample_cone_points(pos, samples, seed)
+    max_steps = 2000
     max_moves = 0
     for p in points:
         try:
             reduced, _, steps = reduce_into_domain(cert, p, max_steps=max_steps)
         except ReductionFailure as exc:
-            raise CoverageFailure(f"point {p} could not be reduced") from exc
+            raise CoverageFailure(
+                f"point {p} could not be reduced in {max_steps} steps"
+            ) from exc
         if not cert.domain_contains(reduced):
             raise CoverageFailure(f"point {p} reduced outside D")
         max_moves = max(max_moves, steps)

@@ -499,7 +499,7 @@ class GeneratedGroup(Frozen):
         return self.enumeration(bound)[0]
 
 
-def group_membership(gamma, matrix, tester=None, bound=None):
+def group_membership(gamma, matrix, tester=None):
     """Classify matrix against gamma: returns 'in', 'out' or 'unknown'.
 
     A matrix that is not an isometry of the lattice is 'out'.  Other
@@ -520,7 +520,7 @@ def group_membership(gamma, matrix, tester=None, bound=None):
         return tester(matrix)
     if not gamma.generators:
         return "in" if matrix == la.identity_matrix(lat.rank) else "out"
-    elements, closed = gamma.enumeration(bound)
+    elements, closed = gamma.enumeration()
     for el in elements:
         if el.matrix == matrix:
             return "in"

@@ -51,9 +51,15 @@ from klein_lattice.lattice import (
     signature,
 )
 
-from test_cohomology import ACTING_GROUPS, SHIPPED_KLEIN_GROUPS, ses_corpus
-from test_hodge import SHIPPED, hilbert_kahler_model
-from test_lattice import char_poly_sign_counts, rand_sym
+from cases import (
+    ACTING_GROUPS,
+    SHIPPED,
+    SHIPPED_KLEIN_GROUPS,
+    char_poly_sign_counts,
+    hilbert_kahler_model,
+    rand_sym,
+    ses_corpus,
+)
 
 
 def _report(num, name, started):

@@ -9,6 +9,8 @@ import pytest
 from klein_lattice import serialize as ser
 from klein_lattice.cli import COMMANDS, main
 
+from cases import HODGE4, HODGE6, KAHLER4, SIGMA6
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -86,13 +88,6 @@ def klein_d4(sigma):
 
 Z2_ON_S3 = '{"group": "Z2", "carrier": "S3", "action": "trivial"}'
 S6_GENERATORS = '{"permutations": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}'
-HODGE4 = {
-    "lattice": {"gram": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]]},
-    "period_re": [1, 0, 0, 0],
-    "period_im": [0, 1, 0, 0],
-}
-# a one-ray Kahler model on HODGE4, whose NS basis is the embedding
-KAHLER4 = {"cone": {"rays": [[1]]}, "embedding": [[0, 0, 1, 0]], "lattice": HODGE4["lattice"]}
 Z4_SEQ_OUT_OF_RANGE = json.dumps({
     "sub": {"group": "Z2", "carrier": "Z2", "action": "trivial"},
     "mid": {"group": "Z2", "carrier": "Z4", "action": "trivial"},
@@ -243,6 +238,9 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
           "--xi", "1,0"], "ParseError"),
         (["cone", "siegel", "--group", PELL_GROUP, "--pos", PELL_POS, "--base", "1,0",
           "--pi1", PELL_PI, "--pi2", PELL_PI], "ParseError"),
+        (["h1", "filtration", "--spec",
+          '{"kind": "split", "free_rank": -1, "torsion": [2], "quotient": "Z2",'
+          ' "q_action": [[], []], "g": "Z2"}'], "InvalidInput"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -254,7 +252,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "embedding-row-long", "siegel-bound-zero", "siegel-bound-negative",
          "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",
          "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero",
-         "in-and-name", "domain-pos-and-base", "siegel-pos-and-base"],
+         "in-and-name", "domain-pos-and-base", "siegel-pos-and-base",
+         "split-free-rank-negative"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)
@@ -563,30 +562,6 @@ def test_h1_real_forms(capsys):
     assert rep["result"]["class_count"] == 2
     assert rep["result"]["paths_agree"] is True
     assert rep["result"]["inner_twist"]["bijection_holds"] is True
-
-
-HODGE6 = {
-    "lattice": {
-        "gram": [
-            [0, 1, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1, 0],
-        ]
-    },
-    "period_re": [1, 1, 0, 0, 0, 0],
-    "period_im": [0, 0, 1, 1, 0, 0],
-}
-SIGMA6 = [
-    [0, 1, 0, 0, 0, 0],
-    [1, 0, 0, 0, 0, 0],
-    [0, 0, -1, 0, 0, 0],
-    [0, 0, 0, -1, 0, 0],
-    [0, 0, 0, 0, -1, 0],
-    [0, 0, 0, 0, 0, -1],
-]
 
 
 def test_hk_ns_and_projective(capsys):

@@ -23,7 +23,8 @@ from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
 from klein_lattice.errors import KleinLatticeError
 from klein_lattice.hodge import KahlerModel, hilbert_square_extension, neron_severi
 from klein_lattice.isometry import Isometry
-from test_cli import HODGE6, KAHLER4, SIGMA6
+
+from cases import HODGE6, KAHLER4, SIGMA6
 
 PELL_GROUP = {
     "lattice": {"gram": [[2, 0], [0, -4]]},

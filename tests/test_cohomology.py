@@ -52,63 +52,7 @@ from klein_lattice.errors import (
 from klein_lattice.isometry import GeneratedGroup, Isometry
 from klein_lattice.lattice import IntegerLattice
 
-
-# --- corpus ------------------------------------------------------------------
-
-
-def s3_sign_sequence():
-    s3 = symmetric(3)
-    a3 = sorted(x for x in range(6) if s3.element_order(x) in (1, 3))
-    sub_g, embed = s3.subgroup_group(a3)
-    proj = tuple(0 if s3.element_order(x) in (1, 3) else 1 for x in range(6))
-    return s3, sub_g, embed, proj
-
-
-def make_ses(g, carrier_sub, carrier_mid, carrier_quot, inclusion, projection):
-    return ShortExactSequence(
-        trivial_action(g, carrier_sub),
-        trivial_action(g, carrier_mid),
-        trivial_action(g, carrier_quot),
-        inclusion,
-        projection,
-    )
-
-
-def ses_corpus(g):
-    """Short exact sequences among groups of order <= 8, trivial G-action."""
-    out = []
-    z2, z4 = cyclic(2), cyclic(4)
-    # Z/2 -> Z/4 -> Z/2
-    out.append(("Z2-Z4-Z2", make_ses(g, z2, z4, z2, (0, 2), (0, 1, 0, 1))))
-    # Z/2 -> V4 -> Z/2 (first factor of C2 x C2, indices a*2+b)
-    v4 = klein_four()
-    out.append(("Z2-V4-Z2", make_ses(g, z2, v4, z2, (0, 2), (0, 1, 0, 1))))
-    # Z/3 -> Z/6 -> Z/2
-    z3, z6 = cyclic(3), cyclic(6)
-    out.append(("Z3-Z6-Z2", make_ses(g, z3, z6, z2, (0, 2, 4), (0, 1, 0, 1, 0, 1))))
-    # A3 -> S3 -> Z/2
-    s3, a3_g, embed, proj = s3_sign_sequence()
-    out.append(("A3-S3-Z2", make_ses(g, a3_g, s3, z2, embed, proj)))
-    # Z/4 -> D4 -> Z/2 (rotations; dihedral(4) indices: k + 4e)
-    d4 = dihedral(4)
-    out.append(
-        ("Z4-D4-Z2", make_ses(g, z4, d4, z2, (0, 1, 2, 3), (0, 0, 0, 0, 1, 1, 1, 1)))
-    )
-    # Z/4 -> Q8 -> Z/2 (the <i> subgroup: 1, i, -1, -i = indices 0, 2, 1, 3)
-    q8 = quaternion8()
-    out.append(
-        ("Z4-Q8-Z2", make_ses(g, z4, q8, z2, (0, 2, 1, 3), (0, 0, 0, 0, 1, 1, 1, 1)))
-    )
-    # center -> D4 -> V4: D4 center = {r0, r2} = indices {0, 2}
-    quot, proj_d4 = d4.quotient_group({0, 2})
-    out.append(("Z2-D4-V4", make_ses(g, z2, d4, quot, (0, 2), proj_d4)))
-    # center -> Q8 -> V4
-    quotq, proj_q8 = q8.quotient_group({0, 1})
-    out.append(("Z2-Q8-V4", make_ses(g, z2, q8, quotq, (0, 1), proj_q8)))
-    return out
-
-
-ACTING_GROUPS = [("Z2", cyclic(2)), ("Z3", cyclic(3)), ("V4", klein_four())]
+from cases import ACTING_GROUPS, SHIPPED_KLEIN_GROUPS, make_ses, s3_sign_sequence, ses_corpus
 
 
 # --- group builders -------------------------------------------------------------
@@ -806,24 +750,44 @@ def reference_split_orbits(spec, g, rep):
     return elements, orbits
 
 
-def test_filtration_split_orbits_merge_classes():
+ROTATION3 = ((0, -1), (1, -1))  # order 3 on Z^2
+SPLIT_CASES = {
     # Q = Z/2 swaps the two factors of (Z/2)^2; the swap merges two of the
     # four classes over the trivial quotient class
-    z2 = cyclic(2)
-    swap = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
-    spec = SplitExtensionSpec(FgAbelian(0, (2, 2)), cyclic(2), swap)
-    out = filtration_driver_split(spec, z2)
-    assert out["h1_size"] == 4
+    "swap": (FgAbelian(0, (2, 2)), cyclic(2), ((0, 1), (1, 0)), cyclic(2),
+             [((0, 0), (2, 2), 3), ((0, 1), (), 1)]),
+    "free-and-torsion": (FgAbelian(1, (2,)), cyclic(2), ((-1, 0), (1, 1)), cyclic(2),
+                         [((0, 0), (2,), 2), ((0, 1), (2,), 2)]),
+    "swap-over-V4": (FgAbelian(0, (2, 2)), cyclic(2), ((0, 1), (1, 0)), klein_four(),
+                     [((0, 0, 0, 0), (2, 2, 2, 2), 10), ((0, 0, 1, 1), (2,), 2),
+                      ((0, 1, 0, 1), (2,), 2), ((0, 1, 1, 0), (2,), 2)]),
+    "Z2xZ4": (FgAbelian(0, (2, 4)), cyclic(2), ((1, 0), (2, -1)), cyclic(2),
+              [((0, 0), (2, 2), 3), ((0, 1), (2,), 2)]),
+    "rotation": (FgAbelian(2, ()), cyclic(3), ROTATION3, cyclic(3),
+                 [((0, 0, 0), (), 1), ((0, 1, 2), (3,), 3), ((0, 2, 1), (3,), 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_filtration_split_orbits_merge_classes(name):
+    # the driver's class lookups against the pairwise-equivalence walk
+    module, q, generator, g, fibers = SPLIT_CASES[name]
+    q_action = [la.identity_matrix(module.dim)]
+    for _ in range(q.order - 1):
+        q_action.append(la.mat_mul(q_action[-1], generator))
+    spec = SplitExtensionSpec(module, q, tuple(q_action))
+    out = filtration_driver_split(spec, g)
     assert [
         (f["quotient_class"], f["h1_kernel_factors"], f["fiber_size"])
         for f in out["fibers"]
-    ] == [((0, 0), (2, 2), 3), ((0, 1), (), 1)]
+    ] == fibers
     want = []
     for f in out["fibers"]:
         rep = f["quotient_class"]
-        elements, orbits = reference_split_orbits(spec, z2, rep)
+        elements, orbits = reference_split_orbits(spec, g, rep)
         assert f["fiber_size"] == len(orbits)
         want += [tuple(zip(elements[o[0]], rep)) for o in orbits]
+    assert out["h1_size"] == len(want)
     assert out["representatives"] == want
 
 
@@ -840,44 +804,6 @@ def test_abelian_equivalence_witness():
 
 
 # --- real structures --------------------------------------------------------------------
-
-
-def klein_v4():
-    v4 = klein_four()
-    eps = tuple(1 if x % 2 == 0 else -1 for x in range(4))
-    return KleinGroupData(v4, eps, 1)
-
-
-def klein_d4():
-    d4 = dihedral(4)
-    eps = tuple(1 if i < 4 else -1 for i in range(8))
-    return KleinGroupData(d4, eps, 4)
-
-
-def klein_z2():
-    return KleinGroupData(cyclic(2), (1, -1), 1)
-
-
-def klein_s3():
-    s3 = symmetric(3)
-    eps = tuple(1 if s3.element_order(x) in (1, 3) else -1 for x in range(6))
-    sigma = next(x for x in range(6) if s3.element_order(x) == 2)
-    return KleinGroupData(s3, eps, sigma)
-
-
-def klein_z2xz4():
-    k = direct_product(cyclic(2), cyclic(4))  # index a*4 + b
-    eps = tuple(1 if x < 4 else -1 for x in range(8))
-    return KleinGroupData(k, eps, 4)
-
-
-SHIPPED_KLEIN_GROUPS = [
-    ("Z2", klein_z2, 1),
-    ("V4", klein_v4, 2),
-    ("S3", klein_s3, 1),
-    ("D4", klein_d4, 2),
-    ("Z2xZ4", klein_z2xz4, 2),
-]
 
 
 @pytest.mark.parametrize("name,maker,expected", SHIPPED_KLEIN_GROUPS)

@@ -38,6 +38,8 @@ from klein_lattice.lattice import (
     direct_sum,
 )
 
+from cases import SHIPPED, config_diag4, config_u3, hilbert_kahler_model
+
 PELL = ((3, 4), (2, 3))
 REFLECTION = ((1, 0), (0, -1))
 SWAP = ((0, 1), (1, 0))
@@ -69,74 +71,6 @@ def undecided_on_hilbert_square():
     return MonodromySpec(
         "generators", generators=(padded(EICHLER, 7), padded(SWAP, 7, 4)), word_bound=3
     )
-
-
-# --- shipped configurations ---------------------------------------------------
-
-
-def config_u3():
-    """Unimodular rank-6 toy: U^3, period in the first two summands,
-    sigma* = swap on U1, -id on the rest."""
-    lat = direct_sum(direct_sum(U(), U()), U())
-    h = HodgeLattice(lat, (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0))
-    swap = ((0, 1), (1, 0))
-    sigma = tuple(
-        tuple(
-            swap[i][j]
-            if i < 2 and j < 2
-            else ((-1 if i == j else 0) if i >= 2 and j >= 2 else 0)
-            for j in range(6)
-        )
-        for i in range(6)
-    )
-    return h, sigma
-
-
-def config_diag5():
-    """Rank-5 toy with a non-scalar dagger on NS."""
-    lat = IntegerLattice(
-        (
-            (2, 0, 0, 0, 0),
-            (0, 2, 0, 0, 0),
-            (0, 0, 2, 0, 0),
-            (0, 0, 0, -2, 0),
-            (0, 0, 0, 0, -2),
-        )
-    )
-    h = HodgeLattice(lat, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
-    sigma = tuple(
-        tuple(d if i == j else 0 for j in range(5))
-        for i, d in enumerate((1, -1, -1, 1, -1))
-    )
-    return h, sigma
-
-
-def config_diag4():
-    lat = IntegerLattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, -2)))
-    h = HodgeLattice(lat, (1, 0, 0, 0), (0, 1, 0, 0))
-    sigma = tuple(
-        tuple(d if i == j else 0 for j in range(4))
-        for i, d in enumerate((1, -1, -1, -1))
-    )
-    return h, sigma
-
-
-SHIPPED = [("u3", config_u3), ("diag5", config_diag5), ("diag4", config_diag4)]
-
-
-def hilbert_kahler_model(h_ext, n):
-    """A dagger-invariant simplicial model on NS of the extension."""
-    ns = neron_severi(h_ext)
-    d = ns.rank
-    if d == 5:  # u3 case
-        rays = ((1, 0, 4, 4, 0), (0, 1, 4, 4, 0), (0, 0, 5, 4, 0), (0, 0, 4, 5, 0), (0, 0, 4, 4, 1))
-    elif d == 4:  # diag5 case
-        rays = ((4, 1, 1, -1), (4, -1, 1, -1), (4, 1, -1, -1), (4, -1, -1, -1), (4, 0, 0, 1))
-    elif d == 3:  # diag4 case
-        rays = ((4, 1, -1), (4, -1, -1), (4, 0, 1))
-    else:
-        raise AssertionError(f"unexpected NS rank {d}")
-    return KahlerModel(cone_from_rays(d, rays), ns.basis, h_ext.lattice)
 
 
 # --- period and NS machinery -----------------------------------------------------

@@ -29,40 +29,7 @@ from klein_lattice.lattice import (
     sublattice_index,
 )
 
-
-def char_poly_sign_counts(gram):
-    """Independent oracle: eigenvalue sign counts via Descartes' rule on the
-    (real-rooted) characteristic polynomial, computed by Faddeev-LeVerrier."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    coeffs = [Fraction(1)]  # p(t) = t^n + c1 t^(n-1) + ... + cn
-    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = [
-            [sum(a[i][r] * m[r][j] for r in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        ck = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        for i in range(n):
-            m[i][i] += ck
-    zeros = 0
-    while zeros < n and coeffs[n - zeros] == 0:
-        zeros += 1
-    trimmed = coeffs[: n - zeros + 1]
-    signs = [c for c in trimmed if c != 0]
-    changes = sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
-    pos = changes
-    neg = n - zeros - pos
-    return pos, zeros, neg
-
-
-def rand_sym(rng, n, bound=5):
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = rng.randint(-bound, bound)
-    return tuple(tuple(row) for row in m)
+from cases import char_poly_sign_counts, rand_sym
 
 
 def test_signature_examples():

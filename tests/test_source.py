@@ -53,6 +53,15 @@ def test_imported_modules_sees_every_import_form():
     assert imported_modules(source) == {"os", "dataclasses"}
 
 
+def test_no_test_module_imports_another():
+    # shared data lives in cases.py: a test module imported by another runs
+    # twice, and does not import at all under --import-mode=importlib
+    tests = sorted(Path(__file__).parent.glob("test_*.py"))
+    names = {p.stem for p in tests}
+    found = {p.name: imported_modules(p.read_text()) & names for p in tests}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
 def test_no_library_module_imports_dataclasses():
     # the value types derive from frozen.Frozen; dataclasses would load inspect
     found = {p.name: imported_modules(p.read_text()) for p in PACKAGE.glob("*.py")}
