@@ -208,6 +208,29 @@ class FiniteGroup(Frozen):
                 break
         return gens
 
+    @cached_property
+    def word_tree(self):
+        """(gens, tree), computed once per group: gens is generating_set(),
+        and tree lists every element y but the identity once, in BFS order,
+        as (y, x, k) with y = x * gens[k] and x the identity or listed
+        earlier."""
+        gens = self.generating_set()
+        seen = {self.identity}
+        frontier = [self.identity]
+        tree = []
+        while frontier:
+            nxt = []
+            for x in frontier:
+                row = self.table[x]
+                for k, s in enumerate(gens):
+                    y = row[s]
+                    if y not in seen:
+                        seen.add(y)
+                        tree.append((y, x, k))
+                        nxt.append(y)
+            frontier = nxt
+        return tuple(gens), tuple(tree)
+
     def subgroup_group(self, subset):
         """The subgroup as its own FiniteGroup plus the index embedding."""
         elems = tuple(sorted(subset))
@@ -323,23 +346,25 @@ class GGroup(Frozen):
 
     def __post_init__(self):
         g, a = self.group, self.carrier
-        act = tuple(tuple(p) for p in self.action)
+        act = tuple([tuple(p) for p in self.action])
         object.__setattr__(self, "action", act)
         if len(act) != g.order:
             raise InvalidInput("need one automorphism per group element")
+        mul = a.table
+        points = list(range(a.order))
         for p in act:
-            if sorted(p) != list(range(a.order)):
+            if sorted(p) != points:
                 raise InvalidInput("action value is not a bijection")
-            for x in range(a.order):
-                for y in range(a.order):
-                    if p[a.op(x, y)] != a.op(p[x], p[y]):
-                        raise InvalidInput("action value is not an automorphism")
-        for s in range(g.order):
-            for t in range(g.order):
-                st = g.op(s, t)
-                for x in range(a.order):
-                    if act[st][x] != act[s][act[t][x]]:
-                        raise InvalidInput("action is not a homomorphism")
+            # p(x * y) = p(x) * p(y), one row x at a time
+            for x, row in enumerate(mul):
+                px = mul[p[x]]
+                if [p[xy] for xy in row] != [px[py] for py in p]:
+                    raise InvalidInput("action value is not an automorphism")
+        for s, row in enumerate(g.table):
+            ps = act[s]
+            for t, st in enumerate(row):
+                if act[st] != tuple([ps[y] for y in act[t]]):
+                    raise InvalidInput("action is not a homomorphism")
 
     def act(self, g, x):
         return self.action[g][x]
@@ -368,15 +393,13 @@ def conjugation_action(group, carrier, generator_images):
 
 def is_cocycle(gg, values):
     """values[g] in A with phi(gh) = phi(g) * (g . phi(h)) for all g, h."""
-    g, a = gg.group, gg.carrier
-    if len(values) != g.order:
+    mul = gg.carrier.table
+    if len(values) != gg.group.order:
         return False
-    for s in range(g.order):
-        for t in range(g.order):
-            lhs = values[g.op(s, t)]
-            rhs = a.op(values[s], gg.act(s, values[t]))
-            if lhs != rhs:
-                return False
+    for s, row in enumerate(gg.group.table):
+        left, ps = mul[values[s]], gg.action[s]
+        if [values[st] for st in row] != [left[ps[v]] for v in values]:
+            return False
     return True
 
 
@@ -392,37 +415,45 @@ def cocycles_equivalent(gg, phi, psi):
 
 
 def enumerate_cocycles(gg):
-    """All of Z^1: generator assignments extended along a BFS word tree and
-    validated on the full multiplication table."""
-    g, a = gg.group, gg.carrier
-    gens = g.generating_set()
-    if not gens:
-        return [tuple([a.identity] * g.order)]
-    # BFS expressing every element as (previous element) * generator
-    parent = {g.identity: None}
-    order_seen = [g.identity]
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in gens:
-                y = g.op(x, gen)
-                if y not in parent:
-                    parent[y] = (x, gen)
-                    order_seen.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    """All of Z^1, in iproduct order of the values on the generators.
+
+    With (gens, tree) = G.word_tree, each assignment phi(gens[k]) = a_k is
+    extended along the tree from phi(1) = 1 by phi(x * gens[k]) =
+    phi(x) * (x . a_k), and kept iff the cocycle identity holds on every
+    edge: phi(x * s) = phi(x) * (x . phi(s)) for every x in G and every s in
+    gens.  The tree edges hold by construction, so only the others are
+    tested: k * |G| - (|G| - 1) checks for k generators, where is_cocycle
+    makes |G|^2.
+
+    The edge identity implies phi(x * t) = phi(x) * (x . phi(t)) for all x
+    and t, by induction on the length of t as a word in gens.  For t = 1 it
+    reads phi(x) = phi(x) * (x . 1).  For t = u * s with s in gens,
+        phi(x * u * s) = phi(x * u) * (x * u . phi(s))           (edge x * u, s)
+                       = phi(x) * (x . phi(u)) * (x . (u . phi(s)))   (for u)
+                       = phi(x) * (x . (phi(u) * (u . phi(s))))
+                       = phi(x) * (x . phi(u * s)),                  (edge u, s)
+    as each x acts by an automorphism.  So exactly the cocycles pass, and
+    each cocycle is found from its values on gens.
+    """
+    mul, act = gg.carrier.table, gg.action
+    gens, tree = gg.group.word_tree
+    on_tree = {(x, k) for _, x, k in tree}
+    checks = [
+        (x, k, row[s])
+        for x, row in enumerate(gg.group.table)
+        for k, s in enumerate(gens)
+        if (x, k) not in on_tree
+    ]
     out = []
-    for assignment in iproduct(range(a.order), repeat=len(gens)):
-        val = {g.identity: a.identity}
-        gen_val = dict(zip(gens, assignment))
-        for y in order_seen[1:]:
-            x, gen = parent[y]
-            # phi(x * gen) = phi(x) * (x . phi(gen))
-            val[y] = a.op(val[x], gg.act(x, gen_val[gen]))
-        values = tuple(val[s] for s in range(g.order))
-        if is_cocycle(gg, values):
-            out.append(values)
+    for assignment in iproduct(range(gg.carrier.order), repeat=len(gens)):
+        phi = [gg.carrier.identity] * len(act)
+        for y, x, k in tree:
+            phi[y] = mul[phi[x]][act[x][assignment[k]]]
+        for x, k, y in checks:
+            if phi[y] != mul[phi[x]][act[x][assignment[k]]]:
+                break
+        else:
+            out.append(tuple(phi))
     return out
 
 
@@ -456,7 +487,8 @@ def h1_finite(gg):
     """Classify Z^1 in enumeration order: each cocycle not yet indexed is the
     next representative, and its whole A-orbit g -> w^-1 * z(g) * (g.w), the
     relation cocycles_equivalent tests, gets its index."""
-    g, a = gg.group, gg.carrier
+    a = gg.carrier
+    mul, inv = a.table, a._inv
     cocycles = enumerate_cocycles(gg)
     class_index = {}
     reps = []
@@ -464,13 +496,11 @@ def h1_finite(gg):
         if z in class_index:
             continue
         for w in range(a.order):
-            wi = a.inv(w)
-            orbit_point = tuple(
-                a.op(a.op(wi, z[s]), gg.act(s, w)) for s in range(g.order)
-            )
+            left = mul[inv[w]]
+            orbit_point = tuple([mul[left[v]][p[w]] for v, p in zip(z, gg.action)])
             class_index[orbit_point] = len(reps)
         reps.append(z)
-    trivial = tuple([a.identity] * g.order)
+    trivial = tuple([a.identity] * gg.group.order)
     return H1Set(gg, tuple(reps), class_index[trivial], tuple(cocycles), class_index)
 
 
@@ -480,13 +510,14 @@ def h1_finite(gg):
 def _twisted_action(gg, phi):
     """The action twisted by a cocycle phi in the carrier: g . x =
     phi(g) * (g.x) * phi(g)^-1, one permutation of the carrier per g."""
-    a = gg.carrier
+    mul, inv = gg.carrier.table, gg.carrier._inv
     # rows from lists: tuple() of a generator over-allocates and shrinks each
     # row, and that churn fragments the heap enough to raise peak RSS
-    return tuple(
-        tuple([a.conj(phi[s], gg.act(s, x)) for x in range(a.order)])
-        for s in range(gg.group.order)
-    )
+    rows = []
+    for c, p in zip(phi, gg.action):
+        left, ci = mul[c], inv[c]
+        rows.append(tuple([mul[left[y]][ci] for y in p]))
+    return tuple(rows)
 
 
 def _restricted(group, sub_group, embed, action):
@@ -494,7 +525,7 @@ def _restricted(group, sub_group, embed, action):
     embed[i], acted on by the carrier permutations in action (which must
     keep the image of embed stable)."""
     pos = {e: i for i, e in enumerate(embed)}
-    act = tuple(tuple(pos[p[e]] for e in embed) for p in action)
+    act = tuple([tuple([pos[p[e]] for e in embed]) for p in action])
     return GGroup(group, sub_group, act)
 
 
@@ -587,7 +618,7 @@ class ShortExactSequence(Frozen):
     def h1_mid_to_quot(self):
         """H^1(G, A) -> H^1(G, A'') as a class-index dictionary."""
         return {
-            i: self.h1_quot.class_of(tuple(self.projection[v] for v in rep))
+            i: self.h1_quot.class_of(tuple([self.projection[v] for v in rep]))
             for i, rep in enumerate(self.h1_mid.representatives)
         }
 
@@ -606,21 +637,26 @@ class ShortExactSequence(Frozen):
 
 
 def invariants(gg):
-    g, a = gg.group, gg.carrier
-    return [x for x in range(a.order) if all(gg.act(s, x) == x for s in range(g.order))]
+    """A^G, in index order."""
+    return _fixed_points(gg.action)
+
+
+def _fixed_points(action):
+    """The points that every permutation in action fixes, in index order."""
+    return [x for x, images in enumerate(zip(*action)) if images.count(x) == len(images)]
 
 
 def _pull_back(ses, aq_elem, theta, action):
     """g -> a^-1 * theta(g) * (g.a) as A'-indices, for a the lift of a'' and
     theta a cochain in A' (A'-indices), under the action given as one
     permutation of A per g."""
-    a, inc = ses.mid.carrier, ses.inclusion
+    mul, inc = ses.mid.carrier.table, ses.inclusion
     lift = ses.lift[aq_elem]
-    lift_inv = a.inv(lift)
+    left = mul[ses.mid.carrier._inv[lift]]
     pos = ses._sub_index
     values = []
     for t, p in zip(theta, action):
-        v = a.op(a.op(lift_inv, inc[t]), p[lift])
+        v = mul[left[inc[t]]][p[lift]]
         if v not in pos:
             raise NotExactInput("pulled-back cocycle left the subgroup")
         values.append(pos[v])
@@ -668,7 +704,7 @@ def les_of_pointed_sets(ses):
             x: h1p.class_of(connecting_map(ses, x)) for x in h0q
         },
         "h1_sub_to_mid": {
-            i: h1.class_of(tuple(ses.inclusion[v] for v in rep))
+            i: h1.class_of(tuple([ses.inclusion[v] for v in rep]))
             for i, rep in enumerate(h1p.representatives)
         },
         "h1_mid_to_quot": dict(ses.h1_mid_to_quot),
@@ -718,10 +754,8 @@ def twist_fiber_check(ses, phi):
     embed = ses.inclusion
     h1p_tw = h1_finite(_restricted(g, ses.sub.carrier, embed, twisted))
 
-    twisted_q = _twisted_action(ses.quot, tuple(ses.projection[v] for v in phi))
-    inv_q_tw = [
-        x for x in range(ses.quot.carrier.order) if all(p[x] == x for p in twisted_q)
-    ]
+    twisted_q = _twisted_action(ses.quot, [ses.projection[v] for v in phi])
+    inv_q_tw = _fixed_points(twisted_q)
 
     # right action of (A''_phi)^G on H1(G, A'_phi), on class indices
     def act_on_class(ci, aq_elem):
@@ -729,24 +763,29 @@ def twist_fiber_check(ses, phi):
         return h1p_tw.class_of(_pull_back(ses, aq_elem, theta, twisted))
 
     orbits = []
+    seen = set()
     for ci in range(h1p_tw.size):
-        if not any(ci in orbit for orbit in orbits):
+        if ci not in seen:
             orbits.append(subgroup_closure(inv_q_tw, act_on_class, ci))
+            seen |= orbits[-1]
 
-    # translation map: theta -> theta * phi, into H1(G, A)
-    images = {}
-    for oi, orbit in enumerate(orbits):
+    # translation map: theta -> theta * phi, into H1(G, A); the keys of
+    # h1.class_index are all of Z^1(G, A), so a product outside them is no
+    # cocycle
+    mul = a.table
+    images = []
+    for orbit in orbits:
         reps_img = set()
         for cj in orbit:
             theta = h1p_tw.representatives[cj]
-            prod = tuple(a.op(embed[theta[s]], phi[s]) for s in range(g.order))
-            if not is_cocycle(ses.mid, prod):
+            prod = tuple([mul[embed[t]][f] for t, f in zip(theta, phi)])
+            if prod not in h1.class_index:
                 raise NotExactInput("translated cocycle is invalid")
-            reps_img.add(h1.class_of(prod))
-        images[oi] = reps_img
+            reps_img.add(h1.class_index[prod])
+        images.append(reps_img)
 
-    well_defined = all(len(v) == 1 for v in images.values())
-    image_classes = {next(iter(v)) for v in images.values()} if well_defined else set()
+    well_defined = all(len(v) == 1 for v in images)
+    image_classes = {next(iter(v)) for v in images} if well_defined else set()
     injective = well_defined and len(image_classes) == len(orbits)
     surjective = well_defined and image_classes == fiber
     return {
@@ -1244,7 +1283,7 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
         if k.conj(sigma, x) not in sub:
             raise NotInner("sigma does not normalize the subgroup")
     g = g_group
-    gens = g.generating_set()
+    gens = g.word_tree[0]
     if len(gens) > 1:
         raise NotInner("inner twist needs a cyclic acting group")
     # the conjugation action: gen^e acts by conjugation with sigma^e

@@ -174,7 +174,7 @@ def config_diag4():
 SHIPPED = [("u3", config_u3), ("diag5", config_diag5), ("diag4", config_diag4)]
 
 
-def hilbert_kahler_model(h_ext, n):
+def hilbert_kahler_model(h_ext):
     """A dagger-invariant simplicial model on NS of the extension."""
     ns = neron_severi(h_ext)
     d = ns.rank

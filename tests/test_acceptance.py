@@ -7,7 +7,6 @@ in the criteria and comfortably met.
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -318,7 +317,7 @@ def test_criterion_8_hilbert_operator():
             if abs(h.lattice.det()) == 1:
                 assert report["discriminant_factors"] == (2 * (n - 1),)
                 assert report["discriminant_minus_id"]
-            km = hilbert_kahler_model(h_ext, n)
+            km = hilbert_kahler_model(h_ext)
             c = anti_invariant_class(km, klein)
             assert km.cone.contains_strictly(c)
             c_lat = km.to_lattice(c)

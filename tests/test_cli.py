@@ -594,7 +594,7 @@ def test_hk_torelli_and_kaut(tmp_path, capsys):
     from klein_lattice.hodge import hilbert_square_extension, neron_severi
     from klein_lattice.isometry import Isometry
     from klein_lattice.cones import cone_from_rays
-    from klein_lattice.hodge import KahlerModel, HodgeLattice
+    from klein_lattice.hodge import KahlerModel
 
     h = ser.hodge_from_json(HODGE6)
     sigma = ser.int_mat_from_json(SIGMA6)

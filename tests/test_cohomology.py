@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 from itertools import product as iproduct
 
 import pytest
@@ -204,6 +203,76 @@ def test_h1_with_nontrivial_action():
     z4 = cyclic(4)
     gg2 = GGroup(z2, z4, (tuple(range(4)), (0, 3, 2, 1)))
     assert h1_finite(gg2).size == 2
+
+
+def _enumeration_cases():
+    """G-groups with one and two generators of G: trivial actions on the
+    carriers of the sequence corpus, inversion and conjugation actions, and
+    the twisted G-groups on the subgroups that twist_fiber_check builds."""
+    z2, z4, v4 = cyclic(2), cyclic(4), klein_four()
+    carriers = {}
+    for _, ses in ses_corpus(z2):
+        for gg in (ses.sub, ses.mid, ses.quot):
+            carriers.setdefault(gg.carrier.table, gg.carrier)
+    out = [
+        (f"{gname} on {len(table)}: trivial", trivial_action(g, carrier))
+        for gname, g in [*ACTING_GROUPS, ("Z4", z4)]
+        for table, carrier in carriers.items()
+    ]
+    out += [(f"Z2 on {c.order}: inversion", _inversion(c)) for c in (z4, v4, cyclic(6))]
+    d4, q8 = dihedral(4), quaternion8()
+    out += [
+        ("Z2 on S3: a transposition", conjugation_action(z2, symmetric(3), (0, 1))),
+        ("Z2 on Q8: i", conjugation_action(z2, q8, (0, 2))),
+        ("Z4 on Q8: i", conjugation_action(z4, q8, (0, 2, 1, 3))),
+        # (a, b) -> r^(2a) s^b in D4, indices k + 4e for r^k s^e
+        ("V4 on D4: r^2 and s", conjugation_action(v4, d4, (0, 4, 2, 6))),
+    ]
+    for gname, g in ACTING_GROUPS:
+        sequences = ses_corpus(g) + (nontrivial_action_sequences() if gname == "Z2" else [])
+        for name, ses in sequences:
+            for phi in h1_finite(ses.mid).representatives:
+                twisted, _ = twist_subgroup(ses.mid, ses.inclusion, phi)
+                out.append((f"{gname}:{name} twisted by {phi}", twisted))
+    return out
+
+
+def test_enumerate_cocycles_matches_brute_force():
+    cases = _enumeration_cases()
+    assert {len(gg.group.word_tree[0]) for _, gg in cases} == {1, 2}
+    for name, gg in cases:
+        found = enumerate_cocycles(gg)
+        assert len(found) == len(set(found)), name
+        every = iproduct(range(gg.carrier.order), repeat=gg.group.order)
+        assert set(found) == {v for v in every if is_cocycle(gg, v)}, name
+
+
+def test_is_cocycle_matches_the_definition():
+    g, a = klein_four(), dihedral(4)
+    gg = conjugation_action(g, a, (0, 4, 2, 6))
+    for v in iproduct(range(a.order), repeat=g.order):
+        expected = all(
+            v[g.op(s, t)] == a.op(v[s], gg.act(s, v[t])) for s in range(4) for t in range(4)
+        )
+        assert is_cocycle(gg, v) == expected, v
+
+
+def test_ggroup_rejects_an_invalid_action():
+    z2, z3 = cyclic(2), cyclic(3)
+    ident, inversion = (0, 1, 2), (0, 2, 1)
+    cases = [
+        ((z2, z3, (ident,)), "need one automorphism per group element"),
+        ((z2, z3, (ident, (0, 1, 1))), "action value is not a bijection"),
+        # x -> x + 1 is a bijection of Z/3 but moves 0
+        ((z2, z3, (ident, (1, 2, 0))), "action value is not an automorphism"),
+        # the generator of Z/3 cannot act by inversion, of order 2
+        ((z3, z3, (ident, inversion, inversion)), "action is not a homomorphism"),
+        # the identity of G must act as the identity
+        ((z2, z3, (inversion, inversion)), "action is not a homomorphism"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            GGroup(*args)
 
 
 def test_h1_abelian_examples():
@@ -561,8 +630,6 @@ def test_lemma_style_hom_count_consistency():
 def _isomorphic(g1, g2):
     if g1.order != g2.order:
         return False
-    import itertools
-
     orders1 = sorted(g1.element_order(x) for x in range(g1.order))
     orders2 = sorted(g2.element_order(x) for x in range(g2.order))
     if orders1 != orders2:

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from klein_lattice import cones, frozen
 from klein_lattice import intlinalg as la

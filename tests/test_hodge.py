@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from klein_lattice import intlinalg as la
@@ -310,7 +308,7 @@ def test_hilbert_extension_rejects_bad_sigma():
 def test_anti_invariant_class_on_models(name, maker):
     h, sigma = maker()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     c = anti_invariant_class(km, klein)
     assert km.cone.contains_strictly(c)
     r = km.restrict_matrix(klein.dagger_matrix())
@@ -340,7 +338,7 @@ def test_anti_invariant_class_quadrant_swap():
 def test_anti_invariant_identity_dagger():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     ident = KleinIsometry(Isometry(h_ext.lattice, la.identity_matrix(7)), 1)
     c = anti_invariant_class(km, ident)
     assert km.cone.contains_strictly(c)
@@ -352,7 +350,7 @@ def test_anti_invariant_identity_dagger():
 def test_torelli_on_hilbert_operator():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     spec = MonodromySpec("discriminant", signs=(-1,))
     out = torelli_anti_check(klein.matrix, h_ext, h_ext, km, km, spec)
     assert out["verdict"] is True
@@ -364,7 +362,7 @@ def test_torelli_on_hilbert_operator():
 def test_torelli_identity_fails_condition_3():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     out = torelli_anti_check(
         la.identity_matrix(7), h_ext, h_ext, km, km, MonodromySpec("full_orthogonal_plus")
     )
@@ -374,7 +372,7 @@ def test_torelli_identity_fails_condition_3():
 def test_kaut_criterion_branches():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     spec = MonodromySpec("discriminant", signs=(-1,))
     v = kaut_star_criterion(klein.matrix, h_ext, km, spec)
     assert v.kind == "KleinRealizable" and v.sign == -1
@@ -389,7 +387,7 @@ def test_kaut_criterion_branches():
 def test_kaut_criterion_hodge_k_to_minus_k():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     swap = ((0, 1), (1, 0))
     mh = tuple(
         tuple(
@@ -413,7 +411,7 @@ def test_kaut_criterion_hodge_k_to_minus_k():
 def test_kaut_criterion_undecided_on_bounded_mon():
     h, sigma = config_u3()
     h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
-    km = hilbert_kahler_model(h_ext, 2)
+    km = hilbert_kahler_model(h_ext)
     trivial = MonodromySpec("generators", generators=(), word_bound=1)
     v = kaut_star_criterion(klein.matrix, h_ext, km, trivial)
     assert v.kind == "NotRealizable"

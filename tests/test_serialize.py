@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from klein_lattice import serialize as ser
-from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
+from klein_lattice.cones import cone_from_rays
 from klein_lattice.errors import DimensionMismatch, InvalidInput, ParseError
 from klein_lattice.hodge import HodgeLattice, KahlerModel, MonodromySpec
 from klein_lattice.isometry import GeneratedGroup, Isometry, KleinIsometry

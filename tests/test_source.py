@@ -30,11 +30,18 @@ def test_unused_imports_detects_a_dead_name():
     assert unused_imports(source) == [(2, "Fraction")]
 
 
-def test_library_modules_import_no_unused_names():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert modules
-    found = {p.name: unused_imports(p.read_text()) for p in modules}
+def assert_no_unused_imports(directory):
+    found = {p.name: unused_imports(p.read_text()) for p in sorted(directory.glob("*.py"))}
+    assert found
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def test_library_modules_import_no_unused_names():
+    assert_no_unused_imports(PACKAGE)
+
+
+def test_test_modules_import_no_unused_names():
+    assert_no_unused_imports(Path(__file__).parent)
 
 
 def imported_modules(source):
