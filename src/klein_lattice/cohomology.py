@@ -1067,30 +1067,6 @@ def h1_abelian(agg):
     return factors, reps
 
 
-def cocycles_equivalent_abelian(agg, phi, psi):
-    """Integer witness a with (g.a - a) = psi(g) - phi(g) in the module, or None."""
-    g, m = agg.group, agg.module
-    n = m.dim
-    rel_cols = m.relation_columns()
-    rows = []
-    rhs = []
-    aug_width = len(rel_cols) * g.order
-    for s in range(g.order):
-        mat = agg.action[s]
-        delta = m.normalize(tuple(p - q for p, q in zip(psi[s], phi[s])))
-        for i in range(n):
-            row = [mat[i][j] - (1 if i == j else 0) for j in range(n)]
-            ext = [0] * aug_width
-            for ci, col in enumerate(rel_cols):
-                ext[s * len(rel_cols) + ci] = col[i]
-            rows.append(tuple(row + ext))
-            rhs.append(delta[i])
-    sol = la.solve_int(tuple(rows), tuple(rhs))
-    if sol is None:
-        return None
-    return tuple(sol[:n])
-
-
 def h1_abelian_elements(agg):
     """All classes of H^1(G, M) as explicit cocycles (one per class)."""
     factors, _, elements, _ = _h1_smith(agg)

@@ -375,28 +375,41 @@ class DomainCertificate(Frozen):
     """A materialized Dirichlet domain plus the data needed to re-verify it.
 
     The domain is the polyhedral part; the actual fundamental domain is its
-    intersection with the rational closure C+.  full_cone marks the trivial
-    case D = C+ (no halfspaces).  Orbit elements are retained so that the
-    reduction procedure and membership tests are reproducible.
+    intersection with the rational closure C+.  Its facets, the full-cone
+    flag (D = C+, no facets) and whether its rays lie in C+ are read off
+    the domain.  Orbit elements are retained so that the reduction
+    procedure and membership tests are reproducible.
     """
 
     positive_cone: PositiveCone
     group: object
     xi: tuple
     word_bound: int
-    halfspaces: tuple
     domain: PolyhedralCone
-    full_cone: bool
     stabilization_depth: int
     orbit_elements: tuple  # (matrix, word) pairs, identity excluded
-    rays_in_closure: bool
     covering_evidence: dict = None
     disjointness_evidence: dict = None
 
+    @property
+    def halfspaces(self):
+        return self.domain.halfspaces
+
+    @property
+    def full_cone(self):
+        return not (self.domain.halfspaces or self.domain.equalities)
+
+    @property
+    def rays_in_closure(self):
+        """True when the domain is pointed with every ray in C+, or is the
+        full cone, whose fundamental domain is C+ itself."""
+        pos = self.positive_cone
+        return self.full_cone or not self.domain.lines and all(
+            rational_closure_member(pos, r) for r in self.domain.rays
+        )
+
     def domain_contains(self, x):
-        if not rational_closure_member(self.positive_cone, x):
-            return False
-        return all(la.dot(h, x) >= 0 for h in self.halfspaces)
+        return rational_closure_member(self.positive_cone, x) and self.domain.contains(x)
 
     @cached_property
     def moves(self):
@@ -407,15 +420,6 @@ class DomainCertificate(Frozen):
             moves.append(g.matrix)
             moves.append(la.unimodular_inverse(g.matrix))
         return list(dict.fromkeys(moves))
-
-    def with_evidence(self, covering=None, disjointness=None):
-        return replace(
-            self,
-            covering_evidence=covering if covering is not None else self.covering_evidence,
-            disjointness_evidence=disjointness
-            if disjointness is not None
-            else self.disjointness_evidence,
-        )
 
 
 def dirichlet_domain(gamma, pos, xi, word_bound=None):
@@ -473,9 +477,8 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         if new:
             depth_halfspaces.append(tuple(new))
     if not orbit_elements:
-        full = cone_from_halfspaces(n, ())
         return DomainCertificate(
-            pos, gamma, xiv, word_bound, (), full, True, 0, (), True
+            pos, gamma, xiv, word_bound, cone_from_halfspaces(n, ()), 0, ()
         )
     facets, facet_sets = (), []
     for new in depth_halfspaces:
@@ -491,21 +494,8 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         # rays beside lines depend on the order of insertion: take them from
         # all halfspaces in orbit order, not from the depth-by-depth walk
         cone = cone_from_halfspaces(n, sum(depth_halfspaces, ()))
-    rays_ok = all(
-        pos.q(r) >= 0 and pos.pairing(r, pos.component_base) > 0
-        for r in cone.rays
-    ) and not cone.lines
     return DomainCertificate(
-        pos,
-        gamma,
-        xiv,
-        word_bound,
-        cone.halfspaces,
-        cone,
-        False,
-        stabilization_depth,
-        tuple(orbit_elements),
-        rays_ok,
+        pos, gamma, xiv, word_bound, cone, stabilization_depth, tuple(orbit_elements)
     )
 
 
@@ -523,7 +513,7 @@ def reduce_into_domain(cert, x, max_steps=1000):
     current = tuple(Fraction(c) for c in x)
     word_matrix = la.identity_matrix(n)
     for step in range(max_steps):
-        if all(la.dot(h, current) >= 0 for h in cert.halfspaces):
+        if cert.domain.contains(current):
             return current, word_matrix, step
         val = pos.pairing(xiv, current)
         best = None
@@ -721,4 +711,6 @@ def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
         "status": "pass",
     }
     report = {"covering": covering, "disjointness": disjointness}
-    return report, cert.with_evidence(covering=covering, disjointness=disjointness)
+    return report, replace(
+        cert, covering_evidence=covering, disjointness_evidence=disjointness
+    )

@@ -40,6 +40,7 @@ from .lattice import (
     direct_sum,
     discriminant_acts_as,
     discriminant_group,
+    integer_rows,
     orthogonal_complement,
     signature,
 )
@@ -273,7 +274,7 @@ class KahlerModel(Frozen):
     lattice: IntegerLattice
 
     def __post_init__(self):
-        emb = tuple(tuple(int(c) for c in row) for row in self.embedding)
+        emb = integer_rows(self.embedding, "embedding")
         object.__setattr__(self, "embedding", emb)
         d = len(emb)
         if any(len(row) != self.lattice.rank for row in emb):

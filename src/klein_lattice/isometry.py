@@ -21,7 +21,7 @@ from .errors import (
     NotPrimitive,
 )
 from .frozen import Frozen
-from .lattice import IntegerLattice, signature
+from .lattice import IntegerLattice, integer_rows, signature
 
 
 class Isometry(Frozen):
@@ -29,7 +29,7 @@ class Isometry(Frozen):
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = integer_rows(self.matrix, "isometry matrix")
         object.__setattr__(self, "matrix", m)
         if not is_isometry(self.lattice, m):
             raise InvalidInput("matrix is not an isometry of the lattice")
@@ -421,7 +421,8 @@ class GeneratedGroup(Frozen):
     Generators may be Isometry or KleinIsometry; Klein generators act through
     their dagger matrices, and the sign tag is carried along multiplicatively.
     full_orthogonal_plus declares the group to be all isometries preserving
-    the selected component, which makes membership decidable.
+    the selected component, which makes membership decidable; it needs
+    component_base, a vector with q > 0 in that component.
     """
 
     lattice: IntegerLattice
@@ -436,6 +437,13 @@ class GeneratedGroup(Frozen):
         for g in self.generators:
             if g.lattice.gram != self.lattice.gram:
                 raise DimensionMismatch("generator on a different lattice")
+        base = self.component_base
+        if base is None and self.full_orthogonal_plus:
+            raise InvalidInput("full_orthogonal_plus needs a component base")
+        if base is not None and len(base) != self.lattice.rank:
+            raise DimensionMismatch("component base length != lattice rank")
+        if base is not None and self.lattice.q(base) <= 0:
+            raise NonPositiveVector("component base must have q > 0")
 
     def generator_elements(self):
         out = []
@@ -513,9 +521,7 @@ def group_membership(gamma, matrix, tester=None):
         return "out"
     if gamma.full_orthogonal_plus:
         base = gamma.component_base
-        if base is None:
-            raise InvalidInput("full_orthogonal_plus needs a component base")
-        return "in" if _pairs_positively(lat, matrix, base) else "out"
+        return "in" if lat.pairing(la.mat_vec(matrix, base), base) > 0 else "out"
     if tester is not None:
         return tester(matrix)
     if not gamma.generators:
@@ -538,11 +544,6 @@ def group_membership(gamma, matrix, tester=None):
     if any(not keep(matrix) and all(map(keep, gens)) for keep in keeps):
         return "out"
     return "unknown"
-
-
-def _pairs_positively(lat, matrix, base):
-    img = la.mat_vec(matrix, base)
-    return lat.pairing(img, base) > 0
 
 
 class StabilizerResult(Frozen):

@@ -12,13 +12,28 @@ from .errors import DegenerateLattice, DimensionMismatch, InvalidInput
 from .frozen import Frozen
 
 
+def integer_rows(rows, what):
+    """rows as a tuple of int tuples.  Integral Fractions convert; any other
+    entry is InvalidInput rather than truncated."""
+    out = []
+    for row in rows:
+        try:
+            ints = tuple(map(int, row))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"{what} entries must be integers") from exc
+        if ints != tuple(row):
+            raise InvalidInput(f"{what} entries must be integers")
+        out.append(ints)
+    return tuple(out)
+
+
 class IntegerLattice(Frozen):
     """Finite-rank free abelian group with an integer symmetric bilinear form."""
 
     gram: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = integer_rows(self.gram, "gram matrix")
         object.__setattr__(self, "gram", g)
         n = len(g)
         for row in g:
@@ -68,7 +83,7 @@ class Sublattice(Frozen):
     basis: tuple
 
     def __post_init__(self):
-        b = tuple(tuple(int(x) for x in row) for row in self.basis)
+        b = integer_rows(self.basis, "sublattice basis")
         object.__setattr__(self, "basis", b)
         n = self.ambient.rank
         for row in b:

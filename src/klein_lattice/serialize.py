@@ -6,6 +6,7 @@ strings.  Floating point never appears.
 
 from fractions import Fraction
 
+from . import intlinalg as la
 from .errors import DimensionMismatch, EmptyInput, InvalidInput, ParseError
 from .lattice import IntegerLattice, Sublattice, builtin
 
@@ -231,7 +232,7 @@ def certificate_to_json(cert):
         "group": generated_group_to_json(cert.group),
         "xi": vec_to_json(cert.xi),
         "word_bound": cert.word_bound,
-        "halfspaces": mat_to_json(cert.halfspaces),
+        "halfspaces": mat_to_json(cert.domain.halfspaces),
         "domain": cone_to_json(cert.domain),
         "full_cone": cert.full_cone,
         "stabilization_depth": cert.stabilization_depth,
@@ -245,8 +246,10 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(obj):
+    """A domain certificate with one source per fact: the halfspaces and both
+    flags must be the domain's, and each orbit matrix the element that its
+    word names.  Data of the wrong rank is a DimensionMismatch first."""
     from .cones import DomainCertificate
-    from .isometry import is_isometry
 
     def need(key):
         return required(obj, key, "certificate")
@@ -257,7 +260,7 @@ def certificate_from_json(obj):
     xi = vec_from_json(need("xi"))
     halfspaces = int_mat_from_json(need("halfspaces"))
     orbit = tuple(
-        (int_mat_from_json(required(e, "matrix", "orbit element")), e.get("word", "?"))
+        (int_mat_from_json(required(e, "matrix", "orbit element")), e.get("word"))
         for e in list_from_json(obj.get("orbit_elements", []), "orbit_elements")
     )
     n = pos.dim
@@ -269,22 +272,33 @@ def certificate_from_json(obj):
         or any(len(v) != n for v in rows)
     ):
         raise DimensionMismatch("certificate data does not match the lattice rank")
-    if not all(is_isometry(group.lattice, m) for m, _ in orbit):
-        raise InvalidInput("an orbit element is not an isometry of the lattice")
-    return DomainCertificate(
+    if pos.lattice.gram != group.lattice.gram:
+        raise InvalidInput("positive cone and group live on different lattices")
+    word_bound = int_from_json(need("word_bound"))
+    # the BFS goes as deep as the longest word, which is at most the bound
+    depth = max((w.count("*") + 1 for _, w in orbit if isinstance(w, str)), default=0)
+    layers = group.layers(min(depth, word_bound))[1:]
+    named = {el.word: el.matrix for layer in layers for el in layer}
+    if any(not isinstance(w, str) or named.get(w) != m for m, w in orbit):
+        raise InvalidInput("an orbit matrix is not the element that its word names")
+    cert = DomainCertificate(
         positive_cone=pos,
         group=group,
         xi=xi,
-        word_bound=int_from_json(need("word_bound")),
-        halfspaces=halfspaces,
+        word_bound=word_bound,
         domain=domain,
-        full_cone=bool(need("full_cone")),
         stabilization_depth=int_from_json(need("stabilization_depth")),
         orbit_elements=orbit,
-        rays_in_closure=bool(obj.get("rays_in_closure", True)),
         covering_evidence=obj.get("covering_evidence"),
         disjointness_evidence=obj.get("disjointness_evidence"),
     )
+    if (
+        {la.primitive_vector(h) for h in halfspaces} != set(domain.halfspaces)
+        or need("full_cone") is not cert.full_cone
+        or obj.get("rays_in_closure", cert.rays_in_closure) is not cert.rays_in_closure
+    ):
+        raise InvalidInput("certificate halfspaces or flags disagree with its domain")
+    return cert
 
 
 # --- hodge ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Data shared by several test modules: the short exact sequence corpus and
-shipped Klein groups of the cohomology tests, the shipped Hodge
+shipped Klein groups of the cohomology tests, the abelian equivalence
+solver that is the reference of the split filtration driver, the shipped Hodge
 configurations, the signature oracle and random Gram matrices of the lattice
 tests, and the JSON documents of the CLI tests.
 
@@ -9,6 +10,7 @@ directory on the path, so it imports under either pytest import mode.
 
 from fractions import Fraction
 
+from klein_lattice import intlinalg as la
 from klein_lattice.cohomology import (
     KleinGroupData,
     ShortExactSequence,
@@ -26,6 +28,30 @@ from klein_lattice.lattice import IntegerLattice, U, direct_sum
 
 
 # --- cohomology --------------------------------------------------------------
+
+
+def cocycles_equivalent_abelian(agg, phi, psi):
+    """Integer witness a with (g.a - a) = psi(g) - phi(g) in the module, or None."""
+    g, m = agg.group, agg.module
+    n = m.dim
+    rel_cols = m.relation_columns()
+    rows = []
+    rhs = []
+    aug_width = len(rel_cols) * g.order
+    for s in range(g.order):
+        mat = agg.action[s]
+        delta = m.normalize(tuple(p - q for p, q in zip(psi[s], phi[s])))
+        for i in range(n):
+            row = [mat[i][j] - (1 if i == j else 0) for j in range(n)]
+            ext = [0] * aug_width
+            for ci, col in enumerate(rel_cols):
+                ext[s * len(rel_cols) + ci] = col[i]
+            rows.append(tuple(row + ext))
+            rhs.append(delta[i])
+    sol = la.solve_int(tuple(rows), tuple(rhs))
+    if sol is None:
+        return None
+    return tuple(sol[:n])
 
 
 def s3_sign_sequence():
@@ -228,6 +254,26 @@ def rand_sym(rng, n, bound=5):
 
 
 # --- CLI documents ----------------------------------------------------------
+
+
+def forged_certificates(cert):
+    """The JSON certificate cert of a Pell domain on diag(2, -4), each time
+    with one fact whose second copy is broken: no halfspaces beside the
+    domain, an orbit matrix of determinant -1 beside the word g0, and a
+    positive cone on another lattice than the group's."""
+    return {
+        "no-halfspaces": {**cert, "halfspaces": []},
+        "orbit-matrix-not-its-word": {
+            **cert,
+            "orbit_elements": [{"matrix": [[3, -4], [2, -3]], "word": "g0"}]
+            + cert["orbit_elements"],
+        },
+        "positive-cone-on-another-lattice": {
+            **cert,
+            "positive_cone": {"lattice": {"gram": [[1, 0], [0, -1]]}, "component_base": [1, 0]},
+        },
+    }
+
 
 HODGE4 = {
     "lattice": {"gram": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]]},

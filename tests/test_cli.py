@@ -9,7 +9,7 @@ import pytest
 from klein_lattice import serialize as ser
 from klein_lattice.cli import COMMANDS, main
 
-from cases import HODGE4, HODGE6, KAHLER4, SIGMA6
+from cases import HODGE4, HODGE6, KAHLER4, SIGMA6, forged_certificates
 
 
 def run_cli(args, capsys):
@@ -468,6 +468,27 @@ def test_full_cone_certificate_of_an_infinite_group_exits_2(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 2
     assert rep["error"]["type"] == "DisjointnessFailure"
+
+
+# the commands that read a certificate, less the certificate itself
+CERTIFICATE_COMMANDS = {
+    "cone-verify": ["cone", "verify", "--samples", "5", "--cert"],
+    "isom-stabilizer": ["isom", "stabilizer", "--group", PELL_GROUP, "--point", "3,1", "--cert"],
+    "hk-classify-subgroups": ["hk", "classify-subgroups", "--gamma", PELL_GROUP, "--domain"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFICATE_COMMANDS))
+def test_forged_certificates_exit_1(command, capsys):
+    # a reader that trusted the copied facts would let these commands
+    # answer, and cone verify would call the lattice mix-up a
+    # CoverageFailure (exit 2) rather than an input error
+    argv = CERTIFICATE_COMMANDS[command]
+    assert main(argv + [pell_cert()]) == 0
+    for forged in forged_certificates(json.loads(pell_cert())).values():
+        capsys.readouterr()
+        assert main(argv + [json.dumps(forged)]) == 1
+        assert capsys.readouterr().err.startswith("error: InvalidInput: ")
 
 
 def test_cone_domain_exit_2_on_nontrivial_stabilizer(tmp_path, capsys):

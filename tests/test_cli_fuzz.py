@@ -19,7 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from klein_lattice import serialize as ser
 from klein_lattice.cli import main
-from klein_lattice.cones import PositiveCone, cone_from_rays, dirichlet_domain
+from klein_lattice.cones import (
+    DomainCertificate,
+    PositiveCone,
+    cone_from_halfspaces,
+    cone_from_rays,
+    dirichlet_domain,
+)
 from klein_lattice.errors import KleinLatticeError
 from klein_lattice.hodge import KahlerModel, hilbert_square_extension, neron_severi
 from klein_lattice.isometry import Isometry
@@ -117,6 +123,16 @@ def pell_certificate():
     return ser.certificate_to_json(dirichlet_domain(gamma, pos, (1, 0), word_bound=8))
 
 
+@cache
+def full_cone_certificate():
+    """C+ itself as the domain of the Pell group: it reads, and verification
+    refuses it."""
+    gamma = ser.generated_group_from_json(PELL_GROUP)
+    pos = PositiveCone(gamma.lattice, (1, 0))
+    full = cone_from_halfspaces(2, ())
+    return ser.certificate_to_json(DomainCertificate(pos, gamma, (1, 0), 0, full, 0, ()))
+
+
 def valid_documents(option):
     if option == "--in":
         return [{"gram": [[2, 0], [0, -4]]}, {"name": "U"}]
@@ -149,7 +165,7 @@ def valid_documents(option):
     if option == "--mon":
         return [MON, {"kind": "full_orthogonal_plus"},
                 {"kind": "generators", "generators": [], "word_bound": 2}]
-    return [pell_certificate()]
+    return [pell_certificate(), full_cone_certificate()]
 
 
 KEYS = st.sampled_from(
@@ -307,7 +323,7 @@ def readers():
         "generated_group_from_json": (ser.generated_group_from_json, [PELL_GROUP]),
         "cone_from_json": (ser.cone_from_json, valid_documents("--pi1")),
         "positive_cone_from_json": (ser.positive_cone_from_json, [PELL_POS]),
-        "certificate_from_json": (ser.certificate_from_json, [pell_certificate()]),
+        "certificate_from_json": (ser.certificate_from_json, valid_documents("--cert")),
         "hodge_from_json": (ser.hodge_from_json, [HODGE6]),
         "monodromy_spec_from_json": (ser.monodromy_spec_from_json, valid_documents("--mon")),
         "kahler_model_from_json": (ser.kahler_model_from_json, [KAHLER4]),
@@ -345,6 +361,8 @@ def reader_cases(draw):
 @given(case=reader_cases())
 @example(case=("kahler_model_from_json", {**KAHLER4, "embedding": [[1]]}))
 @example(case=("kahler_model_from_json", {**KAHLER4, "embedding": [[0, 0, 1, 0, 7]]}))
+@example(case=("certificate_from_json", {**full_cone_certificate(), "full_cone": False}))
+@example(case=("certificate_from_json", {**full_cone_certificate(), "halfspaces": [[1, 0]]}))
 def test_readers_raise_only_library_errors(case):
     name, doc = case
     read, _ = readers()[name]

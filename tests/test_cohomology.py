@@ -16,7 +16,6 @@ from klein_lattice.cohomology import (
     ShortExactSequence,
     SplitExtensionSpec,
     cocycles_equivalent,
-    cocycles_equivalent_abelian,
     conjugation_action,
     cyclic,
     dihedral,
@@ -51,7 +50,14 @@ from klein_lattice.errors import (
 from klein_lattice.isometry import GeneratedGroup, Isometry
 from klein_lattice.lattice import IntegerLattice
 
-from cases import ACTING_GROUPS, SHIPPED_KLEIN_GROUPS, make_ses, s3_sign_sequence, ses_corpus
+from cases import (
+    ACTING_GROUPS,
+    SHIPPED_KLEIN_GROUPS,
+    cocycles_equivalent_abelian,
+    make_ses,
+    s3_sign_sequence,
+    ses_corpus,
+)
 
 
 # --- group builders -------------------------------------------------------------

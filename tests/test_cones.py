@@ -161,6 +161,17 @@ def test_dirichlet_domain_pell(pell_cert):
     assert pell_cert.rays_in_closure
 
 
+def test_certificate_derives_its_facets_and_flags(pell_cert):
+    assert len(DomainCertificate._fields) == 9
+    for name in ("halfspaces", "full_cone", "rays_in_closure"):
+        assert name not in DomainCertificate._fields
+        assert isinstance(vars(DomainCertificate)[name], property)
+    assert pell_cert.halfspaces is pell_cert.domain.halfspaces
+    # a domain with a line is not pointed, so its rays do not span it inside C+
+    half_plane = frozen.replace(pell_cert, domain=cone_from_halfspaces(2, ((1, 2),)))
+    assert not half_plane.full_cone and not half_plane.rays_in_closure
+
+
 def test_dirichlet_domain_trivial_group(pell_lattice, pell_cone):
     gamma = GeneratedGroup(pell_lattice, (), word_bound=4, component_base=(1, 0))
     cert = dirichlet_domain(gamma, pell_cone, (1, 0))
@@ -340,8 +351,8 @@ def test_dirichlet_domain_checks_its_input(pell_lattice, pell_group, pell_cone):
 def test_full_cone_certificate_of_an_infinite_group_fails(pell_group, pell_cone):
     # C+ itself, offered as the domain of the infinite Pell group
     full = DomainCertificate(
-        pell_cone, pell_group, (Fraction(1), Fraction(0)), 0, (),
-        cone_from_halfspaces(2, ()), True, 0, (), True,
+        pell_cone, pell_group, (Fraction(1), Fraction(0)), 0,
+        cone_from_halfspaces(2, ()), 0, (),
     )
     back = ser.certificate_from_json(ser.certificate_to_json(full))
     assert back.full_cone
@@ -382,7 +393,8 @@ def test_verify_needs_samples_and_words(pell_cert, samples, word_len):
 
 
 def test_verify_shrunken_domain_fails_coverage(pell_cert):
-    bad = frozen.replace(pell_cert, halfspaces=pell_cert.halfspaces + ((1, -40),))
+    shrunken = cone_from_halfspaces(2, pell_cert.halfspaces + ((1, -40),))
+    bad = frozen.replace(pell_cert, domain=shrunken)
     with pytest.raises(CoverageFailure):
         verify_fundamental_domain(bad, samples=50, seed=5, disjoint_word_len=2)
 
@@ -390,9 +402,7 @@ def test_verify_shrunken_domain_fails_coverage(pell_cert):
 def test_verify_enlarged_domain_fails_disjointness(pell_cert, pell_cone, pell_group):
     # half-plane containing the domain and overlapping its translates
     bad_cone = cone_from_rays(2, ((1, 2), (2, -1)))
-    bad = frozen.replace(
-        pell_cert, halfspaces=bad_cone.halfspaces, domain=bad_cone
-    )
+    bad = frozen.replace(pell_cert, domain=bad_cone)
     with pytest.raises(DisjointnessFailure):
         verify_fundamental_domain(bad, samples=5, seed=5, disjoint_word_len=4)
 

@@ -105,7 +105,9 @@ def samples():
         ],
         PolyhedralCone: [cone_from_rays(2, ((2, -1), (2, 1))), cert.domain],
         PositiveCone: [pos, PositiveCone(IntegerLattice(((2, 0), (0, -6))), (1, 0))],
-        DomainCertificate: [cert, cert.with_evidence(covering={"status": "pass", "seed": 1})],
+        DomainCertificate: [
+            cert, frozen.replace(cert, covering_evidence={"status": "pass", "seed": 1})
+        ],
         FiniteGroup: [cyclic(2), symmetric(3)],
         GGroup: ggs,
         H1Set: [h1_finite(gg) for gg in ggs],

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from klein_lattice import intlinalg as la
@@ -342,6 +344,14 @@ def test_anti_invariant_identity_dagger():
     ident = KleinIsometry(Isometry(h_ext.lattice, la.identity_matrix(7)), 1)
     c = anti_invariant_class(km, ident)
     assert km.cone.contains_strictly(c)
+
+
+def test_kahler_embedding_entries_must_be_integers():
+    # truncated, this would be the identity embedding
+    square = cone_from_rays(2, ((1, 0), (0, 1)))
+    with pytest.raises(InvalidInput):
+        KahlerModel(square, ((Fraction(3, 2), 0), (0, 1)), U())
+    assert KahlerModel(square, ((Fraction(2, 2), 0), (0, 1)), U()).embedding == ((1, 0), (0, 1))
 
 
 # --- torelli and the kaut criterion ------------------------------------------------------------

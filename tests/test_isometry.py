@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klein_lattice import intlinalg as la
-from klein_lattice.errors import NotDefinite, NotHyperbolic, NotPrimitive
+from klein_lattice import serialize as ser
+from klein_lattice.errors import (
+    DimensionMismatch,
+    InvalidInput,
+    NonPositiveVector,
+    NotDefinite,
+    NotHyperbolic,
+    NotPrimitive,
+)
 from klein_lattice.isometry import (
     GeneratedGroup,
     Isometry,
@@ -346,6 +355,39 @@ def test_dagger_composition_law(m1, s1, m2, s2):
     assert fg.dagger_matrix() == la.mat_mul(g.dagger_matrix(), f.dagger_matrix())
     inv = klein_inverse(f)
     assert la.mat_mul(inv.dagger_matrix(), f.dagger_matrix()) == la.identity_matrix(2)
+
+
+def test_isometry_entries_must_be_integers(pell_lattice):
+    # truncated, this would be the identity
+    with pytest.raises(InvalidInput):
+        Isometry(pell_lattice, ((Fraction(3, 2), 0), (0, 1)))
+    assert Isometry(pell_lattice, ((Fraction(6, 2), 4), (2, 3))).matrix == ((3, 4), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        ({"full_orthogonal_plus": True}, InvalidInput),
+        ({"component_base": (1, 0, 0)}, DimensionMismatch),
+        ({"component_base": (0, 1)}, NonPositiveVector),
+        ({"component_base": (0, 0)}, NonPositiveVector),
+    ],
+    ids=["O-plus-without-base", "base-of-wrong-rank", "base-with-q-negative", "zero-base"],
+)
+def test_generated_group_checks_its_component_base(pell_lattice, options, error):
+    # with the base (0, 1), q < 0, group_membership would call PELL out
+    # and -PELL in; without a base, O+ would fail at the first membership
+    # call instead of where the group is built
+    gens = (Isometry(pell_lattice, ((3, 4), (2, 3))),)
+    with pytest.raises(error):
+        GeneratedGroup(pell_lattice, gens, **options)
+    doc = {"lattice": {"gram": [[2, 0], [0, -4]]}, "generators": [{"matrix": [[3, 4], [2, 3]]}]}
+    for key, value in options.items():
+        doc[key] = list(value) if key == "component_base" else value
+    with pytest.raises(error):
+        ser.generated_group_from_json(doc)
+    # the other component's vectors are bases too
+    GeneratedGroup(pell_lattice, gens, full_orthogonal_plus=True, component_base=(-1, 0))
 
 
 # --- stabilizers ----------------------------------------------------------------

@@ -257,6 +257,21 @@ def test_builtins():
         builtin("nope")
 
 
+def test_gram_entries_must_be_integers():
+    # truncated, this would be diag(2, 1)
+    with pytest.raises(InvalidInput):
+        IntegerLattice(((Fraction(5, 2), 0), (0, 1.9)))
+    lat = IntegerLattice(((Fraction(4, 2), 0), (0, -4)))
+    assert lat.gram == ((2, 0), (0, -4)) and type(lat.gram[0][0]) is int
+
+
+def test_sublattice_basis_entries_must_be_integers():
+    # truncated, this would be the basis ((1, 0),)
+    with pytest.raises(InvalidInput):
+        Sublattice(U(), ((Fraction(3, 2), 0),))
+    assert Sublattice(U(), ((Fraction(2, 1), 0),)).basis == ((2, 0),)
+
+
 def test_validation():
     with pytest.raises(InvalidInput):
         IntegerLattice(((0, 1), (2, 0)))  # not symmetric

@@ -3,11 +3,20 @@ from fractions import Fraction
 import pytest
 
 from klein_lattice import serialize as ser
-from klein_lattice.cones import cone_from_rays
+from klein_lattice.cones import (
+    DomainCertificate,
+    PositiveCone,
+    cone_from_halfspaces,
+    cone_from_rays,
+    dirichlet_domain,
+    find_trivial_stabilizer_point,
+)
 from klein_lattice.errors import DimensionMismatch, InvalidInput, ParseError
 from klein_lattice.hodge import HodgeLattice, KahlerModel, MonodromySpec
 from klein_lattice.isometry import GeneratedGroup, Isometry, KleinIsometry
 from klein_lattice.lattice import IntegerLattice, U
+
+from cases import forged_certificates
 
 
 def test_rationals():
@@ -95,6 +104,71 @@ def test_certificate_orbit_elements_must_be_isometries(pell_cert, matrix):
     obj["orbit_elements"] = obj["orbit_elements"][:2] + [{"matrix": matrix, "word": "g0"}]
     with pytest.raises(InvalidInput):
         ser.certificate_from_json(obj)
+
+
+@pytest.fixture(scope="module")
+def signflip_cert():
+    lat = IntegerLattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
+    flips = (((1, 0, 0), (0, -1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    gamma = GeneratedGroup(
+        lat, tuple(Isometry(lat, m) for m in flips), word_bound=6, component_base=(1, 0, 0)
+    )
+    pos = PositiveCone(lat, (1, 0, 0))
+    return dirichlet_domain(gamma, pos, find_trivial_stabilizer_point(gamma, pos))
+
+
+@pytest.fixture(scope="module")
+def full_cone_cert(pell_group, pell_cone):
+    # C+ itself, offered as the domain of the infinite Pell group
+    return DomainCertificate(pell_cone, pell_group, (1, 0), 0, cone_from_halfspaces(2, ()), 0, ())
+
+
+@pytest.mark.parametrize("name", ["pell_cert", "dihedral_cert", "signflip_cert", "full_cone_cert"])
+def test_certificate_json_roundtrip_is_exact(name, request):
+    obj = ser.certificate_to_json(request.getfixturevalue(name))
+    assert ser.certificate_to_json(ser.certificate_from_json(obj)) == obj
+    assert obj["full_cone"] is (name == "full_cone_cert")
+    # the sign-flip domain is cut by two walls in rank 3, so it holds a line
+    assert obj["rays_in_closure"] is (name != "signflip_cert")
+
+
+def test_forged_certificates_are_refused(pell_cert):
+    for forged in forged_certificates(ser.certificate_to_json(pell_cert)).values():
+        with pytest.raises(InvalidInput):
+            ser.certificate_from_json(forged)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("halfspaces", [[1, 2]]),
+        ("halfspaces", [[1, 2], [1, -2], [1, 0]]),
+        ("halfspaces", [[1, 2], [0, 0]]),
+        ("full_cone", True),
+        ("full_cone", 0),
+        ("rays_in_closure", False),
+        ("orbit_elements", [{"matrix": [[3, 4], [2, 3]]}]),
+        ("orbit_elements", [{"matrix": [[3, 4], [2, 3]], "word": ["g0"]}]),
+        ("orbit_elements", [{"matrix": [[3, 4], [2, 3]], "word": "g0*g0"}]),
+        ("orbit_elements", [{"matrix": [[1, 0], [0, 1]], "word": "e"}]),
+        ("word_bound", 0),
+    ],
+    ids=["a-facet-missing", "not-a-facet", "zero-halfspace", "full-cone-claimed",
+         "full-cone-not-a-boolean", "rays-in-closure-denied", "no-word", "word-not-a-string",
+         "word-of-another-element", "identity", "words-past-the-bound"],
+)
+def test_certificate_facts_that_disagree_are_refused(pell_cert, key, value):
+    obj = dict(ser.certificate_to_json(pell_cert), **{key: value})
+    with pytest.raises(InvalidInput):
+        ser.certificate_from_json(obj)
+
+
+def test_certificate_halfspaces_are_read_as_facets(pell_cert):
+    # order and scale are not facts about the domain
+    obj = dict(ser.certificate_to_json(pell_cert), halfspaces=[[2, 4], [1, -2]])
+    assert ser.certificate_from_json(obj).halfspaces == pell_cert.halfspaces
+    del obj["rays_in_closure"]
+    assert ser.certificate_from_json(obj).rays_in_closure
 
 
 def test_hodge_and_model_roundtrip():
