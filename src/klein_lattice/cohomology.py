@@ -6,7 +6,7 @@ finite subgroups, the filtration finiteness driver, and the real-structure
 classifier for finite Klein groups.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 from . import intlinalg as la
@@ -116,28 +116,29 @@ class FiniteGroup(Frozen):
         for row in t:
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise InvalidInput("malformed multiplication table")
-        ident = None
-        for e in range(n):
-            if all(t[e][x] == x and t[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        self._derive()
+        if self._identity is None:
             raise InvalidInput("no identity element")
-        object.__setattr__(self, "_identity", ident)
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if t[x][y] == ident and t[y][x] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise InvalidInput("missing inverse")
-        object.__setattr__(self, "_inv", tuple(inv))
+        if None in self._inv:
+            raise InvalidInput("missing inverse")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise InvalidInput("multiplication is not associative")
+
+    def _derive(self):
+        """Set _identity, the first two-sided identity, and _inv, the first
+        two-sided inverse of each element: None where there is none."""
+        t = self.table
+        n = len(t)
+        ident = next(
+            (e for e in range(n) if all(t[e][x] == x and t[x][e] == x for x in range(n))),
+            None,
+        )
+        inv = [next((y for y in range(n) if t[x][y] == ident == t[y][x]), None) for x in range(n)]
+        object.__setattr__(self, "_identity", ident)
+        object.__setattr__(self, "_inv", tuple(inv))
 
     @property
     def order(self):
@@ -210,10 +211,11 @@ class FiniteGroup(Frozen):
 
     @cached_property
     def word_tree(self):
-        """(gens, tree), computed once per group: gens is generating_set(),
-        and tree lists every element y but the identity once, in BFS order,
-        as (y, x, k) with y = x * gens[k] and x the identity or listed
-        earlier."""
+        """(gens, tree, off_tree), computed once per group: gens is
+        generating_set(), tree lists every element y but the identity once,
+        in BFS order, as (y, x, k) with y = x * gens[k] and x the identity or
+        listed earlier, and off_tree lists every other edge the same way, as
+        (x, k, y) in the order of x, then k."""
         gens = self.generating_set()
         seen = {self.identity}
         frontier = [self.identity]
@@ -229,14 +231,21 @@ class FiniteGroup(Frozen):
                         tree.append((y, x, k))
                         nxt.append(y)
             frontier = nxt
-        return tuple(gens), tuple(tree)
+        on_tree = {(x, k) for _, x, k in tree}
+        off_tree = [
+            (x, k, row[s])
+            for x, row in enumerate(self.table)
+            for k, s in enumerate(gens)
+            if (x, k) not in on_tree
+        ]
+        return tuple(gens), tuple(tree), tuple(off_tree)
 
     def subgroup_group(self, subset):
         """The subgroup as its own FiniteGroup plus the index embedding."""
         elems = tuple(sorted(subset))
         if not self.is_subgroup(elems):
             raise InvalidInput("subset is not a subgroup")
-        return group_from_rule(elems, self.op), elems
+        return _trusted(FiniteGroup, _rule_table(elems, self.op)), elems
 
     def quotient_group(self, normal_subset):
         """The quotient by a normal subgroup plus the projection map; cosets
@@ -252,15 +261,34 @@ class FiniteGroup(Frozen):
                     rep[y] = least
         minima = sorted(set(rep))
         pos = {m: i for i, m in enumerate(minima)}
-        quotient = group_from_rule(minima, lambda a, b: rep[self.op(a, b)])
+        quotient = _trusted(FiniteGroup, _rule_table(minima, lambda a, b: rep[self.op(a, b)]))
         return quotient, tuple(pos[m] for m in rep)
+
+
+def _rule_table(elements, mul):
+    """table[i][j]: the index of mul(elements[i], elements[j]) in the list."""
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
 
 
 def group_from_rule(elements, mul):
     """The FiniteGroup on the listed hashable elements, numbered in list
     order: table[i][j] is the index of mul(elements[i], elements[j])."""
-    index = {x: i for i, x in enumerate(elements)}
-    return FiniteGroup(tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
+    return FiniteGroup(_rule_table(elements, mul))
+
+
+def _trusted(cls, *fields):
+    """A FiniteGroup or GGroup on fields that the calling construction
+    guarantees valid, given in the form __post_init__ would normalise them
+    to (tuples of tuples).  Values from outside go through the validating
+    constructors; this skips their checks and computes only what derives
+    from the fields: a FiniteGroup's identity and inverses."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(obj, name, value)
+    if cls is FiniteGroup:
+        obj._derive()
+    return obj
 
 
 def permutation_group(gens, bound=None):
@@ -278,10 +306,15 @@ def permutation_group(gens, bound=None):
     return group_from_rule(sorted(elems), compose)
 
 
+# The named groups are built, and their tables checked, once per argument.
+
+
+@cache
 def cyclic(n):
     return group_from_rule(range(n), lambda a, b: (a + b) % n)
 
 
+@cache
 def dihedral(n):
     """Dihedral group of order 2n; index k + n*e encodes r^k s^e."""
 
@@ -294,6 +327,7 @@ def dihedral(n):
     return group_from_rule(range(2 * n), mul)
 
 
+@cache
 def symmetric(n):
     """S_n on the sorted permutations of 0..n-1, generated by the n-cycle
     and the transposition (0 1)."""
@@ -301,6 +335,7 @@ def symmetric(n):
     return permutation_group([ident[1:] + ident[:1], ident[1::-1] + ident[2:]])
 
 
+@cache
 def quaternion8():
     """Q8 with elements 1, -1, i, -i, j, -j, k, -k."""
     rules = {
@@ -330,6 +365,7 @@ def direct_product(g1, g2):
     return group_from_rule(pairs, lambda x, y: (g1.op(x[0], y[0]), g2.op(x[1], y[1])))
 
 
+@cache
 def klein_four():
     return direct_product(cyclic(2), cyclic(2))
 
@@ -372,7 +408,7 @@ class GGroup(Frozen):
 
 def trivial_action(group, carrier):
     ident = tuple(range(carrier.order))
-    return GGroup(group, carrier, tuple(ident for _ in range(group.order)))
+    return _trusted(GGroup, group, carrier, (ident,) * group.order)
 
 
 def conjugation_action(group, carrier, generator_images):
@@ -417,13 +453,13 @@ def cocycles_equivalent(gg, phi, psi):
 def enumerate_cocycles(gg):
     """All of Z^1, in iproduct order of the values on the generators.
 
-    With (gens, tree) = G.word_tree, each assignment phi(gens[k]) = a_k is
-    extended along the tree from phi(1) = 1 by phi(x * gens[k]) =
+    With (gens, tree, off_tree) = G.word_tree, each assignment phi(gens[k])
+    = a_k is extended along the tree from phi(1) = 1 by phi(x * gens[k]) =
     phi(x) * (x . a_k), and kept iff the cocycle identity holds on every
     edge: phi(x * s) = phi(x) * (x . phi(s)) for every x in G and every s in
-    gens.  The tree edges hold by construction, so only the others are
-    tested: k * |G| - (|G| - 1) checks for k generators, where is_cocycle
-    makes |G|^2.
+    gens.  The tree edges hold by construction, so only the off_tree ones
+    are tested: k * |G| - (|G| - 1) checks for k generators, where
+    is_cocycle makes |G|^2.
 
     The edge identity implies phi(x * t) = phi(x) * (x . phi(t)) for all x
     and t, by induction on the length of t as a word in gens.  For t = 1 it
@@ -436,20 +472,13 @@ def enumerate_cocycles(gg):
     each cocycle is found from its values on gens.
     """
     mul, act = gg.carrier.table, gg.action
-    gens, tree = gg.group.word_tree
-    on_tree = {(x, k) for _, x, k in tree}
-    checks = [
-        (x, k, row[s])
-        for x, row in enumerate(gg.group.table)
-        for k, s in enumerate(gens)
-        if (x, k) not in on_tree
-    ]
+    gens, tree, off_tree = gg.group.word_tree
     out = []
     for assignment in iproduct(range(gg.carrier.order), repeat=len(gens)):
         phi = [gg.carrier.identity] * len(act)
         for y, x, k in tree:
             phi[y] = mul[phi[x]][act[x][assignment[k]]]
-        for x, k, y in checks:
+        for x, k, y in off_tree:
             if phi[y] != mul[phi[x]][act[x][assignment[k]]]:
                 break
         else:
@@ -500,6 +529,8 @@ def h1_finite(gg):
             orbit_point = tuple([mul[left[v]][p[w]] for v, p in zip(z, gg.action)])
             class_index[orbit_point] = len(reps)
         reps.append(z)
+        if len(class_index) == len(cocycles):
+            break
     trivial = tuple([a.identity] * gg.group.order)
     return H1Set(gg, tuple(reps), class_index[trivial], tuple(cocycles), class_index)
 
@@ -520,13 +551,12 @@ def _twisted_action(gg, phi):
     return tuple(rows)
 
 
-def _restricted(group, sub_group, embed, action):
-    """The G-group on sub_group, whose i-th element is the carrier element
-    embed[i], acted on by the carrier permutations in action (which must
-    keep the image of embed stable)."""
+def _restricted(embed, action):
+    """The carrier permutations in action, restricted to a subgroup whose
+    i-th element is the carrier element embed[i], as permutations of the
+    subgroup's indices (each must keep the image of embed stable)."""
     pos = {e: i for i, e in enumerate(embed)}
-    act = tuple([tuple([pos[p[e]] for e in embed]) for p in action])
-    return GGroup(group, sub_group, act)
+    return tuple([tuple([pos[p[e]] for e in embed]) for p in action])
 
 
 def twist_subgroup(ambient, sub_elements, phi):
@@ -549,7 +579,8 @@ def twist_subgroup(ambient, sub_elements, phi):
     if not is_cocycle(ambient, phi):
         raise InvalidInput("phi is not a cocycle in the ambient G-group")
     sub_group, embed = a.subgroup_group(sub)
-    return _restricted(g, sub_group, embed, _twisted_action(ambient, phi)), embed
+    act = _restricted(embed, _twisted_action(ambient, phi))
+    return _trusted(GGroup, g, sub_group, act), embed
 
 
 # --- exact sequence of pointed sets -------------------------------------------
@@ -736,26 +767,30 @@ def twist_fiber_check(ses, phi):
     orbit set of H1(G, A'_phi) under the twisted A''^G-action, through the
     explicit translation theta -> theta * phi.  Returns a report dict.
 
-    The sequence has checked that A' is normal and G-stable in A, so the
-    twist of A' is built on the sequence's own A' and inclusion and needs no
-    more checks than those of its G-group.
+    The sequence has checked that A' is normal and G-stable in A, and the
+    keys of h1_mid.class_index are all of Z^1(G, A).  So phi is a cocycle
+    when it is such a key, and its twist of A' is an action by automorphisms
+    built on the sequence's own A' and inclusion, with no checks left.
     """
     g = ses.mid.group
     a = ses.mid.carrier
     a.check_elements(phi, "phi")
-    if not is_cocycle(ses.mid, phi):
-        raise InvalidInput("phi must be a cocycle in A")
     h1 = ses.h1_mid
+    phi = tuple(phi)
+    if phi not in h1.class_index:
+        raise InvalidInput("phi must be a cocycle in A")
     to_quot = ses.h1_mid_to_quot
-    phi_class = h1.class_of(phi)
+    phi_class = h1.class_index[phi]
     fiber = {i for i, j in to_quot.items() if j == to_quot[phi_class]}
 
     twisted = _twisted_action(ses.mid, phi)
     embed = ses.inclusion
-    h1p_tw = h1_finite(_restricted(g, ses.sub.carrier, embed, twisted))
+    h1p_tw = h1_finite(_trusted(GGroup, g, ses.sub.carrier, _restricted(embed, twisted)))
 
+    # the identity of (A''_phi)^G lifts into A', so it fixes every class
     twisted_q = _twisted_action(ses.quot, [ses.projection[v] for v in phi])
-    inv_q_tw = _fixed_points(twisted_q)
+    ident_q = ses.quot.carrier.identity
+    inv_q_tw = [x for x in _fixed_points(twisted_q) if x != ident_q]
 
     # right action of (A''_phi)^G on H1(G, A'_phi), on class indices
     def act_on_class(ci, aq_elem):
@@ -1202,8 +1237,9 @@ def real_structure_classifier(kg):
     direct = _classes_under(k, anti_invs, a_elems)
     # H1 route: Z/2 acting on the kernel by conjugation with sigma
     conj = [[k.conj(c, x) for x in range(k.order)] for c in (k.identity, kg.sigma)]
+    # a G-action by construction: sigma is an involution, ker eps is normal
     kernel, embed = k.subgroup_group(a_elems)
-    h1 = h1_finite(_restricted(cyclic(2), kernel, embed, conj))
+    h1 = h1_finite(_trusted(GGroup, cyclic(2), kernel, _restricted(embed, conj)))
     mapped = []
     for rep in h1.representatives:
         anti = k.op(embed[rep[1]], kg.sigma)
@@ -1271,7 +1307,7 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
         s, power = g.op(s, gen), k.op(power, sigma)
     sub_group, embed = k.subgroup_group(sub)
     try:
-        gg_conj = _restricted(g, sub_group, embed, conj)
+        gg_conj = GGroup(g, sub_group, _restricted(embed, conj))
     except InvalidInput as exc:
         raise NotInner("conjugation by sigma is not a valid G-action") from exc
     gg_triv = trivial_action(g, sub_group)

@@ -7,7 +7,7 @@ strings.  Floating point never appears.
 from fractions import Fraction
 
 from . import intlinalg as la
-from .errors import DimensionMismatch, EmptyInput, InvalidInput, ParseError
+from .errors import DimensionMismatch, EmptyInput, InvalidInput, NonPositiveVector, ParseError
 from .lattice import IntegerLattice, Sublattice, builtin
 
 
@@ -193,7 +193,8 @@ def _ambient_dim(obj, *mats):
 
 def cone_from_json(obj):
     """From the rays (and lines) when a "rays" key is present, else from the
-    halfspaces (and equalities)."""
+    halfspaces (and equalities).  Halfspaces beside rays must be the
+    facets of the rays' cone, up to order and scale."""
     from .cones import cone_from_halfspaces, cone_from_rays
 
     if not isinstance(obj, dict):
@@ -207,7 +208,10 @@ def cone_from_json(obj):
     rays = int_mat_from_json(obj["rays"])
     lines = int_mat_from_json(obj.get("lines", []))
     hs = int_mat_from_json(obj.get("halfspaces", []))
-    return cone_from_rays(_ambient_dim(obj, rays, lines, hs), rays, lines)
+    cone = cone_from_rays(_ambient_dim(obj, rays, lines, hs), rays, lines)
+    if "halfspaces" in obj and {la.primitive_vector(h) for h in hs} != set(cone.halfspaces):
+        raise InvalidInput("cone halfspaces are not the facets of its rays")
+    return cone
 
 
 def positive_cone_to_json(pos):
@@ -248,7 +252,9 @@ def certificate_to_json(cert):
 def certificate_from_json(obj):
     """A domain certificate with one source per fact: the halfspaces and both
     flags must be the domain's, and each orbit matrix the element that its
-    word names.  Data of the wrong rank is a DimensionMismatch first."""
+    word names.  Data of the wrong rank is a DimensionMismatch first, and
+    an xi outside the open cone C a NonPositiveVector, as for
+    dirichlet_domain."""
     from .cones import DomainCertificate
 
     def need(key):
@@ -274,6 +280,8 @@ def certificate_from_json(obj):
         raise DimensionMismatch("certificate data does not match the lattice rank")
     if pos.lattice.gram != group.lattice.gram:
         raise InvalidInput("positive cone and group live on different lattices")
+    if not pos.contains_open(xi):
+        raise NonPositiveVector("xi must lie in the open cone C")
     word_bound = int_from_json(need("word_bound"))
     # the BFS goes as deep as the longest word, which is at most the bound
     depth = max((w.count("*") + 1 for _, w in orbit if isinstance(w, str)), default=0)

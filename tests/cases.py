@@ -259,10 +259,15 @@ def rand_sym(rng, n, bound=5):
 def forged_certificates(cert):
     """The JSON certificate cert of a Pell domain on diag(2, -4), each time
     with one fact whose second copy is broken: no halfspaces beside the
-    domain, an orbit matrix of determinant -1 beside the word g0, and a
-    positive cone on another lattice than the group's."""
+    domain, a halfspace beside the domain's rays that is not their facet,
+    an orbit matrix of determinant -1 beside the word g0, and a positive
+    cone on another lattice than the group's."""
     return {
         "no-halfspaces": {**cert, "halfspaces": []},
+        "domain-halfspace-not-a-facet": {
+            **cert,
+            "domain": {**cert["domain"], "halfspaces": [[5, 5]]},
+        },
         "orbit-matrix-not-its-word": {
             **cert,
             "orbit_elements": [{"matrix": [[3, -4], [2, -3]], "word": "g0"}]

@@ -116,13 +116,14 @@ def u_swap_stabilizer(word_bound):
     return ["isom", "stabilizer", "--group", json.dumps(group), "--point", "1,1"]
 
 
-def pell_cert(orbit=PELL_ORBIT):
-    """The Pell certificate at xi = (1, 0), with the given orbit elements."""
+def pell_cert(orbit=PELL_ORBIT, xi=(1, 0)):
+    """The Pell certificate, at xi = (1, 0) unless another xi is given, with
+    the given orbit elements."""
     group = json.loads(PELL_GROUP)
     return json.dumps({
         "positive_cone": {"lattice": group["lattice"], "component_base": [1, 0]},
         "group": group,
-        "xi": [1, 0],
+        "xi": list(xi),
         "word_bound": 20,
         "halfspaces": [[1, -2], [1, 2]],
         "domain": {"ambient_dim": 2, "rays": [[2, -1], [2, 1]],
@@ -221,8 +222,12 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (["h1", "compute", "--group", "Z2", "--coeff", S6_GENERATORS], "ParseError"),
         (kaut_criterion([[1]]), "DimensionMismatch"),
         (kaut_criterion([[0, 0, 1, 0, 7]]), "DimensionMismatch"),
+        (["cone", "verify", "--cert", pell_cert(xi=[0, 1])], "NonPositiveVector"),
+        (["cone", "verify", "--cert", pell_cert(xi=[1, 1])], "NonPositiveVector"),
         (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
           "--pi2", PELL_PI, "--bound", "0"], "InvalidInput"),
+        (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
+          "--pi2", '{"rays": [[2, 1], [2, -1]], "halfspaces": [[5, 5]]}'], "InvalidInput"),
         (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
           "--pi2", PELL_PI, "--bound=-3"], "InvalidInput"),
         (["isom", "fix-sublattice", "--in", DIAG_2_M2_M2, "--sub", '{"basis": [[1,0,0]]}',
@@ -249,7 +254,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "disjoint-bound-zero", "sigma-out-of-range", "sigma-negative",
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
-         "embedding-row-long", "siegel-bound-zero", "siegel-bound-negative",
+         "embedding-row-long", "cert-xi-0-1-outside-c", "cert-xi-1-1-outside-c",
+         "siegel-bound-zero", "siegel-halfspace-not-a-facet", "siegel-bound-negative",
          "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",
          "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero",
          "in-and-name", "domain-pos-and-base", "siegel-pos-and-base",

@@ -606,6 +606,42 @@ def test_twist_fiber_bijection_corpus(gname, g):
             assert out["bijection"], (gname, name, out)
 
 
+def test_trusted_values_pass_the_validating_constructors(monkeypatch):
+    """Every group and G-group that the library builds without checks, over
+    the corpus: the trivial actions and the subgroup and quotient groups of
+    the sequences and of every built-in group, the twisted G-group of every
+    H^1 representative and the kernel actions of the real-structure
+    classifier.  Each is checked as it is built, before the library uses it."""
+    built = []
+    trusted = cohomology._trusted
+
+    def checked(cls, *fields):
+        value, again = trusted(cls, *fields), cls(*fields)
+        assert again == value
+        if cls is FiniteGroup:
+            assert (again.identity, again._inv) == (value.identity, value._inv)
+        built.append(value)
+        return value
+
+    monkeypatch.setattr(cohomology, "_trusted", checked)
+    sequences = [s for _, g in ACTING_GROUPS for s in ses_corpus(g)]
+    for _, ses in sequences + nontrivial_action_sequences():
+        for phi in les_of_pointed_sets(ses).h1_mid.representatives:
+            twist_fiber_check(ses, phi)
+            twist_subgroup(ses.mid, ses.inclusion, phi)
+    for _, maker, _ in SHIPPED_KLEIN_GROUPS:
+        real_structure_classifier(maker())
+    for make in ser.BUILTIN_GROUPS.values():
+        g = make()
+        for h in g.all_subgroups():
+            g.subgroup_group(h)
+            if g.is_normal(h):
+                g.quotient_group(h)
+    assert {type(v) for v in built} == {FiniteGroup, GGroup}
+    ggroups = [v for v in built if isinstance(v, GGroup)]
+    assert any(set(v.action) != {tuple(range(v.carrier.order))} for v in ggroups)
+
+
 # --- conjugacy classes of finite subgroups ---------------------------------------------
 
 
@@ -956,8 +992,17 @@ def test_inner_twist_needs_a_cyclic_acting_group():
 
 
 def test_inner_twist_not_inner():
-    d4 = dihedral(4)
-    # the subgroup {r0, r2, s, sr2} is normalized by everything; pick instead
-    # a subgroup not normalized by sigma: <s> = {0+4} under conj by r (idx 1)
-    with pytest.raises(NotInner):
-        inner_twist_bijection(cyclic(2), d4, {0, 4}, 1)
+    d4, s3 = dihedral(4), symmetric(3)
+    cases = [
+        # the subgroup {r0, r2, s, sr2} is normalized by everything; pick
+        # instead a subgroup not normalized by sigma: <s> = {0+4} under conj
+        # by r (idx 1)
+        ((d4, {0, 4}, 1), "sigma does not normalize the subgroup"),
+        # conjugation by a 3-cycle of S3 has order 3, so Z/2 cannot act by it
+        ((s3, range(6), 3), "conjugation by sigma is not a valid G-action"),
+        ((s3, range(6), 4), "conjugation by sigma is not a valid G-action"),
+    ]
+    assert s3.element_order(3) == s3.element_order(4) == 3
+    for args, message in cases:
+        with pytest.raises(NotInner, match=message):
+            inner_twist_bijection(cyclic(2), *args)

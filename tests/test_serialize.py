@@ -67,6 +67,12 @@ def test_cone_roundtrip():
     assert back.same_cone(c)
     c2 = ser.cone_from_json({"halfspaces": [[1, 2], [1, -2]]})
     assert c2.same_cone(c)
+    # halfspaces beside rays are their facets, up to order and scale
+    c3 = ser.cone_from_json({"rays": [[2, 1], [2, -1]], "halfspaces": [[2, 4], [1, -2]]})
+    assert c3.same_cone(c)
+    for hs in ([[5, 5]], [[1, 2]], [[1, 2], [1, -2], [1, 0]], []):
+        with pytest.raises(InvalidInput):
+            ser.cone_from_json({"rays": [[2, 1], [2, -1]], "halfspaces": hs})
 
 
 def test_certificate_roundtrip(pell_group, pell_cone, pell_cert):
