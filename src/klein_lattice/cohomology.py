@@ -116,29 +116,28 @@ class FiniteGroup(Frozen):
         for row in t:
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise InvalidInput("malformed multiplication table")
-        self._derive()
-        if self._identity is None:
+        ident = None
+        for e in range(n):
+            if all(t[e][x] == x and t[x][e] == x for x in range(n)):
+                ident = e
+                break
+        if ident is None:
             raise InvalidInput("no identity element")
-        if None in self._inv:
-            raise InvalidInput("missing inverse")
+        object.__setattr__(self, "_identity", ident)
+        inv = [None] * n
+        for x in range(n):
+            for y in range(n):
+                if t[x][y] == ident and t[y][x] == ident:
+                    inv[x] = y
+                    break
+            if inv[x] is None:
+                raise InvalidInput("missing inverse")
+        object.__setattr__(self, "_inv", tuple(inv))
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise InvalidInput("multiplication is not associative")
-
-    def _derive(self):
-        """Set _identity, the first two-sided identity, and _inv, the first
-        two-sided inverse of each element: None where there is none."""
-        t = self.table
-        n = len(t)
-        ident = next(
-            (e for e in range(n) if all(t[e][x] == x and t[x][e] == x for x in range(n))),
-            None,
-        )
-        inv = [next((y for y in range(n) if t[x][y] == ident == t[y][x]), None) for x in range(n)]
-        object.__setattr__(self, "_identity", ident)
-        object.__setattr__(self, "_inv", tuple(inv))
 
     @property
     def order(self):
@@ -245,7 +244,7 @@ class FiniteGroup(Frozen):
         elems = tuple(sorted(subset))
         if not self.is_subgroup(elems):
             raise InvalidInput("subset is not a subgroup")
-        return _trusted(FiniteGroup, _rule_table(elems, self.op)), elems
+        return group_from_rule(elems, self.op), elems
 
     def quotient_group(self, normal_subset):
         """The quotient by a normal subgroup plus the projection map; cosets
@@ -261,34 +260,15 @@ class FiniteGroup(Frozen):
                     rep[y] = least
         minima = sorted(set(rep))
         pos = {m: i for i, m in enumerate(minima)}
-        quotient = _trusted(FiniteGroup, _rule_table(minima, lambda a, b: rep[self.op(a, b)]))
+        quotient = group_from_rule(minima, lambda a, b: rep[self.op(a, b)])
         return quotient, tuple(pos[m] for m in rep)
-
-
-def _rule_table(elements, mul):
-    """table[i][j]: the index of mul(elements[i], elements[j]) in the list."""
-    index = {x: i for i, x in enumerate(elements)}
-    return tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
 
 
 def group_from_rule(elements, mul):
     """The FiniteGroup on the listed hashable elements, numbered in list
     order: table[i][j] is the index of mul(elements[i], elements[j])."""
-    return FiniteGroup(_rule_table(elements, mul))
-
-
-def _trusted(cls, *fields):
-    """A FiniteGroup or GGroup on fields that the calling construction
-    guarantees valid, given in the form __post_init__ would normalise them
-    to (tuples of tuples).  Values from outside go through the validating
-    constructors; this skips their checks and computes only what derives
-    from the fields: a FiniteGroup's identity and inverses."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls._fields, fields):
-        object.__setattr__(obj, name, value)
-    if cls is FiniteGroup:
-        obj._derive()
-    return obj
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup(tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
 
 
 def permutation_group(gens, bound=None):
@@ -306,15 +286,12 @@ def permutation_group(gens, bound=None):
     return group_from_rule(sorted(elems), compose)
 
 
-# The named groups are built, and their tables checked, once per argument.
-
-
 @cache
 def cyclic(n):
+    """Z/n, built and checked once per n."""
     return group_from_rule(range(n), lambda a, b: (a + b) % n)
 
 
-@cache
 def dihedral(n):
     """Dihedral group of order 2n; index k + n*e encodes r^k s^e."""
 
@@ -327,7 +304,6 @@ def dihedral(n):
     return group_from_rule(range(2 * n), mul)
 
 
-@cache
 def symmetric(n):
     """S_n on the sorted permutations of 0..n-1, generated by the n-cycle
     and the transposition (0 1)."""
@@ -335,7 +311,6 @@ def symmetric(n):
     return permutation_group([ident[1:] + ident[:1], ident[1::-1] + ident[2:]])
 
 
-@cache
 def quaternion8():
     """Q8 with elements 1, -1, i, -i, j, -j, k, -k."""
     rules = {
@@ -365,7 +340,6 @@ def direct_product(g1, g2):
     return group_from_rule(pairs, lambda x, y: (g1.op(x[0], y[0]), g2.op(x[1], y[1])))
 
 
-@cache
 def klein_four():
     return direct_product(cyclic(2), cyclic(2))
 
@@ -406,9 +380,19 @@ class GGroup(Frozen):
         return self.action[g][x]
 
 
+def _trusted_ggroup(group, carrier, action):
+    """The GGroup on an action, given as a tuple of tuples, that the calling
+    construction keeps an action by automorphisms.  Actions from outside go
+    through the validating GGroup(...); this skips its checks."""
+    obj = object.__new__(GGroup)
+    for name, value in zip(GGroup._fields, (group, carrier, action)):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def trivial_action(group, carrier):
     ident = tuple(range(carrier.order))
-    return _trusted(GGroup, group, carrier, (ident,) * group.order)
+    return _trusted_ggroup(group, carrier, (ident,) * group.order)
 
 
 def conjugation_action(group, carrier, generator_images):
@@ -580,7 +564,7 @@ def twist_subgroup(ambient, sub_elements, phi):
         raise InvalidInput("phi is not a cocycle in the ambient G-group")
     sub_group, embed = a.subgroup_group(sub)
     act = _restricted(embed, _twisted_action(ambient, phi))
-    return _trusted(GGroup, g, sub_group, act), embed
+    return _trusted_ggroup(g, sub_group, act), embed
 
 
 # --- exact sequence of pointed sets -------------------------------------------
@@ -785,7 +769,7 @@ def twist_fiber_check(ses, phi):
 
     twisted = _twisted_action(ses.mid, phi)
     embed = ses.inclusion
-    h1p_tw = h1_finite(_trusted(GGroup, g, ses.sub.carrier, _restricted(embed, twisted)))
+    h1p_tw = h1_finite(_trusted_ggroup(g, ses.sub.carrier, _restricted(embed, twisted)))
 
     # the identity of (A''_phi)^G lifts into A', so it fixes every class
     twisted_q = _twisted_action(ses.quot, [ses.projection[v] for v in phi])
@@ -1239,7 +1223,7 @@ def real_structure_classifier(kg):
     conj = [[k.conj(c, x) for x in range(k.order)] for c in (k.identity, kg.sigma)]
     # a G-action by construction: sigma is an involution, ker eps is normal
     kernel, embed = k.subgroup_group(a_elems)
-    h1 = h1_finite(_trusted(GGroup, cyclic(2), kernel, _restricted(embed, conj)))
+    h1 = h1_finite(_trusted_ggroup(cyclic(2), kernel, _restricted(embed, conj)))
     mapped = []
     for rep in h1.representatives:
         anti = k.op(embed[rep[1]], kg.sigma)

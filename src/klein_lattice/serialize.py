@@ -191,10 +191,26 @@ def _ambient_dim(obj, *mats):
     raise ParseError("cannot infer the dimension of the cone")
 
 
+def _same_facets(hs, cone):
+    """Whether the rows hs are the facets of the cone, up to order and
+    positive scale.  Facet normals are fixed only up to the span of the
+    cone's equalities, so each normal is compared by its values on the
+    cone's generators, which span the cone."""
+
+    if any(len(h) != cone.ambient_dim for h in hs):
+        return False
+    gens = cone.generators()
+
+    def key(h):
+        return la.primitive_vector([la.dot(h, g) for g in gens])
+
+    return {key(h) for h in hs} == {key(h) for h in cone.halfspaces}
+
+
 def cone_from_json(obj):
     """From the rays (and lines) when a "rays" key is present, else from the
     halfspaces (and equalities).  Halfspaces beside rays must be the
-    facets of the rays' cone, up to order and scale."""
+    facets of the rays' cone, up to order and positive scale."""
     from .cones import cone_from_halfspaces, cone_from_rays
 
     if not isinstance(obj, dict):
@@ -209,7 +225,7 @@ def cone_from_json(obj):
     lines = int_mat_from_json(obj.get("lines", []))
     hs = int_mat_from_json(obj.get("halfspaces", []))
     cone = cone_from_rays(_ambient_dim(obj, rays, lines, hs), rays, lines)
-    if "halfspaces" in obj and {la.primitive_vector(h) for h in hs} != set(cone.halfspaces):
+    if "halfspaces" in obj and not _same_facets(hs, cone):
         raise InvalidInput("cone halfspaces are not the facets of its rays")
     return cone
 
@@ -301,7 +317,7 @@ def certificate_from_json(obj):
         disjointness_evidence=obj.get("disjointness_evidence"),
     )
     if (
-        {la.primitive_vector(h) for h in halfspaces} != set(domain.halfspaces)
+        not _same_facets(halfspaces, domain)
         or need("full_cone") is not cert.full_cone
         or obj.get("rays_in_closure", cert.rays_in_closure) is not cert.rays_in_closure
     ):

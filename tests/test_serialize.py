@@ -70,9 +70,35 @@ def test_cone_roundtrip():
     # halfspaces beside rays are their facets, up to order and scale
     c3 = ser.cone_from_json({"rays": [[2, 1], [2, -1]], "halfspaces": [[2, 4], [1, -2]]})
     assert c3.same_cone(c)
-    for hs in ([[5, 5]], [[1, 2]], [[1, 2], [1, -2], [1, 0]], []):
+    for hs in ([[5, 5]], [[1, 2]], [[1, 2], [1, -2], [1, 0]], [], [[1, 2, 0], [1, -2, 0]]):
         with pytest.raises(InvalidInput):
             ser.cone_from_json({"rays": [[2, 1], [2, -1]], "halfspaces": hs})
+
+
+def test_cone_roundtrip_not_full_dimensional():
+    """A facet normal of a cone that is not full-dimensional counts only on
+    the cone's span, so any normal that agrees there is the same facet."""
+    ray = cone_from_rays(2, ((1, 0),))
+    half_plane = cone_from_rays(3, ((1, 0, 0),), ((0, 1, 0),))
+    for c in (ray, half_plane):
+        assert not c.is_full_dimensional()
+        back = ser.cone_from_json(ser.cone_to_json(c))
+        assert back == c
+    for obj in (
+        {"rays": [[1, 0]], "halfspaces": [[1, 1]], "equalities": [[0, 1]]},
+        {"rays": [[1, 0]], "halfspaces": [[3, -7]]},
+    ):
+        assert ser.cone_from_json(obj) == ray
+    assert ser.cone_from_json(
+        {"rays": [[1, 0, 0]], "lines": [[0, 1, 0]], "halfspaces": [[2, 0, 5]]}
+    ) == half_plane
+    for obj in (
+        {"rays": [[1, 0]], "halfspaces": [[0, 1]]},
+        {"rays": [[1, 0]], "halfspaces": [[-1, 1]]},
+        {"rays": [[1, 0, 0]], "lines": [[0, 1, 0]], "halfspaces": [[1, 1, 0]]},
+    ):
+        with pytest.raises(InvalidInput):
+            ser.cone_from_json(obj)
 
 
 def test_certificate_roundtrip(pell_group, pell_cone, pell_cert):
