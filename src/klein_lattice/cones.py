@@ -159,24 +159,14 @@ class PolyhedralCone(Frozen):
         return gens
 
     def dim(self):
-        gens = self.generators()
-        return la.rank(gens) if gens else 0
+        # the equalities are a basis of the orthogonal complement of the span
+        return self.ambient_dim - len(self.equalities)
 
     def is_full_dimensional(self):
         return self.dim() == self.ambient_dim
 
     def is_zero(self):
         return not self.rays and not self.lines
-
-    def canonical_key(self):
-        if not self.lines:
-            return (self.rays, ())
-        proj_rays = tuple(
-            sorted(la.primitive_vector(_project_off(r, self.lines)) for r in self.rays)
-        )
-        lin_hnf, _ = la.row_hnf(self.lines)
-        lin_rows = tuple(row for row in lin_hnf if not la.is_zero_vector(row))
-        return (proj_rays, lin_rows)
 
     def same_cone(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -186,50 +176,35 @@ class PolyhedralCone(Frozen):
         )
 
 
-def _project_off(v, lines):
-    """Project v off span(lines) with the euclidean form, exactly."""
-    w = [Fraction(x) for x in v]
-    for b in lines:
-        bb = la.dot(b, b)
-        wb = la.dot(w, b)
-        if bb:
-            w = [x - wb / bb * Fraction(y) for x, y in zip(w, b)]
-    return tuple(w)
-
-
-def cone_from_halfspaces(dim, halfspaces, equalities=()):
+def _double_description(dim, halfspaces, equalities):
+    """Both descriptions of {x : h.x >= 0, e.x = 0}, as (rays, lines,
+    facets, equalities): the rays and lines by double description, then the
+    facets and equalities by double description of those.  Read the other
+    way round, the same tuple is (facets, equalities, rays, lines) of the
+    cone that the halfspaces and equalities generate as rays and lines."""
     if dim <= 0:
         raise EmptyInput("ambient dimension must be positive")
     hs = tuple(la.primitive_vector(h) for h in halfspaces)
     eqs = tuple(la.primitive_vector(e) for e in equalities)
     for v in hs + eqs:
         if len(v) != dim:
-            raise DimensionMismatch("halfspace dimension mismatch")
+            raise DimensionMismatch("vector dimension mismatch")
     rays, lines = dd_rays(dim, hs, eqs)
-    can_hs, can_eqs = dd_rays(dim, rays, lines)
-    cone = PolyhedralCone(dim, rays, lines, can_hs, can_eqs)
+    facets, normals = dd_rays(dim, rays, lines)
+    gens = rays + lines + tuple(tuple(-x for x in l) for l in lines)
     for h in hs:
-        for g in cone.generators():
-            if la.dot(h, g) < 0:
-                raise InvalidInput("double description round-trip failed")
-    return cone
+        if any(la.dot(h, g) < 0 for g in gens):
+            raise InvalidInput("double description round-trip failed")
+    return rays, lines, facets, normals
+
+
+def cone_from_halfspaces(dim, halfspaces, equalities=()):
+    return PolyhedralCone(dim, *_double_description(dim, halfspaces, equalities))
 
 
 def cone_from_rays(dim, rays, lines=()):
-    if dim <= 0:
-        raise EmptyInput("ambient dimension must be positive")
-    rs = tuple(la.primitive_vector(r) for r in rays if not la.is_zero_vector(r))
-    ls = tuple(la.primitive_vector(l) for l in lines if not la.is_zero_vector(l))
-    for v in rs + ls:
-        if len(v) != dim:
-            raise DimensionMismatch("ray dimension mismatch")
-    can_hs, can_eqs = dd_rays(dim, rs, ls)
-    can_rays, can_lines = dd_rays(dim, can_hs, can_eqs)
-    cone = PolyhedralCone(dim, can_rays, can_lines, can_hs, can_eqs)
-    for r in rs:
-        if not cone.contains(r):
-            raise InvalidInput("double description round-trip failed")
-    return cone
+    hs, eqs, rs, ls = _double_description(dim, rays, lines)
+    return PolyhedralCone(dim, rs, ls, hs, eqs)
 
 
 def dual(cone):
@@ -348,8 +323,8 @@ def cone_meets_component(cone, pos):
     if cone.ambient_dim != pos.dim:
         raise DimensionMismatch("cone and positive cone dimension mismatch")
     base_h = pos.gram_functional(pos.component_base)
-    clipped = intersect(
-        cone, cone_from_halfspaces(cone.ambient_dim, (base_h,))
+    clipped = cone_from_halfspaces(
+        cone.ambient_dim, cone.halfspaces + (base_h,), cone.equalities
     )
     gens = clipped.generators()
     if not gens:
@@ -615,9 +590,9 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
             inter = intersect(moved, pi2)
             if inter.is_zero():
                 continue
-            key = inter.canonical_key()
-            if key not in found:
-                found[key] = inter
+            # pointed, as pi1 and pi2 are: its rays determine it
+            if inter.rays not in found:
+                found[inter.rays] = inter
                 new += 1
         growth.append(new)
     stabilized_at = None

@@ -46,10 +46,6 @@ from .lattice import (
 )
 
 
-class AmbiguousHodgeType(Exception):
-    """Both Hodge and anti-Hodge solves succeeded (degenerate period data)."""
-
-
 class HodgeLattice(Frozen):
     """Lattice of signature (3, rank-3) with a rational period sigma = x + iy.
 
@@ -116,46 +112,44 @@ class HodgeKind(Enum):
     NEITHER = "Neither"
 
 
-def _period_solve(matrix, x_src, y_src, x_tgt, y_tgt, anti):
-    """Solve for (a, b): Hodge means phi(x) = a x - b y, phi(y) = b x + a y;
-    anti-Hodge means phi(x) = a x + b y, phi(y) = b x - a y."""
-    n = len(x_tgt)
-    px = la.mat_vec(matrix, x_src)
-    py = la.mat_vec(matrix, y_src)
-    ysign = 1 if anti else -1
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append((x_tgt[i], ysign * y_tgt[i]))
-        rhs.append(px[i])
-    for i in range(n):
-        rows.append((-ysign * y_tgt[i], x_tgt[i]))
-        rhs.append(py[i])
-    sol = la.solve_frac(tuple(rows), tuple(rhs))
-    if sol is None:
-        return None
-    a, b = sol
-    if a == 0 and b == 0:
-        return None
-    return (a, b)
+def _period_action(matrix, h_source, h_target=None):
+    """(kind, (a, b)): HODGE when phi(sigma) = (a + ib) sigma', ANTI when
+    phi(sigma) = (a + ib) sigma-bar', else (NEITHER, None), for the source
+    period sigma = x + iy and the target period sigma' = x' + iy'.
+
+    x' and y' are orthogonal of the same norm c > 0, so phi(x) lies in
+    their span iff phi(x) = a x' + b y' with a = <phi(x), x'>/c and
+    b = <phi(x), y'>/c.  Then phi(y) = -b x' + a y' is the Hodge case,
+    with (a, -b), and phi(y) = b x' - a y' the anti-Hodge case, with
+    (a, b).  Both hold only when a = b = 0, which is neither.
+    """
+    tgt = h_target or h_source
+    lat = tgt.lattice
+    x, y = tgt.period_re, tgt.period_im
+    c = lat.pairing(x, x)
+    px = la.mat_vec(matrix, h_source.period_re)
+    py = la.mat_vec(matrix, h_source.period_im)
+    a = lat.pairing(px, x) / c
+    b = lat.pairing(px, y) / c
+    if (a, b) == (0, 0) or list(px) != [a * u + b * v for u, v in zip(x, y)]:
+        return HodgeKind.NEITHER, None
+    if list(py) == [a * v - b * u for u, v in zip(x, y)]:
+        return HodgeKind.HODGE, (a, -b)
+    if list(py) == [b * u - a * v for u, v in zip(x, y)]:
+        return HodgeKind.ANTI, (a, b)
+    return HodgeKind.NEITHER, None
 
 
 def hodge_solution(matrix, h_source, h_target=None):
     """(a, b) with phi(sigma) = (a + ib) sigma, or None."""
-    tgt = h_target or h_source
-    return _period_solve(
-        matrix, h_source.period_re, h_source.period_im,
-        tgt.period_re, tgt.period_im, anti=False,
-    )
+    kind, ab = _period_action(matrix, h_source, h_target)
+    return ab if kind == HodgeKind.HODGE else None
 
 
 def anti_hodge_solution(matrix, h_source, h_target=None):
     """(a, b) with phi(sigma) = (a + ib) sigma-bar, or None."""
-    tgt = h_target or h_source
-    return _period_solve(
-        matrix, h_source.period_re, h_source.period_im,
-        tgt.period_re, tgt.period_im, anti=True,
-    )
+    kind, ab = _period_action(matrix, h_source, h_target)
+    return ab if kind == HodgeKind.ANTI else None
 
 
 def is_hodge_isometry(matrix, h):
@@ -167,17 +161,8 @@ def is_anti_hodge(matrix, h):
 
 
 def hodge_kind(matrix, h):
-    """Classify the action on the period plane; raises AmbiguousHodgeType in
-    the (provably excluded for valid periods) doubly-solvable case."""
-    hs = hodge_solution(matrix, h)
-    ah = anti_hodge_solution(matrix, h)
-    if hs is not None and ah is not None:
-        raise AmbiguousHodgeType("period plane is phi-split degenerately")
-    if hs is not None:
-        return HodgeKind.HODGE
-    if ah is not None:
-        return HodgeKind.ANTI
-    return HodgeKind.NEITHER
+    """Classify the action on the period plane."""
+    return _period_action(matrix, h)[0]
 
 
 # --- monodromy specifications ------------------------------------------------
@@ -397,8 +382,6 @@ def kaut_star_criterion(matrix, h, kmodel, spec):
         member = mon2_khdg_member(matrix, h, spec)
     except Undecidable as exc:
         return KleinVerdict("Undecided", reason=str(exc))
-    except AmbiguousHodgeType:
-        return KleinVerdict("Undecided", reason="AmbiguousHodgeType")
     if not member:
         return KleinVerdict("NotRealizable", reason="not in Mon2_KHdg")
     kind = hodge_kind(matrix, h)

@@ -34,14 +34,8 @@ class Isometry(Frozen):
         if not is_isometry(self.lattice, m):
             raise InvalidInput("matrix is not an isometry of the lattice")
 
-    def apply(self, v):
-        return la.mat_vec(self.matrix, v)
-
     def inverse(self):
         return Isometry(self.lattice, la.unimodular_inverse(self.matrix))
-
-    def compose(self, other):
-        return Isometry(self.lattice, la.mat_mul(self.matrix, other.matrix))
 
 
 class KleinIsometry(Frozen):

@@ -207,10 +207,23 @@ def _same_facets(hs, cone):
     return {key(h) for h in hs} == {key(h) for h in cone.halfspaces}
 
 
+def _spans(rows, cone, normals, k):
+    """Whether the rows span the k-dimensional space of the cone's ambient
+    space that is orthogonal to the normals: every row is, and their rank
+    is k."""
+    return (
+        all(len(v) == cone.ambient_dim for v in rows)
+        and all(la.dot(v, n) == 0 for v in rows for n in normals)
+        and la.rank(rows) == k
+    )
+
+
 def cone_from_json(obj):
     """From the rays (and lines) when a "rays" key is present, else from the
     halfspaces (and equalities).  Halfspaces beside rays must be the
-    facets of the rays' cone, up to order and positive scale."""
+    facets of the rays' cone, up to order and positive scale; equalities
+    beside rays must span the orthogonal complement of the cone, and lines
+    beside halfspaces its lineality space."""
     from .cones import cone_from_halfspaces, cone_from_rays
 
     if not isinstance(obj, dict):
@@ -218,15 +231,24 @@ def cone_from_json(obj):
     if "halfspaces" in obj and "rays" not in obj:
         hs = int_mat_from_json(obj["halfspaces"])
         eqs = int_mat_from_json(obj.get("equalities", []))
-        return cone_from_halfspaces(_ambient_dim(obj, hs, eqs), hs, eqs)
+        lines = int_mat_from_json(obj.get("lines", []))
+        cone = cone_from_halfspaces(_ambient_dim(obj, hs, eqs), hs, eqs)
+        normals = cone.halfspaces + cone.equalities
+        if "lines" in obj and not _spans(lines, cone, normals, len(cone.lines)):
+            raise InvalidInput("cone lines do not span its lineality space")
+        return cone
     if obj.get("rays") is None and "halfspaces" not in obj:
         raise ParseError("cone needs rays or halfspaces")
     rays = int_mat_from_json(obj["rays"])
     lines = int_mat_from_json(obj.get("lines", []))
     hs = int_mat_from_json(obj.get("halfspaces", []))
+    eqs = int_mat_from_json(obj.get("equalities", []))
     cone = cone_from_rays(_ambient_dim(obj, rays, lines, hs), rays, lines)
     if "halfspaces" in obj and not _same_facets(hs, cone):
         raise InvalidInput("cone halfspaces are not the facets of its rays")
+    gens = cone.generators()
+    if "equalities" in obj and not _spans(eqs, cone, gens, len(cone.equalities)):
+        raise InvalidInput("cone equalities do not span the complement of its rays")
     return cone
 
 

@@ -229,6 +229,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
           "--pi2", '{"rays": [[2, 1], [2, -1]], "halfspaces": [[5, 5]]}'], "InvalidInput"),
         (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
+          "--pi2", '{"rays": [[2, 1], [2, -1]], "equalities": [[1, 0]]}'], "InvalidInput"),
+        (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
           "--pi2", PELL_PI, "--bound=-3"], "InvalidInput"),
         (["isom", "fix-sublattice", "--in", DIAG_2_M2_M2, "--sub", '{"basis": [[1,0,0]]}',
           "--bound", "0"], "InvalidInput"),
@@ -255,7 +257,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
          "embedding-row-long", "cert-xi-0-1-outside-c", "cert-xi-1-1-outside-c",
-         "siegel-bound-zero", "siegel-halfspace-not-a-facet", "siegel-bound-negative",
+         "siegel-bound-zero", "siegel-halfspace-not-a-facet",
+         "siegel-equality-not-the-cones", "siegel-bound-negative",
          "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",
          "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero",
          "in-and-name", "domain-pos-and-base", "siegel-pos-and-base",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -72,6 +73,36 @@ def test_double_description_roundtrip():
         assert again.rays == c.rays
         for r in rays:
             assert c.contains(r)
+
+
+def pinned_cones(count, seed):
+    """Seeded cones of dimension 1-5 from both builders and dual: up to
+    dim + 2 vectors with entries in [-3, 3] and 0-2 equalities (or lines)
+    with entries in [-2, 2], zero vectors and repeats included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 5)
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(0, dim + 2))]
+        extra = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                 for _ in range(rng.randint(0, 2))]
+        c = cone_from_halfspaces(dim, vecs, extra)
+        yield c
+        yield cone_from_rays(dim, vecs, extra)
+        yield dual(c)
+
+
+def test_double_description_outputs_are_pinned():
+    # a rewrite of dd_rays or of the builder must give these cones byte for
+    # byte; dim() reads the dimension off the equalities, which holds
+    # because they are a basis of the orthogonal complement of the span
+    digest = hashlib.sha256()
+    for c in pinned_cones(500, 18):
+        digest.update(repr((c.ambient_dim, c.rays, c.lines, c.halfspaces, c.equalities)).encode())
+        assert c.dim() == la.rank(c.generators())
+    assert digest.hexdigest() == (
+        "58fdd499227f73febd68da00684ad0b58dd757efab0590146073f23267ad0287"
+    )
 
 
 def test_dual_dual_identity_on_full_dimensional():
@@ -191,6 +222,45 @@ def test_dirichlet_domain_dihedral_half_sector(pell_cert, dihedral_cert):
 def test_dirichlet_rejects_fixed_base(dihedral_group, pell_cone):
     with pytest.raises(NontrivialStabilizer):
         dirichlet_domain(dihedral_group, pell_cone, (1, 0))
+
+
+def reflection(gram, r):
+    """The reflection x -> x - 2<x, r>/<r, r> r in the root r."""
+    gr = la.mat_vec(gram, r)
+    rr = la.dot(gr, r)
+    n = len(r)
+    return tuple(
+        tuple(int(i == j) - Fraction(2 * r[i] * gr[j], rr) for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "diag, roots, xi, bound",
+    [
+        ((1, -1, -1), ((0, -1, 1), (0, 0, -1), (1, 1, 1)), (10, 2, 1), 12),
+        ((1, -1, -1, -1), ((0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1), (1, 1, 1, 1)),
+         (10, 3, 2, 1), 10),
+    ],
+    ids=["triangle-2-4-inf", "coxeter-3-4-4"],
+)
+def test_dirichlet_domain_of_a_reflection_group_is_its_chamber(diag, roots, xi, bound):
+    # Vinberg's roots of diag(1, -1, ..., -1): for xi inside the chamber the
+    # Dirichlet domain of the reflection group is the chamber, cut out by
+    # exactly the root walls, and depth 1 already finds every wall
+    n = len(diag)
+    gram = tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n))
+    lat = IntegerLattice(gram)
+    gamma = GeneratedGroup(
+        lat, tuple(Isometry(lat, reflection(gram, r)) for r in roots),
+        word_bound=bound, component_base=xi,
+    )
+    cert = dirichlet_domain(gamma, PositiveCone(lat, xi), xi)
+    walls = {la.primitive_vector(la.mat_vec(gram, r)) for r in roots}
+    assert all(la.dot(h, xi) > 0 for h in walls)
+    assert set(cert.halfspaces) == walls
+    assert len(cert.halfspaces) == len(roots)
+    assert cert.stabilization_depth == 1
 
 
 def test_dirichlet_nonstabilizing(pell_lattice, pell_cone):
@@ -469,13 +539,14 @@ def test_siegel_pell(pell_cert, pell_group, pell_cone):
         pell_cone, pell_cert.domain, pell_cert.domain, pell_group, word_bound=20
     )
     assert report["count"] == 3
-    keys = {c.canonical_key() for c in cones}
+    assert not any(c.lines for c in cones)
     ray_sets = sorted(c.rays for c in cones)
     assert ray_sets == [((2, -1),), ((2, -1), (2, 1)), ((2, 1),)]
     cones10, _ = siegel_intersections(
         pell_cone, pell_cert.domain, pell_cert.domain, pell_group, word_bound=10
     )
-    assert {c.canonical_key() for c in cones10} == keys
+    assert not any(c.lines for c in cones10)
+    assert {c.rays for c in cones10} == set(ray_sets)
 
 
 def test_siegel_trivial_group(pell_lattice, pell_cone, pell_cert):

@@ -141,20 +141,26 @@ def test_k3_lattice_period_gives_hyperbolic_ns():
     assert is_projective_type(h)
 
 
-def test_hodge_kind_distribution_neither_dominates():
-    # over the full signed-permutation isometry group of diag(2,2,2,-2),
-    # isometries moving the period plane (kind NEITHER) dominate
+def signed_permutations_diag4():
+    """The 96 signed permutations that fix the last basis vector up to sign."""
     from itertools import permutations, product
 
-    h, _ = config_diag4()
-    counts = {HodgeKind.HODGE: 0, HodgeKind.ANTI: 0, HodgeKind.NEITHER: 0}
     for perm in permutations(range(3)):
         for signs in product((1, -1), repeat=4):
             m = [[0] * 4 for _ in range(4)]
             for i in range(3):
                 m[perm[i]][i] = signs[i]
             m[3][3] = signs[3]
-            counts[hodge_kind(tuple(map(tuple, m)), h)] += 1
+            yield tuple(map(tuple, m))
+
+
+def test_hodge_kind_distribution_neither_dominates():
+    # over the full signed-permutation isometry group of diag(2,2,2,-2),
+    # isometries moving the period plane (kind NEITHER) dominate
+    h, _ = config_diag4()
+    counts = {HodgeKind.HODGE: 0, HodgeKind.ANTI: 0, HodgeKind.NEITHER: 0}
+    for m in signed_permutations_diag4():
+        counts[hodge_kind(m, h)] += 1
     assert counts[HodgeKind.NEITHER] > counts[HodgeKind.HODGE] + counts[HodgeKind.ANTI]
     assert counts[HodgeKind.HODGE] == counts[HodgeKind.ANTI] > 0
 
@@ -183,6 +189,57 @@ def test_hodge_kind_examples():
     # rotation x -> y, y -> -x sends sigma to -i*sigma: Hodge with (0, -1)
     rot = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert hodge_solution(rot, h) == (0, -1)
+
+
+def reference_period_solve(matrix, h_source, h_target, anti):
+    """The elimination that the closed form in hodge replaced: solve for
+    (a, b) with phi(x) = a x' -+ b y', phi(y) = +-b x' + a y' (upper signs
+    Hodge, lower anti-Hodge) as a 2n x 2 Fraction system."""
+    x_tgt, y_tgt = h_target.period_re, h_target.period_im
+    px = la.mat_vec(matrix, h_source.period_re)
+    py = la.mat_vec(matrix, h_source.period_im)
+    ysign = 1 if anti else -1
+    rows = [(x, ysign * y) for x, y in zip(x_tgt, y_tgt)]
+    rows += [(-ysign * y, x) for x, y in zip(x_tgt, y_tgt)]
+    sol = la.solve_frac(tuple(rows), tuple(px) + tuple(py))
+    return None if sol is None or sol == (0, 0) else sol
+
+
+def as_kind(hodge, anti):
+    """(kind, (a, b)) from the Hodge and anti-Hodge solutions."""
+    assert hodge is None or anti is None
+    if hodge is not None:
+        return HodgeKind.HODGE, hodge
+    if anti is not None:
+        return HodgeKind.ANTI, anti
+    return HodgeKind.NEITHER, None
+
+
+def test_closed_form_period_action_matches_the_elimination():
+    h, _ = config_diag4()
+    x, y = h.period_re, h.period_im
+    # x' = y, y' = -x is again a valid period of the same lattice
+    turned = HodgeLattice(h.lattice, y, tuple(-c for c in x))
+    cases = [(m, h) for m in signed_permutations_diag4()]
+    for _, maker in SHIPPED:
+        src, sigma = maker()
+        n = src.lattice.rank
+        neg = tuple(tuple(-c for c in row) for row in sigma)
+        zero = tuple((0,) * n for _ in range(n))
+        cases += [(m, src) for m in (la.identity_matrix(n), sigma, neg, zero)]
+    seen = set()
+    for m, src in cases:
+        for tgt in (src, turned) if src is h else (src,):
+            got = as_kind(hodge_solution(m, src, tgt), anti_hodge_solution(m, src, tgt))
+            assert got == as_kind(
+                reference_period_solve(m, src, tgt, anti=False),
+                reference_period_solve(m, src, tgt, anti=True),
+            )
+            if tgt is src:
+                assert hodge_kind(m, src) == got[0]
+            seen.add((tgt is turned, got[0]))
+    # every kind occurs for both targets
+    assert seen == {(t, k) for t in (False, True) for k in HodgeKind}
 
 
 def test_hodge_and_anti_exclusive_on_shipped():

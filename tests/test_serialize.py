@@ -101,6 +101,38 @@ def test_cone_roundtrip_not_full_dimensional():
             ser.cone_from_json(obj)
 
 
+def test_cone_equalities_and_lines_span_the_cones_own():
+    """Equalities beside rays span the orthogonal complement of the cone,
+    lines beside halfspaces its lineality space, in any basis."""
+    half_plane = cone_from_rays(3, ((1, 0, 0),), ((0, 1, 0),))
+    assert ser.cone_from_json(
+        {"rays": [[1, 0, 0], [1, 5, 0]], "lines": [[0, 1, 0]], "equalities": [[0, 0, -2]]}
+    ) == half_plane
+    assert ser.cone_from_json({"halfspaces": [[1, 0, 0]], "equalities": [[0, 0, 1]],
+                               "lines": [[0, 3, 0]]}) == half_plane
+    assert ser.cone_from_json(
+        {"halfspaces": [[1, 0, 0]], "lines": [[0, 1, 1], [0, 1, -1]]}
+    ) == cone_from_rays(3, ((1, 0, 0),), ((0, 1, 0), (0, 0, 1)))
+    # a spanning set need not be a basis
+    assert ser.cone_from_json(
+        {"rays": [[1, 0, 0]], "equalities": [[0, 1, 0], [0, 0, 1], [0, 1, 1]]}
+    ) == cone_from_rays(3, ((1, 0, 0),))
+    for obj in (
+        {"rays": [[2, 1], [2, -1]], "halfspaces": [[1, 2], [1, -2]], "equalities": [[1, 0]]},
+        {"rays": [[1, 0]], "equalities": [[1, 1]]},
+        {"rays": [[1, 0]], "equalities": []},
+        {"rays": [[1, 0, 0]], "equalities": [[0, 1, 0]]},
+        {"rays": [[1, 0]], "equalities": [[0, 1, 0]]},
+        {"halfspaces": [[1, 0]], "lines": [[1, 1]]},
+        {"halfspaces": [[1, 0]], "lines": []},
+        {"halfspaces": [[1, 0, 0]], "lines": [[0, 1, 0]]},
+        {"halfspaces": [[1, 0, 0]], "lines": [[0, 1, 0], [0, 1, 0]]},
+        {"halfspaces": [[1, 0]], "lines": [[0, 1, 0]]},
+    ):
+        with pytest.raises(InvalidInput):
+            ser.cone_from_json(obj)
+
+
 def test_certificate_roundtrip(pell_group, pell_cone, pell_cert):
     obj = ser.certificate_to_json(pell_cert)
     back = ser.certificate_from_json(obj)

@@ -122,35 +122,68 @@ def test_only_intlinalg_sums_products():
 
 
 def names_read(source):
-    """Every bare name and attribute name a module reads."""
-    read = set()
+    """The bare names and the attribute names a module reads, as two sets."""
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-    return read
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def definitions(tree):
+    """(node, is_method) for the module-level functions and classes and
+    for the non-dunder methods and properties of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item, True
 
 
 def dead_definitions(modules, readers):
-    """Module-level functions and classes of `modules` (name -> source) that
-    no source in `readers` reads, as sorted (module, line, name) triples."""
-    read = set().union(*(names_read(source) for source in readers))
+    """Definitions of `modules` (name -> source) that no source in `readers`
+    reads, as sorted (module, line, name) triples.  A method or property is
+    read only as an attribute, so a bare name of the same spelling, such as
+    a local function, does not count for it."""
+    names, attrs = set(), set()
+    for source in readers:
+        n, a = names_read(source)
+        names |= n
+        attrs |= a
     return sorted(
         (module, node.lineno, node.name)
         for module, source in modules.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in read
+        for node, is_method in definitions(ast.parse(source))
+        if node.name not in attrs and (is_method or node.name not in names)
     )
 
 
 def test_dead_definitions_detects_an_orphan():
-    lib = "def helper():\n    return 1\n\n\ndef api():\n    return helper()\n\n\nclass Gone:\n    pass\n"
-    test = "from lib import Gone, api\n\nassert api() == 1\n"
-    # helper is read by lib, api by the test; importing Gone is not reading it
-    assert dead_definitions({"lib": lib}, [lib, test]) == [("lib", 9, "Gone")]
-    assert dead_definitions({"lib": lib}, [test]) == [("lib", 1, "helper"), ("lib", 9, "Gone")]
+    lib = (
+        "def helper():\n    return 1\n\n\ndef api():\n    return helper()\n\n\n"
+        "class Gone:\n    pass\n\n\n"
+        "class Kept:\n    def __init__(self):\n        pass\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    @property\n    def unused(self):\n        return 2\n\n"
+        "    def helper(self):\n        return 3\n"
+    )
+    test = "from lib import Gone, Kept, api\n\nassert api() == Kept().used()\n"
+    # helper is read by lib, api, Kept and used by the test; importing Gone
+    # is not reading it, a dunder method is read by the language, and the
+    # bare name helper does not read the method helper
+    assert dead_definitions({"lib": lib}, [lib, test]) == [
+        ("lib", 9, "Gone"), ("lib", 21, "unused"), ("lib", 24, "helper"),
+    ]
+    assert dead_definitions({"lib": lib}, [test]) == [
+        ("lib", 1, "helper"), ("lib", 9, "Gone"), ("lib", 21, "unused"),
+        ("lib", 24, "helper"),
+    ]
 
 
 def test_every_library_definition_is_read():
