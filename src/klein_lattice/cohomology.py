@@ -312,26 +312,21 @@ def symmetric(n):
 
 
 def quaternion8():
-    """Q8 with elements 1, -1, i, -i, j, -j, k, -k."""
-    rules = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1),
-        ("1", "k"): ("k", 1), ("i", "1"): ("i", 1), ("j", "1"): ("j", 1),
-        ("k", "1"): ("k", 1), ("i", "i"): ("1", -1), ("j", "j"): ("1", -1),
-        ("k", "k"): ("1", -1), ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1), ("k", "i"): ("j", 1),
-        ("i", "k"): ("j", -1),
-    }
+    """Q8: the unit quaternions 1, -1, i, -i, j, -j, k, -k, as coordinate
+    tuples (w, x, y, z), under the Hamilton product."""
 
-    def base_sign(s):
-        return (s[1], -1) if s.startswith("-") else (s[0], 1)
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
 
-    def mul(a, b):
-        ba, sa = base_sign(a)
-        bb, sb = base_sign(b)
-        base, sign = rules[(ba, bb)]
-        return base if sign * sa * sb == 1 else "-" + base
-
-    return group_from_rule(("1", "-1", "i", "-i", "j", "-j", "k", "-k"), mul)
+    units = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    return group_from_rule(units, mul)
 
 
 def direct_product(g1, g2):
@@ -943,7 +938,7 @@ class AbelianGGroup(Frozen):
         for s in range(g.order):
             t = g.inv(s)
             comp = la.mat_mul(self.action[s], self.action[t])
-            if not _module_matrix_is_identity(m, comp):
+            if not _module_matrices_equal(m, comp, la.identity_matrix(m.dim)):
                 raise InvalidInput("action matrices are not invertible on the module")
         for s in range(g.order):
             for t in range(g.order):
@@ -952,40 +947,26 @@ class AbelianGGroup(Frozen):
                 if not _module_matrices_equal(m, comp, target):
                     raise InvalidInput("action is not a homomorphism")
 
-    def act(self, g, v):
-        return self.module.normalize(la.mat_vec(self.action[g], v))
-
 
 def _check_module_matrix(module, mat):
-    r, dim = module.free_rank, module.dim
+    dim = module.dim
     if len(mat) != dim or any(len(row) != dim for row in mat):
         raise InvalidInput("matrix size does not match the module")
-    for j, d in enumerate(module.torsion):
-        col = [mat[i][module.free_rank + j] for i in range(dim)]
-        for i in range(r):
-            if d * col[i] != 0:
-                raise InvalidInput("matrix does not respect torsion relations")
-        for i, di in enumerate(module.torsion):
-            if (d * col[r + i]) % di != 0:
-                raise InvalidInput("matrix does not respect torsion relations")
+    zero = (0,) * dim
+    for col in module.relation_columns():
+        if module.normalize(la.mat_vec(mat, col)) != zero:
+            raise InvalidInput("matrix does not respect torsion relations")
 
 
 def _module_matrices_equal(module, m1, m2):
-    r = module.free_rank
-    for j in range(module.dim):
-        for i in range(module.dim):
-            diff = m1[i][j] - m2[i][j]
-            if i < r:
-                if diff != 0:
-                    return False
-            else:
-                if diff % module.torsion[i - r] != 0:
-                    return False
-    return True
-
-
-def _module_matrix_is_identity(module, mat):
-    return _module_matrices_equal(module, mat, la.identity_matrix(module.dim))
+    """Whether m1 and m2 induce the same endomorphism of the module: each
+    column of m1 - m2 is zero in it."""
+    n = module.dim
+    zero = (0,) * n
+    return all(
+        module.normalize([m1[i][j] - m2[i][j] for i in range(n)]) == zero
+        for j in range(n)
+    )
 
 
 def _h1_smith(agg):

@@ -117,6 +117,10 @@ class PolyhedralCone(Frozen):
 
     rays/lines generate the cone; halfspaces/equalities cut it out.  All four
     hold primitive integer vectors; rays keep their geometric orientation.
+    cone_from_halfspaces and cone_from_rays are its only constructors: they
+    make the two descriptions agree, which a direct call does not check,
+    and dim() reads the equalities as a basis of the orthogonal complement
+    of the span (tests/test_source.py fails on any other call).
     """
 
     ambient_dim: int
@@ -434,16 +438,14 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
     n = pos.dim
     g = pos.lattice.gram
     x = la.primitive_vector(xiv)
-    seen_points = {x}
+    # the stabilizer of x is trivial, so distinct words of positive length
+    # send x to distinct points other than x
     depth_halfspaces = []  # the covectors of the points first reached at depth d
     orbit_elements = []
     for layer in gamma.layers(word_bound)[1:]:
         new = []
         for el in layer:
             p = la.mat_vec(el.matrix, x)
-            if p in seen_points:
-                continue
-            seen_points.add(p)
             h = la.primitive_vector(la.mat_vec(g, tuple(a - b for a, b in zip(p, x))))
             if la.dot(h, x) <= 0:
                 raise InvalidInput(f"{el.word} moves xi out of the component C")
@@ -595,12 +597,9 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
                 found[inter.rays] = inter
                 new += 1
         growth.append(new)
-    stabilized_at = None
-    for d in range(len(growth)):
-        if all(g == 0 for g in growth[d + 1:]):
-            stabilized_at = d
-            break
-    if stabilized_at is None or stabilized_at >= word_bound:
+    # the last depth always qualifies: nothing follows it
+    stabilized_at = next(d for d in range(len(growth)) if not any(growth[d + 1:]))
+    if stabilized_at >= word_bound:
         raise NonStabilizing(
             f"intersection collection still growing at word bound {word_bound}"
         )

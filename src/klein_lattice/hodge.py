@@ -112,7 +112,7 @@ class HodgeKind(Enum):
     NEITHER = "Neither"
 
 
-def _period_action(matrix, h_source, h_target=None):
+def period_action(matrix, h_source, h_target=None):
     """(kind, (a, b)): HODGE when phi(sigma) = (a + ib) sigma', ANTI when
     phi(sigma) = (a + ib) sigma-bar', else (NEITHER, None), for the source
     period sigma = x + iy and the target period sigma' = x' + iy'.
@@ -138,31 +138,6 @@ def _period_action(matrix, h_source, h_target=None):
     if list(py) == [b * u - a * v for u, v in zip(x, y)]:
         return HodgeKind.ANTI, (a, b)
     return HodgeKind.NEITHER, None
-
-
-def hodge_solution(matrix, h_source, h_target=None):
-    """(a, b) with phi(sigma) = (a + ib) sigma, or None."""
-    kind, ab = _period_action(matrix, h_source, h_target)
-    return ab if kind == HodgeKind.HODGE else None
-
-
-def anti_hodge_solution(matrix, h_source, h_target=None):
-    """(a, b) with phi(sigma) = (a + ib) sigma-bar, or None."""
-    kind, ab = _period_action(matrix, h_source, h_target)
-    return ab if kind == HodgeKind.ANTI else None
-
-
-def is_hodge_isometry(matrix, h):
-    return hodge_solution(matrix, h) is not None
-
-
-def is_anti_hodge(matrix, h):
-    return anti_hodge_solution(matrix, h) is not None
-
-
-def hodge_kind(matrix, h):
-    """Classify the action on the period plane."""
-    return _period_action(matrix, h)[0]
 
 
 # --- monodromy specifications ------------------------------------------------
@@ -224,7 +199,7 @@ def mon2_khdg_member(matrix, h, spec):
     accepted.  Raises Undecidable when the generators variant answers
     'unknown'.
     """
-    kind = hodge_kind(matrix, h)
+    kind = period_action(matrix, h)[0]
     lat = h.lattice
     if kind == HodgeKind.NEITHER:
         return False
@@ -345,7 +320,7 @@ def torelli_anti_check(matrix, h_source, h_target, k_source, k_target, spec):
     mon_verdict = mon_contains(spec, lat, matrix)
     cond1 = mon_verdict == "in"
     cond2 = is_isometry(lat, matrix)
-    cond3 = anti_hodge_solution(matrix, h_source, h_target) is not None
+    cond3 = period_action(matrix, h_source, h_target)[0] == HodgeKind.ANTI
     moved = transform_cone(k_source.ambient_cone(), matrix)
     negated = cone_from_rays(
         lat.rank,
@@ -384,7 +359,7 @@ def kaut_star_criterion(matrix, h, kmodel, spec):
         return KleinVerdict("Undecided", reason=str(exc))
     if not member:
         return KleinVerdict("NotRealizable", reason="not in Mon2_KHdg")
-    kind = hodge_kind(matrix, h)
+    kind = period_action(matrix, h)[0]
     dagger = matrix
     sign = 1
     if kind == HodgeKind.ANTI:
@@ -418,7 +393,7 @@ def hilbert_square_extension(h, n, sigma_star):
         raise InvalidInput("sigma* must be an isometry")
     if la.mat_mul(m, m) != la.identity_matrix(lat.rank):
         raise InvalidInput("sigma* must be an involution")
-    if anti_hodge_solution(m, h) is None:
+    if period_action(m, h)[0] != HodgeKind.ANTI:
         raise InvalidInput("sigma* must be anti-Hodge for the given period")
     ext = direct_sum(lat, IntegerLattice(((-2 * (n - 1),),)))
     rank = lat.rank
@@ -436,7 +411,7 @@ def hilbert_square_extension(h, n, sigma_star):
     report = {}
     report["involution"] = la.mat_mul(phi, phi) == la.identity_matrix(rank + 1)
     report["isometry"] = is_isometry(ext, phi)
-    report["anti_hodge"] = anti_hodge_solution(phi, h_ext) is not None
+    report["anti_hodge"] = period_action(phi, h_ext)[0] == HodgeKind.ANTI
     # delta-part discriminant action: delta* = delta / (2(n-1))
     delta_gen = tuple(
         Fraction(0) if i < rank else Fraction(1, 2 * (n - 1)) for i in range(rank + 1)

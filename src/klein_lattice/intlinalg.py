@@ -170,6 +170,13 @@ def snf(a):
         for row in v:
             row[dst] += q * row[src]
 
+    def make_nonnegative(i):
+        if d[i][i] < 0:
+            for j in range(cols):
+                d[i][j] = -d[i][j]
+            for j in range(rows):
+                u[i][j] = -u[i][j]
+
     t = 0
     while t < min(rows, cols):
         # find a nonzero pivot
@@ -208,51 +215,32 @@ def snf(a):
     # make diagonal nonnegative and enforce divisibility
     n = min(rows, cols)
     for i in range(n):
-        if d[i][i] < 0:
-            for j in range(cols):
-                d[i][j] = -d[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
+        make_nonnegative(i)
     changed = True
     while changed:
         changed = False
         for i in range(n - 1):
             a_, b_ = d[i][i], d[i + 1][i + 1]
             if b_ != 0 and a_ != 0 and b_ % a_ != 0:
-                # standard 2x2 repair: add column, re-reduce the block
+                # standard 2x2 repair: add column, re-reduce the block; every
+                # swap brings in a nonzero entry, so d[i][i] stays nonzero
                 add_col(i, i + 1, 1)
                 while True:
                     dirty = False
                     if d[i + 1][i] != 0:
-                        q = d[i + 1][i] // d[i][i] if d[i][i] != 0 else 0
-                        add_row(i + 1, i, -q)
+                        add_row(i + 1, i, -(d[i + 1][i] // d[i][i]))
                         if d[i + 1][i] != 0:
                             swap_rows(i, i + 1)
                             dirty = True
                     if d[i][i + 1] != 0:
-                        q = d[i][i + 1] // d[i][i] if d[i][i] != 0 else 0
-                        add_col(i + 1, i, -q)
+                        add_col(i + 1, i, -(d[i][i + 1] // d[i][i]))
                         if d[i][i + 1] != 0:
                             swap_cols(i, i + 1)
                             dirty = True
-                    if not dirty and d[i + 1][i] == 0 and d[i][i + 1] == 0:
+                    if not dirty:
                         break
-                if d[i][i] < 0:
-                    for j in range(cols):
-                        d[i][j] = -d[i][j]
-                    for j in range(rows):
-                        u[i][j] = -u[i][j]
-                if d[i + 1][i + 1] < 0:
-                    for j in range(cols):
-                        d[i + 1][j] = -d[i + 1][j]
-                    for j in range(rows):
-                        u[i + 1][j] = -u[i + 1][j]
-                changed = True
-        # zero diagonal entries must come last
-        for i in range(n - 1):
-            if d[i][i] == 0 and d[i + 1][i + 1] != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
+                make_nonnegative(i)
+                make_nonnegative(i + 1)
                 changed = True
     return (
         tuple(tuple(row) for row in d),

@@ -402,6 +402,32 @@ def test_isom_stabilizer_with_cert(pell_group_file, tmp_path, capsys):
     assert len(rep["result"]["members"]) == 1
 
 
+@pytest.mark.parametrize(
+    "gram,base,rays",
+    [
+        ([[0, 1], [1, 0]], "1,1", [["1", "0"], ["0", "1"]]),
+        ([[1, 0], [0, -1]], "1,0", [["1", "1"], ["1", "-1"]]),
+        # q(x, y) = 2x^2 - 4y^2 has no rational isotropic ray
+        ([[2, 0], [0, -4]], "1,0", []),
+    ],
+)
+def test_full_cone_sectors_list_the_rational_boundary_rays(gram, base, rays, tmp_path, capsys):
+    # a group with no generators has the whole cone as its domain
+    csv_path = tmp_path / "sectors.csv"
+    group = json.dumps({"lattice": {"gram": gram}, "generators": []})
+    code, rep = run_cli(
+        [
+            "cone", "domain", "--group", group, "--base", base, "--xi", base,
+            "--sectors-csv", str(csv_path),
+        ],
+        capsys,
+    )
+    assert code == 0 and rep["result"]["certificate"]["full_cone"] is True
+    with open(csv_path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["label", "kind", "x0", "x1"]] + [["boundary", "ray", *r] for r in rays]
+
+
 def test_cone_pipeline(pell_group_file, tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     csv_path = str(tmp_path / "sectors.csv")

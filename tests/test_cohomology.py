@@ -73,6 +73,20 @@ def test_builders():
     assert sorted(q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+def test_quaternion8_table_is_pinned():
+    # elements 1, -1, i, -i, j, -j, k, -k: i*j = k, j*i = -k, i*i = -1
+    assert quaternion8().table == (
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 1, 0, 6, 7, 5, 4),
+        (3, 2, 0, 1, 7, 6, 4, 5),
+        (4, 5, 7, 6, 1, 0, 2, 3),
+        (5, 4, 6, 7, 0, 1, 3, 2),
+        (6, 7, 4, 5, 3, 2, 1, 0),
+        (7, 6, 5, 4, 2, 3, 0, 1),
+    )
+
+
 def test_subgroup_machinery():
     s3 = symmetric(3)
     assert len(s3.all_subgroups()) == 6
@@ -286,6 +300,31 @@ def test_ggroup_rejects_an_invalid_action():
     for args, message in cases:
         with pytest.raises(InvalidInput, match=message):
             GGroup(*args)
+
+
+def test_abelian_ggroup_rejects_an_invalid_action():
+    z2, z3 = cyclic(2), cyclic(3)
+    z, z4 = FgAbelian(1, ()), FgAbelian(0, (4,))
+    one, minus, two = ((1,),), ((-1,),), ((2,),)
+    cases = [
+        ((z2, z, (one,)), "need one matrix per group element"),
+        ((z2, z, (one, ((1, 0), (0, 1)))), "matrix size does not match the module"),
+        # the generator of Z/2 cannot go to the free generator of Z + Z/2,
+        # nor to the generator of order 4 in Z/2 + Z/4
+        ((z2, FgAbelian(1, (2,)), (((1, 0), (0, 1)), ((1, 1), (0, 1)))),
+         "matrix does not respect torsion relations"),
+        ((z2, FgAbelian(0, (2, 4)), (((1, 0), (0, 1)), ((1, 0), (1, 1)))),
+         "matrix does not respect torsion relations"),
+        # multiplication by 2 is not invertible on Z, nor on Z/4, where it
+        # squares to 0
+        ((z2, z, (one, two)), "action matrices are not invertible on the module"),
+        ((z2, z4, (one, two)), "action matrices are not invertible on the module"),
+        # the generator of Z/3 cannot act by -1, of order 2
+        ((z3, z, (one, minus, minus)), "action is not a homomorphism"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            AbelianGGroup(*args)
 
 
 def test_h1_abelian_examples():

@@ -36,7 +36,7 @@ from klein_lattice.errors import (
     NotHyperbolic,
     NontrivialStabilizer,
 )
-from klein_lattice.isometry import GeneratedGroup, Isometry
+from klein_lattice.isometry import GeneratedGroup, Isometry, stabilizer
 from klein_lattice.lattice import IntegerLattice, U
 
 PELL = ((3, 4), (2, 3))
@@ -493,10 +493,30 @@ def test_membership_tester(pell_cert):
     assert tester(la.unimodular_inverse(PELL)) == "in"
 
 
+def test_membership_tester_of_the_index_two_subgroup(pell_lattice, pell_cone):
+    # Gamma = <P^2>: its domain from (1, 0) is twice the Pell domain, so
+    # P.xi = (3, 2) already lies in it and P is certified outside
+    p2 = la.mat_mul(PELL, PELL)
+    gamma = GeneratedGroup(pell_lattice, (Isometry(pell_lattice, p2),), component_base=(1, 0))
+    cert = dirichlet_domain(gamma, pell_cone, (1, 0))
+    assert sorted(cert.domain.halfspaces) == [(2, -3), (2, 3)]
+    tester = make_membership_tester(cert)
+    assert la.mat_vec(PELL, (1, 0)) == (3, 2) and cert.domain_contains((3, 2))
+    assert tester(PELL) == "out"
+    assert tester(p2) == "in"
+    assert tester(la.mat_mul(p2, PELL)) == "out"
+    # -xi leaves the positive cone, so reduction cannot start
+    assert tester(((-1, 0), (0, -1))) == "unknown"
+    # the stabilizer of xi hands its one nonidentity candidate to the tester
+    asked = []
+    st_ = stabilizer(gamma, (1, 0), tester=lambda m: asked.append(m) or tester(m))
+    assert asked == [((1, 0), (0, -1))]
+    assert st_.is_certified()
+    assert [m.matrix for m in st_.members] == [((1, 0), (0, 1))]
+
+
 def first_trivial_stabilizer_point(gamma, pos, height_bound=12):
     """Reference search: the stabilizer of every cone point, in order."""
-    from klein_lattice.isometry import stabilizer
-
     for height in range(1, height_bound + 1):
         for v in cones._integer_vectors_of_height(pos.dim, height):
             if pos.contains_open(v):

@@ -11,20 +11,16 @@ from klein_lattice.hodge import (
     HodgeLattice,
     KahlerModel,
     MonodromySpec,
-    anti_hodge_solution,
     anti_invariant_class,
     classify_finite_subgroups_on_cone,
     hilbert_square_extension,
-    hodge_kind,
-    hodge_solution,
-    is_anti_hodge,
-    is_hodge_isometry,
     is_projective_type,
     kaut_star_criterion,
     mon2_khdg_member,
     mon_contains,
     neron_severi,
     ns_plus_t_index,
+    period_action,
     prop_key_reduction,
     torelli_anti_check,
     transcendental,
@@ -154,13 +150,13 @@ def signed_permutations_diag4():
             yield tuple(map(tuple, m))
 
 
-def test_hodge_kind_distribution_neither_dominates():
+def test_period_action_distribution_neither_dominates():
     # over the full signed-permutation isometry group of diag(2,2,2,-2),
     # isometries moving the period plane (kind NEITHER) dominate
     h, _ = config_diag4()
     counts = {HodgeKind.HODGE: 0, HodgeKind.ANTI: 0, HodgeKind.NEITHER: 0}
     for m in signed_permutations_diag4():
-        counts[hodge_kind(m, h)] += 1
+        counts[period_action(m, h)[0]] += 1
     assert counts[HodgeKind.NEITHER] > counts[HodgeKind.HODGE] + counts[HodgeKind.ANTI]
     assert counts[HodgeKind.HODGE] == counts[HodgeKind.ANTI] > 0
 
@@ -176,19 +172,16 @@ def test_projectivity_examples():
 # --- hodge type solves --------------------------------------------------------------
 
 
-def test_hodge_kind_examples():
+def test_period_action_examples():
     h, sigma = config_diag4()
     ident = la.identity_matrix(4)
-    assert hodge_solution(ident, h) == (1, 0)
-    assert hodge_kind(ident, h) == HodgeKind.HODGE
-    assert anti_hodge_solution(sigma, h) == (1, 0)
-    assert hodge_kind(sigma, h) == HodgeKind.ANTI
-    assert is_anti_hodge(sigma, h) and not is_hodge_isometry(sigma, h)
+    assert period_action(ident, h) == (HodgeKind.HODGE, (1, 0))
+    assert period_action(sigma, h) == (HodgeKind.ANTI, (1, 0))
     mv = ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
-    assert hodge_kind(mv, h) == HodgeKind.NEITHER
+    assert period_action(mv, h) == (HodgeKind.NEITHER, None)
     # rotation x -> y, y -> -x sends sigma to -i*sigma: Hodge with (0, -1)
     rot = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert hodge_solution(rot, h) == (0, -1)
+    assert period_action(rot, h) == (HodgeKind.HODGE, (0, -1))
 
 
 def reference_period_solve(matrix, h_source, h_target, anti):
@@ -230,13 +223,13 @@ def test_closed_form_period_action_matches_the_elimination():
     seen = set()
     for m, src in cases:
         for tgt in (src, turned) if src is h else (src,):
-            got = as_kind(hodge_solution(m, src, tgt), anti_hodge_solution(m, src, tgt))
+            got = period_action(m, src, tgt)
             assert got == as_kind(
                 reference_period_solve(m, src, tgt, anti=False),
                 reference_period_solve(m, src, tgt, anti=True),
             )
             if tgt is src:
-                assert hodge_kind(m, src) == got[0]
+                assert period_action(m, src) == got
             seen.add((tgt is turned, got[0]))
     # every kind occurs for both targets
     assert seen == {(t, k) for t in (False, True) for k in HodgeKind}
@@ -246,12 +239,9 @@ def test_hodge_and_anti_exclusive_on_shipped():
     for _, maker in SHIPPED:
         h, sigma = maker()
         n = h.lattice.rank
-        mats = [la.identity_matrix(n), sigma,
-                tuple(tuple(-x for x in row) for row in sigma)]
-        for m in mats:
-            hs = hodge_solution(m, h)
-            ah = anti_hodge_solution(m, h)
-            assert not (hs is not None and ah is not None)
+        neg = tuple(tuple(-x for x in row) for row in sigma)
+        kinds = [period_action(m, h)[0] for m in (la.identity_matrix(n), sigma, neg)]
+        assert kinds == [HodgeKind.HODGE, HodgeKind.ANTI, HodgeKind.ANTI]
 
 
 # --- monodromy and the Klein-Hodge group ------------------------------------------------
@@ -469,7 +459,7 @@ def test_kaut_criterion_hodge_k_to_minus_k():
         )
         for i in range(7)
     )
-    assert hodge_kind(mh, h_ext) == HodgeKind.HODGE
+    assert period_action(mh, h_ext)[0] == HodgeKind.HODGE
     spec = MonodromySpec("discriminant", signs=(1, -1), require_orientation=False)
     v = kaut_star_criterion(mh, h_ext, km, spec)
     assert v.kind == "NotRealizable" and "cone" in v.reason

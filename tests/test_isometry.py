@@ -293,6 +293,23 @@ def test_fixes_pointwise_corank1_z_minus_one_branch():
     assert out.witness == ((1, 0), (0, -1))
 
 
+def test_fixes_pointwise_corank1_z_plus_one_branch():
+    # e1 - e2 lies in the radical and is orthogonal to N = <e1, e2>, so the
+    # transvection e3 -> e3 - e1 + e2 fixes N pointwise
+    l = IntegerLattice(((1, 1, 2), (1, 1, 2), (2, 2, 2)))
+    out = fixes_pointwise_implies_identity(l, Sublattice(l, ((1, 0, 0), (0, 1, 0))))
+    assert out.kind == "Counterexample"
+    assert out.witness == ((1, 0, -1), (0, 1, 1), (0, 0, 1))
+
+
+def test_fixes_pointwise_of_the_zero_sublattice():
+    # every isometry fixes N = 0 pointwise, -id among them
+    l = IntegerLattice(((2,),))
+    out = fixes_pointwise_implies_identity(l, Sublattice(l, ()))
+    assert out.kind == "Counterexample"
+    assert out.witness == ((-1,),)
+
+
 def test_fixes_pointwise_corank2_undecided():
     # frozen instance: the bounded search finds nothing at bound 1
     l = IntegerLattice(((0, 1, 4), (1, -4, 3), (4, 3, -1)))
@@ -355,6 +372,27 @@ def test_dagger_composition_law(m1, s1, m2, s2):
     assert fg.dagger_matrix() == la.mat_mul(g.dagger_matrix(), f.dagger_matrix())
     inv = klein_inverse(f)
     assert la.mat_mul(inv.dagger_matrix(), f.dagger_matrix()) == la.identity_matrix(2)
+
+
+def test_klein_generators_carry_their_sign(pell_lattice):
+    # a Klein generator acts by its dagger, here -diag(1, -1), an involution,
+    # so it has no separate inverse letter
+    klein = KleinIsometry(Isometry(pell_lattice, ((1, 0), (0, -1))), -1)
+    gamma = GeneratedGroup(pell_lattice, (Isometry(pell_lattice, PELL), klein))
+    gens = {g.word: (g.matrix, g.sign) for g in gamma.generator_elements()}
+    assert gens == {
+        "g0": (PELL, 1),
+        "g0^-1": (la.unimodular_inverse(PELL), 1),
+        "g1": (((-1, 0), (0, 1)), -1),
+    }
+    words = {el.word: el.sign for layer in gamma.layers(2) for el in layer}
+    assert words["g1*g0"] == -1 and words["g0*g0"] == 1
+    for word, sign in words.items():
+        assert sign == (-1) ** word.split("*").count("g1")
+    back = ser.generated_group_from_json(ser.generated_group_to_json(gamma))
+    assert [(el.matrix, el.sign, el.word) for el in back.elements_up_to(2)] == [
+        (el.matrix, el.sign, el.word) for el in gamma.elements_up_to(2)
+    ]
 
 
 def test_isometry_entries_must_be_integers(pell_lattice):
@@ -439,6 +477,22 @@ def test_stabilizer_contains_constructed_fix(dihedral_group):
     x = tuple(a + b for a, b in zip(y, la.mat_vec(refl, y)))
     st_ = stabilizer(dihedral_group, x)
     assert refl in {m.matrix for m in st_.members}
+
+
+def test_stabilizer_of_an_open_reflection_group_is_bounded():
+    # the reflections in (0, 1, 0) and (1, 1, 1) of diag(2, -2, -2) generate
+    # an infinite group, so the words up to length 4 settle only the members
+    lat = IntegerLattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
+    r1 = Isometry(lat, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    r2 = Isometry(lat, ((3, -2, -2), (2, -1, -2), (2, -2, -1)))
+    gamma = GeneratedGroup(lat, (r1, r2), word_bound=4)
+    st_ = stabilizer(gamma, (1, 0, 0))
+    assert st_.completeness == "BoundedSearch" and st_.bound == 4
+    assert [m.matrix for m in st_.members] == [r1.matrix, la.identity_matrix(3)]
+    assert len(st_.unresolved) == 6
+    for m in st_.unresolved:
+        assert la.mat_vec(m, (1, 0, 0)) == (1, 0, 0)
+        assert group_membership(gamma, m) == "unknown"
 
 
 def test_stabilizer_errors(pell_group):

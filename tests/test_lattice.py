@@ -36,6 +36,10 @@ def test_signature_examples():
     assert signature(U()).as_tuple() == (1, 0, 1)
     assert signature(K3()).as_tuple() == (3, 0, 19)
     assert signature(IntegerLattice(((0, 0), (0, -2)))).as_tuple() == (0, 1, 1)
+    # <0> + U: the diagonal is zero and row 0 is too, so the diagonalization
+    # swaps the off-diagonal pair of U up to row 0 before it uses it
+    zero_u = IntegerLattice(((0, 0, 0), (0, 0, 1), (0, 1, 0)))
+    assert signature(zero_u).as_tuple() == (1, 1, 1)
 
 
 def test_signature_against_charpoly_oracle():

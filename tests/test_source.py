@@ -121,6 +121,43 @@ def test_only_intlinalg_sums_products():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+CONE_BUILDERS = ("cone_from_halfspaces", "cone_from_rays")
+
+
+def direct_cone_calls(source):
+    """Lines of PolyhedralCone(...) calls outside the module-level functions
+    cone_from_halfspaces and cone_from_rays."""
+    tree = ast.parse(source)
+    builders = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in CONE_BUILDERS
+    ]
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name_of(node.func) == "PolyhedralCone"
+        and not any(node.lineno in lines for lines in builders)
+    )
+
+
+def test_direct_cone_calls_detects_a_direct_call():
+    source = (
+        "def cone_from_rays(dim, rays):\n    return PolyhedralCone(dim, rays, (), (), ())\n\n\n"
+        "def shortcut(dim):\n    return cones.PolyhedralCone(dim, (), (), (), ())\n\n\n"
+        "zero = PolyhedralCone(1, (), (), (), ())\n"
+    )
+    assert direct_cone_calls(source) == [6, 9]
+
+
+def test_cones_are_built_only_by_the_two_builders():
+    # a direct call can pair rays with equalities they do not span, and
+    # dim() trusts the equalities
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = {f"{p.parent.name}/{p.name}": direct_cone_calls(p.read_text()) for p in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def names_read(source):
     """The bare names and the attribute names a module reads, as two sets."""
     names, attrs = set(), set()
