@@ -285,15 +285,14 @@ def _rational_isotropic_rays(pos):
 
     if pos.dim != 2:
         return []
-    g = pos.lattice.gram
-    a, b, c = g[0][0], g[0][1], g[1][1]
+    lat = pos.lattice
+    a, b, c = lat.gram[0][0], lat.gram[0][1], lat.gram[1][1]
     rays = []
     if a == 0:
         rays.extend([(1, 0), (-1, 0), (-c, 2 * b), (c, -2 * b)])
     else:
+        # a hyperbolic rank-2 form has ac - b^2 < 0, so disc > 0
         disc = b * b - a * c
-        if disc < 0:
-            return []
         s = isqrt(disc)
         if s * s != disc:
             return []
@@ -302,7 +301,7 @@ def _rational_isotropic_rays(pos):
     out = []
     for ray in rays:
         v = la.primitive_vector(ray)
-        if not la.is_zero_vector(v) and pos.q(v) == 0 and pos.pairing(v, pos.component_base) > 0:
+        if not la.is_zero_vector(v) and lat.q(v) == 0 and lat.pairing(v, pos.component_base) > 0:
             if v not in out:
                 out.append(v)
     return out

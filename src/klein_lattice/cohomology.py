@@ -54,6 +54,18 @@ def subgroup_closure(gens, mul, identity, bound=None, allowed=None):
     return frozenset(out)
 
 
+def _orbit_partition(count, gens, action):
+    """The orbits of the points 0, ..., count - 1 under the closure walk of
+    action over gens, each once, in the order of their least points."""
+    orbits = []
+    seen = set()
+    for p in range(count):
+        if p not in seen:
+            orbits.append(subgroup_closure(gens, action, p))
+            seen |= orbits[-1]
+    return orbits
+
+
 def extension_subgroups(candidates, mul, identity, bound=None, allowed=None):
     """Every subgroup generated by candidates that subgroup_closure accepts,
     by cyclic extension: adjoin one candidate to a found subgroup and close
@@ -776,12 +788,7 @@ def twist_fiber_check(ses, phi):
         theta = h1p_tw.representatives[ci]
         return h1p_tw.class_of(_pull_back(ses, aq_elem, theta, twisted))
 
-    orbits = []
-    seen = set()
-    for ci in range(h1p_tw.size):
-        if ci not in seen:
-            orbits.append(subgroup_closure(inv_q_tw, act_on_class, ci))
-            seen |= orbits[-1]
+    orbits = _orbit_partition(h1p_tw.size, inv_q_tw, act_on_class)
 
     # translation map: theta -> theta * phi, into H1(G, A); the keys of
     # h1.class_index are all of Z^1(G, A), so a product outside them is no
@@ -1117,14 +1124,11 @@ def filtration_driver_split(spec, g):
             mat = spec.q_action[q_group.inv(q)]
             return class_of([la.mat_vec(mat, v) for v in elements[idx]])
 
-        orbits = []
-        for idx in range(len(elements)):
-            if not any(idx in orbit for orbit in orbits):
-                orbits.append(sorted(subgroup_closure(centralizer, move, idx)))
+        orbits = _orbit_partition(len(elements), centralizer, move)
         fiber_size = len(orbits)
         total += fiber_size
         for orbit in orbits:
-            theta = elements[orbit[0]]
+            theta = elements[min(orbit)]
             representatives.append(
                 tuple((theta[s], rep[s]) for s in range(g.order))
             )
@@ -1297,10 +1301,11 @@ def inner_twist_bijection(g_group, ambient, sub_elements, sigma):
             translated = tuple(
                 sub_group.op(rep[s], phi0[s]) for s in range(g.order)
             )
-            if not is_cocycle(gg_triv, translated):
+            # the keys of class_index are all of Z^1
+            ci = h1_triv.class_index.get(translated)
+            if ci is None:
                 ok = False
                 break
-            ci = h1_triv.class_of(translated)
             image_classes.add(ci)
             pairs.append((rep, h1_triv.representatives[ci]))
         bijective = ok and len(image_classes) == h1_conj.size == h1_triv.size

@@ -249,27 +249,16 @@ class PositiveCone(Frozen):
         if len(base) != n:
             raise DimensionMismatch("component base length != lattice rank")
         object.__setattr__(self, "component_base", base)
-        if self.q(base) <= 0:
+        if self.lattice.q(base) <= 0:
             raise NonPositiveVector("component base must have q > 0")
 
     @property
     def dim(self):
         return self.lattice.rank
 
-    def q(self, v):
-        g = self.lattice.gram
-        return la.dot(la.mat_vec(g, v), v)
-
-    def pairing(self, u, v):
-        g = self.lattice.gram
-        return la.dot(la.mat_vec(g, v), u)
-
     def contains_open(self, x):
-        return self.q(x) > 0 and self.pairing(x, self.component_base) > 0
-
-    def gram_functional(self, v):
-        """The covector <v, .> of the lattice form, as a primitive vector."""
-        return la.primitive_vector(la.mat_vec(self.lattice.gram, v))
+        lat = self.lattice
+        return lat.q(x) > 0 and lat.pairing(x, self.component_base) > 0
 
 
 def rational_closure_member(pos, x):
@@ -284,9 +273,10 @@ def rational_closure_member(pos, x):
     xv = tuple(Fraction(c) for c in x)
     if all(c == 0 for c in xv):
         return True
-    if pos.q(xv) < 0:
+    lat = pos.lattice
+    if lat.q(xv) < 0:
         return False
-    return pos.pairing(xv, pos.component_base) > 0
+    return lat.pairing(xv, pos.component_base) > 0
 
 
 # --- deciding whether a polyhedral cone meets the open component C ---------
@@ -326,16 +316,14 @@ def cone_meets_component(cone, pos):
     """True iff the polyhedral cone contains a point with q > 0 in C."""
     if cone.ambient_dim != pos.dim:
         raise DimensionMismatch("cone and positive cone dimension mismatch")
-    base_h = pos.gram_functional(pos.component_base)
+    base_h = pos.lattice.covector(pos.component_base)
     clipped = cone_from_halfspaces(
         cone.ambient_dim, cone.halfspaces + (base_h,), cone.equalities
     )
     gens = clipped.generators()
     if not gens:
         return False
-    g = pos.lattice.gram
-    b = tuple(tuple(la.dot(la.mat_vec(g, w), v) for w in gens) for v in gens)
-    mx = _simplex_max(b)
+    mx = _simplex_max(pos.lattice.gram_of(gens))
     return mx is not None and mx > 0
 
 
@@ -436,7 +424,7 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
     if len(st.members) != 1:
         raise NontrivialStabilizer("base point has a nontrivial stabilizer")
     n = pos.dim
-    g = pos.lattice.gram
+    lat = pos.lattice
     x = la.primitive_vector(xiv)
     # the stabilizer of x is trivial, so distinct words of positive length
     # send x to distinct points other than x
@@ -446,7 +434,7 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         new = []
         for el in layer:
             p = la.mat_vec(el.matrix, x)
-            h = la.primitive_vector(la.mat_vec(g, tuple(a - b for a, b in zip(p, x))))
+            h = lat.covector(tuple(a - b for a, b in zip(p, x)))
             if la.dot(h, x) <= 0:
                 raise InvalidInput(f"{el.word} moves xi out of the component C")
             new.append(h)
@@ -484,19 +472,18 @@ def reduce_into_domain(cert, x, max_steps=1000):
     of its defining orbit element strictly decreases the pairing; values lie
     in a discrete subset bounded below, so the loop terminates.
     """
-    pos = cert.positive_cone
+    lat = cert.positive_cone.lattice
     xiv = cert.xi
-    n = pos.dim
     current = tuple(Fraction(c) for c in x)
-    word_matrix = la.identity_matrix(n)
+    word_matrix = la.identity_matrix(lat.rank)
     for step in range(max_steps):
         if cert.domain.contains(current):
             return current, word_matrix, step
-        val = pos.pairing(xiv, current)
+        val = lat.pairing(xiv, current)
         best = None
         for mv in cert.moves:
             cand = la.mat_vec(mv, current)
-            v = pos.pairing(xiv, cand)
+            v = lat.pairing(xiv, cand)
             if v < val and (best is None or v < best[0]):
                 best = (v, cand, mv)
         if best is None:

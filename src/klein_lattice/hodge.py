@@ -75,13 +75,9 @@ class HodgeLattice(Frozen):
 
 def neron_severi(h):
     """NS = {v in L : <v, x> = <v, y> = 0}, a primitive sublattice."""
-    g = h.lattice.gram
-    rows = (
-        la.primitive_vector(la.mat_vec(g, h.period_re)),
-        la.primitive_vector(la.mat_vec(g, h.period_im)),
-    )
-    ker = la.int_kernel(rows)
-    return Sublattice(h.lattice, tuple(ker))
+    lat = h.lattice
+    ker = la.int_kernel((lat.covector(h.period_re), lat.covector(h.period_im)))
+    return Sublattice(lat, tuple(ker))
 
 
 def transcendental(h):
@@ -245,24 +241,16 @@ class KahlerModel(Frozen):
             raise InvalidInput("Kahler model cone must be full-dimensional")
         if self.cone.lines:
             raise InvalidInput("Kahler model cone must be pointed")
-        g = self.lattice.gram
-        amb = [self.to_lattice(r) for r in self.cone.rays]
-        for i, u in enumerate(amb):
-            qu = la.dot(la.mat_vec(g, u), u)
-            if qu < 0:
+        b = self.lattice.gram_of([self.to_lattice(r) for r in self.cone.rays])
+        for i, row in enumerate(b):
+            if row[i] < 0:
                 raise InvalidInput("Kahler model ray with q < 0")
-            for v in amb[i + 1:]:
-                if la.dot(la.mat_vec(g, v), u) < 0:
-                    raise InvalidInput("Kahler model rays in opposite components")
+            if any(x < 0 for x in row[i + 1:]):
+                raise InvalidInput("Kahler model rays in opposite components")
 
     def to_lattice(self, v):
         """NS coordinates -> ambient lattice coordinates."""
-        n = self.lattice.rank
-        out = [0] * n
-        for c, row in zip(v, self.embedding):
-            for i in range(n):
-                out[i] += c * row[i]
-        return tuple(out)
+        return la.mat_vec(la.transpose(self.embedding), v)
 
     def ambient_cone(self):
         return cone_from_rays(
@@ -271,25 +259,20 @@ class KahlerModel(Frozen):
 
     def restrict_matrix(self, matrix):
         """The matrix in NS coordinates of an isometry preserving NS, or None."""
-        img = [la.mat_vec(matrix, row) for row in self.embedding]
         cols = la.transpose(self.embedding)
         out_cols = []
-        for v in img:
-            sol = la.solve_frac(cols, v)
-            if sol is None or any(Fraction(c).denominator != 1 for c in sol):
+        for row in self.embedding:
+            sol = la.solve_int(cols, la.mat_vec(matrix, row))
+            if sol is None:
                 return None
-            out_cols.append(tuple(int(c) for c in sol))
-        # rows of embedding map to img; restriction acts on coordinates
+            out_cols.append(sol)
+        # rows of embedding map to their images; restriction acts on coordinates
         return la.transpose(tuple(out_cols))
 
     def interior_point(self):
         """Sum of the rays: interior, since the cone is full-dimensional."""
-        d = self.cone.ambient_dim
-        out = [0] * d
-        for r in self.cone.rays:
-            for i in range(d):
-                out[i] += r[i]
-        return tuple(out)
+        rays = self.cone.rays
+        return la.mat_vec(la.transpose(rays), (1,) * len(rays))
 
 
 def open_cones_intersect(c1, c2):
@@ -397,13 +380,7 @@ def hilbert_square_extension(h, n, sigma_star):
         raise InvalidInput("sigma* must be anti-Hodge for the given period")
     ext = direct_sum(lat, IntegerLattice(((-2 * (n - 1),),)))
     rank = lat.rank
-    phi = tuple(
-        tuple(
-            (m[i][j] if i < rank and j < rank else (-1 if i == j == rank else 0))
-            for j in range(rank + 1)
-        )
-        for i in range(rank + 1)
-    )
+    phi = la.block_diagonal(m, ((-1,),))
     h_ext = HodgeLattice(
         ext, tuple(h.period_re) + (0,), tuple(h.period_im) + (0,)
     )
@@ -424,7 +401,7 @@ def hilbert_square_extension(h, n, sigma_star):
     if anti_class is not None:
         w, k = anti_class
         cls = tuple(Fraction(c) for c in w) + (Fraction(-1, k),)
-        q_cls = ext.pairing(cls, cls)
+        q_cls = ext.q(cls)
         img = la.mat_vec(phi, cls)
         report["anti_invariant_class"] = cls
         report["anti_invariant_pullback_negates"] = img == tuple(-c for c in cls)
@@ -451,11 +428,7 @@ def _anti_invariant_kahler_certificate(h, m, n):
     """Find rational w with sigma*(w) = -w, w orthogonal to the period and
     q(w) > 0; return (w, k) with q(w - delta/k) > 0."""
     lat = h.lattice
-    g = lat.gram
-    rows = [
-        la.primitive_vector(la.mat_vec(g, h.period_re)),
-        la.primitive_vector(la.mat_vec(g, h.period_im)),
-    ]
+    rows = [lat.covector(h.period_re), lat.covector(h.period_im)]
     for i in range(lat.rank):
         rows.append(
             tuple(m[i][j] + (1 if i == j else 0) for j in range(lat.rank))
@@ -463,14 +436,11 @@ def _anti_invariant_kahler_certificate(h, m, n):
     ker = la.int_kernel(tuple(rows))
     if not ker:
         return None
+    ker_cols = la.transpose(ker)
     for height in range(1, 8):
         for coeffs in _integer_vectors_of_height(len(ker), height):
-            w = [0] * lat.rank
-            for c, k in zip(coeffs, ker):
-                for i in range(lat.rank):
-                    w[i] += c * k[i]
-            w = tuple(w)
-            qw = la.dot(la.mat_vec(g, w), w)
+            w = la.mat_vec(ker_cols, coeffs)
+            qw = lat.q(w)
             if qw > 0:
                 k = 1
                 while k * k * qw <= 2 * (n - 1):
@@ -542,12 +512,11 @@ def prop_key_reduction(group_elements, cert, y):
     yv = tuple(Fraction(c) for c in y)
     if not pos.contains_open(yv):
         raise InvalidInput("base point must lie in the open cone")
-    x = [Fraction(0)] * pos.dim
-    for mt in mats:
-        img = la.mat_vec(mt, yv)
-        for i in range(pos.dim):
-            x[i] += img[i]
-    x = tuple(x)
+    images = [la.mat_vec(mt, yv) for mt in mats]
+    if images:
+        x = la.mat_vec(la.transpose(images), (1,) * len(images))
+    else:
+        x = (Fraction(0),) * pos.dim
     for mt in mats:
         assert la.mat_vec(mt, x) == x
     reduced, w, _ = reduce_into_domain(cert, x)

@@ -33,6 +33,14 @@ def mat_vec(a, v):
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
+def block_diagonal(a, b):
+    """The square block matrix with a and b on the diagonal, zeros elsewhere."""
+    na, nb = len(a), len(b)
+    return tuple(tuple(row) + (0,) * nb for row in a) + tuple(
+        (0,) * na + tuple(row) for row in b
+    )
+
+
 def matrix_order(m, bound):
     """The least k <= bound with m^k = I, or None when there is none."""
     ident = identity_matrix(len(m))

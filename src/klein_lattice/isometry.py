@@ -21,7 +21,13 @@ from .errors import (
     NotPrimitive,
 )
 from .frozen import Frozen
-from .lattice import IntegerLattice, integer_rows, signature
+from .lattice import (
+    IntegerLattice,
+    Sublattice,
+    integer_rows,
+    orthogonal_complement,
+    signature,
+)
 
 
 class Isometry(Frozen):
@@ -118,10 +124,8 @@ def preserves_positive_orientation(lat, matrix):
     w = [la.primitive_vector(v) for v in positive_basis(lat)]
     if not w:
         raise InvalidInput("lattice has no positive part")
-    g = lat.gram
-    p = tuple(
-        tuple(la.dot(la.mat_vec(g, wj), la.mat_vec(matrix, wi)) for wj in w) for wi in w
-    )
+    images = [la.mat_vec(matrix, wi) for wi in w]
+    p = tuple(tuple(lat.pairing(u, wj) for wj in w) for u in images)
     d = la.bareiss_det(p)
     if d == 0:
         raise InvalidInput("degenerate positive-part pairing; not an isometry?")
@@ -289,7 +293,7 @@ def fixes_pointwise_implies_identity(lat, sub, search_bound=1):
     cmat = la.complete_basis(sub.basis) if t else la.identity_matrix(n)
     p_basis = la.transpose(cmat)  # columns are the adapted basis vectors
     p_inv = la.unimodular_inverse(p_basis)
-    gn = la.mat_mul(la.transpose(p_basis), la.mat_mul(lat.gram, p_basis))
+    gn = lat.gram_of(cmat)
 
     def to_ambient(m_new):
         return la.mat_mul(p_basis, la.mat_mul(m_new, p_inv))
@@ -562,17 +566,13 @@ def stabilizer(gamma, x, tester=None):
     if signature(lat).as_tuple() != (1, 0, n - 1):
         raise NotHyperbolic("stabilizer needs a hyperbolic ambient lattice")
     xv = tuple(Fraction(c) for c in x)
-    qx = la.dot(la.mat_vec(lat.gram, xv), xv)
-    if qx <= 0:
+    if lat.q(xv) <= 0:
         raise NonPositiveVector("q(x) must be positive")
     xprim = la.primitive_vector(xv)
-    comp = _orthogonal_rows(lat, xprim)
-    comp_gram = tuple(
-        tuple(lat.pairing(u, v) for v in comp) for u in comp
-    )
-    comp_lat = IntegerLattice(comp_gram)
+    comp = orthogonal_complement(lat, Sublattice(lat, (xprim,))).basis
+    comp_lat = IntegerLattice(lat.gram_of(comp))
     phis = isometry_group_definite(comp_lat)
-    p_cols = la.transpose((xprim,) + tuple(comp))
+    p_cols = la.transpose((xprim,) + comp)
     p_inv = la.frac_inverse(p_cols)
     k = comp_lat.rank
     candidates = []
@@ -603,8 +603,3 @@ def stabilizer(gamma, x, tester=None):
         gamma.word_bound,
         tuple(unresolved),
     )
-
-
-def _orthogonal_rows(lat, x):
-    row = (la.mat_vec(lat.gram, x),)
-    return la.int_kernel(row)

@@ -28,7 +28,11 @@ def integer_rows(rows, what):
 
 
 class IntegerLattice(Frozen):
-    """Finite-rank free abelian group with an integer symmetric bilinear form."""
+    """Finite-rank free abelian group with an integer symmetric bilinear form.
+
+    The one place the form <u, v> = u^T G v is evaluated: pairings, norms,
+    Gram matrices of vector lists and covectors all go through it.
+    """
 
     gram: tuple
 
@@ -55,6 +59,15 @@ class IntegerLattice(Frozen):
 
     def q(self, v):
         return self.pairing(v, v)
+
+    def gram_of(self, vectors):
+        """The matrix of pairings <u, v>, u by row and v by column."""
+        covectors = [la.mat_vec(self.gram, v) for v in vectors]
+        return tuple(tuple(la.dot(c, u) for c in covectors) for u in vectors)
+
+    def covector(self, v):
+        """The covector <v, .> of the form, as a primitive vector."""
+        return la.primitive_vector(la.mat_vec(self.gram, v))
 
     def det(self):
         return la.bareiss_det(self.gram)
@@ -104,10 +117,7 @@ class Sublattice(Frozen):
 
     def gram(self):
         """Gram matrix of the restricted form in the given basis."""
-        g = self.ambient.gram
-        return tuple(
-            tuple(la.dot(la.mat_vec(g, v), u) for v in self.basis) for u in self.basis
-        )
+        return self.ambient.gram_of(self.basis)
 
     def as_lattice(self):
         return IntegerLattice(self.gram())
@@ -223,13 +233,7 @@ def discriminant_acts_as(lat, matrix, *signs):
 
 
 def direct_sum(l1, l2):
-    n1, n2 = l1.rank, l2.rank
-    g = []
-    for i in range(n1):
-        g.append(tuple(l1.gram[i]) + (0,) * n2)
-    for i in range(n2):
-        g.append((0,) * n1 + tuple(l2.gram[i]))
-    return IntegerLattice(tuple(g))
+    return IntegerLattice(la.block_diagonal(l1.gram, l2.gram))
 
 
 def rescale(lat, m):

@@ -409,6 +409,8 @@ def test_isom_stabilizer_with_cert(pell_group_file, tmp_path, capsys):
         ([[1, 0], [0, -1]], "1,0", [["1", "1"], ["1", "-1"]]),
         # q(x, y) = 2x^2 - 4y^2 has no rational isotropic ray
         ([[2, 0], [0, -4]], "1,0", []),
+        # boundary rays are listed in rank 2 only
+        ([[1, 0, 0], [0, -1, 0], [0, 0, -1]], "1,0,0", []),
     ],
 )
 def test_full_cone_sectors_list_the_rational_boundary_rays(gram, base, rays, tmp_path, capsys):
@@ -425,7 +427,8 @@ def test_full_cone_sectors_list_the_rational_boundary_rays(gram, base, rays, tmp
     assert code == 0 and rep["result"]["certificate"]["full_cone"] is True
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
-    assert rows == [["label", "kind", "x0", "x1"]] + [["boundary", "ray", *r] for r in rays]
+    header = ["label", "kind"] + [f"x{i}" for i in range(len(gram))]
+    assert rows == [header] + [["boundary", "ray", *r] for r in rays]
 
 
 def test_cone_pipeline(pell_group_file, tmp_path, capsys):

@@ -361,7 +361,8 @@ def domain_from_scratch(gamma, pos, xi, word_bound):
         "stabilization_depth": 1 + sets.index(sets[-1]),
         "orbit_elements": tuple((m, w) for _, _, m, w in raw),
         "rays_in_closure": not final.lines and all(
-            pos.q(r) >= 0 and pos.pairing(r, pos.component_base) > 0 for r in final.rays
+            pos.lattice.q(r) >= 0 and pos.lattice.pairing(r, pos.component_base) > 0
+            for r in final.rays
         ),
     }
 

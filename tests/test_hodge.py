@@ -393,6 +393,24 @@ def test_anti_invariant_identity_dagger():
     assert km.cone.contains_strictly(c)
 
 
+def test_restrict_matrix_needs_the_ns_span_kept_integrally():
+    lat = IntegerLattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    quadrant = cone_from_rays(2, ((1, 0), (0, 1)))
+    km = KahlerModel(quadrant, ((0, 0, 1, 0), (0, 0, 0, 1)), lat)
+    swap = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    assert km.restrict_matrix(swap) == ((0, 1), (1, 0))
+    # e3 -> e1 + e3 leaves the span of e3 and e4
+    shear = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert km.restrict_matrix(shear) is None
+    with pytest.raises(InvalidInput, match="dagger action does not preserve the NS span"):
+        anti_invariant_class(km, shear)
+    # in the basis 2 e3, e4 the swap sends e4 to e3, of coordinates (1/2, 0)
+    coarse = KahlerModel(quadrant, ((0, 0, 2, 0), (0, 0, 0, 1)), lat)
+    assert coarse.restrict_matrix(swap) is None
+    with pytest.raises(InvalidInput, match="dagger action does not preserve the NS span"):
+        anti_invariant_class(coarse, KleinIsometry(Isometry(lat, swap), 1))
+
+
 def test_kahler_embedding_entries_must_be_integers():
     # truncated, this would be the identity embedding
     square = cone_from_rays(2, ((1, 0), (0, 1)))

@@ -504,6 +504,9 @@ def test_stabilizer_errors(pell_group):
 
     with pytest.raises(NonPositiveVector):
         stabilizer(pell_group, (0, 1))
+    # (1, 0, 0) truncated to rank 2 would be the point (1, 0)
+    with pytest.raises(DimensionMismatch):
+        stabilizer(pell_group, (1, 0, 0))
 
 
 def test_group_membership_verdicts(pell_group):

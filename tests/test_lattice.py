@@ -246,6 +246,15 @@ def test_classify_type():
 def test_plumbing():
     ds = direct_sum(U(), A1_minus())
     assert ds.rank == 3 and abs(ds.det()) == 2
+    assert ds.gram == ((0, 1, 0), (1, 0, 0), (0, 0, -2))
+    # q(x, y, z) = 2xy - 2z^2 on a list of vectors, and its covectors
+    vectors = ((1, 1, 0), (0, 0, 1), (1, -1, 2))
+    assert ds.gram_of(vectors) == ((2, 0, 0), (0, -2, -4), (0, -4, -10))
+    assert Sublattice(ds, vectors).gram() == ds.gram_of(vectors)
+    assert ds.gram_of(()) == ()
+    assert ds.covector((2, 4, 1)) == (2, 1, -1)
+    assert ds.covector((Fraction(1, 2), 0, 0)) == (0, 1, 0)
+    assert ds.covector((0, 0, 0)) == (0, 0, 0)
     assert rescale(A1(), -1).gram == A1_minus().gram
     u = U()
     assert sublattice_index(u, Sublattice(u, ((2, 0), (0, 1)))) == 2

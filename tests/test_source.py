@@ -121,6 +121,34 @@ def test_only_intlinalg_sums_products():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def form_evaluations(source):
+    """Lines of dot(mat_vec(...), ...) calls: the lattice form u^T G v
+    written out by hand."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and name_of(node.func) == "dot"
+        and any(isinstance(a, ast.Call) and name_of(a.func) == "mat_vec" for a in node.args)
+    )
+
+
+def test_form_evaluations_detects_a_hand_written_pairing():
+    source = (
+        "a = la.dot(la.mat_vec(g, v), u)\n"
+        "b = dot(u, mat_vec(g, v))\n"
+        "c = la.dot(h, x)\n"
+        "d = lat.pairing(la.mat_vec(m, v), v)\n"
+    )
+    assert form_evaluations(source) == [1, 2]
+
+
+def test_only_the_lattice_evaluates_the_form():
+    # pairings, norms, Gram matrices and covectors go through IntegerLattice
+    found = {p.name: form_evaluations(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("lattice.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 CONE_BUILDERS = ("cone_from_halfspaces", "cone_from_rays")
 
 
