@@ -843,9 +843,7 @@ def finite_subgroup_classes_matrix(gamma):
     torsion = [m for m, _ in torsion_elements(gamma)]
     subgroups = extension_subgroups(torsion, la.mat_mul, ident, bound=64)
     conjugators = [el.matrix for el in gamma.elements_up_to()]
-    classes = conjugacy_representatives(
-        subgroups, conjugators, la.mat_mul, la.unimodular_inverse
-    )
+    classes = conjugacy_representatives(subgroups, conjugators, la.mat_mul, gamma.inverse)
     return classes, "BoundedSearch"
 
 

@@ -381,11 +381,10 @@ class DomainCertificate(Frozen):
     @cached_property
     def moves(self):
         """The reduction moves: the inverses of the recorded orbit elements,
-        then each generator and its inverse, without repeats."""
-        moves = [la.unimodular_inverse(m) for m, _ in self.orbit_elements]
-        for g in self.group.generator_elements():
-            moves.append(g.matrix)
-            moves.append(la.unimodular_inverse(g.matrix))
+        then each generator and its inverse, without repeats.  The inverses
+        are the group's, read off its word tree."""
+        moves = [self.group.inverse(m) for m, _ in self.orbit_elements]
+        moves += [g.matrix for g in self.group.generator_elements()]
         return list(dict.fromkeys(moves))
 
 
@@ -470,7 +469,9 @@ def reduce_into_domain(cert, x, max_steps=1000):
 
     If x is outside D, some recorded halfspace is violated, and the inverse
     of its defining orbit element strictly decreases the pairing; values lie
-    in a discrete subset bounded below, so the loop terminates.
+    in a discrete subset bounded below, so the loop terminates.  That holds
+    on the closure of C only, where q >= 0 and <xi, .> > 0 (0 lies in D), so
+    a point outside it is refused before the first move.
     """
     lat = cert.positive_cone.lattice
     xiv = cert.xi
@@ -479,7 +480,11 @@ def reduce_into_domain(cert, x, max_steps=1000):
     for step in range(max_steps):
         if cert.domain.contains(current):
             return current, word_matrix, step
-        val = lat.pairing(xiv, current)
+        if not step:
+            val = lat.pairing(xiv, current)
+            # the sign of q, read off a positive integer multiple
+            if val <= 0 or lat.q(la.primitive_vector(current)) < 0:
+                raise ReductionFailure("point outside the closed positive cone: no reduction")
         best = None
         for mv in cert.moves:
             cand = la.mat_vec(mv, current)
@@ -488,7 +493,7 @@ def reduce_into_domain(cert, x, max_steps=1000):
                 best = (v, cand, mv)
         if best is None:
             raise ReductionFailure("no strictly decreasing move available")
-        _, current, mv = best
+        val, current, mv = best
         word_matrix = la.mat_mul(mv, word_matrix)
     raise ReductionFailure(f"reduction step budget of {max_steps} exhausted")
 

@@ -18,6 +18,7 @@ from .errors import (
 from .frozen import Frozen
 from .cones import (
     _integer_vectors_of_height,
+    cone_from_halfspaces,
     cone_from_rays,
     intersect,
     reduce_into_domain,
@@ -221,8 +222,9 @@ class KahlerModel(Frozen):
     """Polyhedral model of the ample (or movable) cone inside NS tensor R.
 
     cone lives in NS coordinates; embedding rows are the NS basis inside the
-    lattice.  Rays must be nonnegative and mutually nonnegative for the
-    lattice form (one positivity component), and the cone full-dimensional.
+    lattice, so they must be linearly independent.  Rays must be nonnegative
+    and mutually nonnegative for the lattice form (one positivity component),
+    and the cone full-dimensional.
     """
 
     cone: object
@@ -235,6 +237,8 @@ class KahlerModel(Frozen):
         d = len(emb)
         if any(len(row) != self.lattice.rank for row in emb):
             raise DimensionMismatch("embedding row length != lattice rank")
+        if la.rank(emb) != d:
+            raise InvalidInput("embedding rows must be linearly independent")
         if self.cone.ambient_dim != d:
             raise DimensionMismatch("cone dimension != NS rank")
         if not self.cone.is_full_dimensional():
@@ -489,10 +493,18 @@ def anti_invariant_class(kmodel, klein):
 
 def _meets_domain(cert, m):
     """Whether m lies in the set S: m(Sigma) cap Sigma != {0} for the domain
-    Sigma of cert, always true when the domain is the full cone."""
-    return cert.full_cone or not intersect(
-        transform_cone(cert.domain, m), cert.domain
-    ).is_zero()
+    Sigma of cert, always true when the domain is the full cone.  m^-1 maps
+    that intersection onto {x in Sigma : m x in Sigma}, which Sigma's
+    constraints and their pull-backs h -> m^T h cut out: one cone build."""
+    if cert.full_cone:
+        return True
+    dom, mt = cert.domain, la.transpose(m)
+    meet = cone_from_halfspaces(
+        dom.ambient_dim,
+        dom.halfspaces + tuple(la.mat_vec(mt, h) for h in dom.halfspaces),
+        dom.equalities + tuple(la.mat_vec(mt, e) for e in dom.equalities),
+    )
+    return not meet.is_zero()
 
 
 def prop_key_reduction(group_elements, cert, y):
@@ -551,9 +563,7 @@ def classify_finite_subgroups_on_cone(gamma, cert):
     conjugators = [el.matrix for el in elements]
     classes = [
         tuple(sorted(h))
-        for h in conjugacy_representatives(
-            subgroups, conjugators, la.mat_mul, la.unimodular_inverse
-        )
+        for h in conjugacy_representatives(subgroups, conjugators, la.mat_mul, gamma.inverse)
     ]
     report = {
         "s_size": len(s_set),

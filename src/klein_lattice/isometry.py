@@ -444,26 +444,27 @@ class GeneratedGroup(Frozen):
             raise NonPositiveVector("component base must have q > 0")
 
     def generator_elements(self):
-        out = []
+        """Each generator and, unless it is an involution, its inverse."""
+        return [g for g, _ in self._bfs[2]]
+
+    @cached_property
+    def _bfs(self):
+        """The word BFS walked so far: its layers, the inverse of each matrix
+        seen and the generator elements it multiplies by, each with its
+        inverse.  Kept in the instance dictionary, outside the value's
+        fields, so equality, hashing and repr do not see it."""
+        ident = la.identity_matrix(self.lattice.rank)
+        gens = []
         for i, g in enumerate(self.generators):
             if isinstance(g, KleinIsometry):
                 m, s = g.dagger_matrix(), g.sign
             else:
                 m, s = g.matrix, 1
-            name = f"g{i}"
-            out.append(GroupElement(m, s, name))
             minv = la.unimodular_inverse(m)
+            gens.append((GroupElement(m, s, f"g{i}"), minv))
             if minv != m:
-                out.append(GroupElement(minv, s, f"g{i}^-1"))
-        return out
-
-    @cached_property
-    def _bfs(self):
-        """The word BFS walked so far: its layers, the matrices seen and the
-        generators it multiplies by.  Kept in the instance dictionary, outside
-        the value's fields, so equality, hashing and repr do not see it."""
-        ident = GroupElement(la.identity_matrix(self.lattice.rank), 1, "e")
-        return [(ident,)], {ident.matrix}, self.generator_elements()
+                gens.append((GroupElement(minv, s, f"g{i}^-1"), m))
+        return [(GroupElement(ident, 1, "e"),)], {ident: ident}, gens
 
     def layers(self, bound=None):
         """BFS of distinct elements by word length: layers[d] holds the
@@ -472,22 +473,31 @@ class GeneratedGroup(Frozen):
         the group before the bound.
 
         The BFS runs once per group and is extended when a larger bound is
-        asked for, so layers(b) is a prefix of layers(b') for b <= b'.
+        asked for, so layers(b) is a prefix of layers(b') for b <= b'.  It
+        records the inverse of each element it reaches: (g*x)^-1 = x^-1*g^-1.
         """
         if bound is None:
             bound = self.word_bound
-        layers, seen, gens = self._bfs
+        layers, inverses, gens = self._bfs
         while len(layers) <= bound and layers[-1]:
             new = []
             for el in layers[-1]:
-                for g in gens:
+                for g, ginv in gens:
                     m = la.mat_mul(g.matrix, el.matrix)
-                    if m not in seen:
-                        seen.add(m)
+                    if m not in inverses:
+                        inverses[m] = la.mat_mul(inverses[el.matrix], ginv)
                         word = g.word if el.word == "e" else g.word + "*" + el.word
                         new.append(GroupElement(m, g.sign * el.sign, word))
             layers.append(tuple(new))
         return tuple(layers[: max(bound, 0) + 1])
+
+    def inverse(self, matrix):
+        """The inverse of an element that the word BFS has reached, read off
+        the word tree; a matrix the BFS has not reached raises InvalidInput."""
+        try:
+            return self._bfs[1][matrix]
+        except KeyError:
+            raise InvalidInput("matrix not reached by the word enumeration") from None
 
     def enumeration(self, bound=None):
         """BFS of distinct elements with words of length <= bound.

@@ -2,7 +2,8 @@
 shipped Klein groups of the cohomology tests, the abelian equivalence
 solver that is the reference of the split filtration driver, the shipped Hodge
 configurations, the signature oracle and random Gram matrices of the lattice
-tests, and the JSON documents of the CLI tests.
+tests, the reflection groups and dihedral fixtures of the cone and
+finite-subgroup tests, and the JSON documents of the CLI tests.
 
 Test modules import it as `cases`, never each other: pyproject puts this
 directory on the path, so it imports under either pytest import mode.
@@ -22,8 +23,14 @@ from klein_lattice.cohomology import (
     symmetric,
     trivial_action,
 )
-from klein_lattice.cones import cone_from_rays
+from klein_lattice.cones import (
+    PositiveCone,
+    cone_from_rays,
+    dirichlet_domain,
+    find_trivial_stabilizer_point,
+)
 from klein_lattice.hodge import HodgeLattice, KahlerModel, neron_severi
+from klein_lattice.isometry import GeneratedGroup, Isometry
 from klein_lattice.lattice import IntegerLattice, U, direct_sum
 
 
@@ -213,6 +220,61 @@ def hilbert_kahler_model(h_ext):
     else:
         raise AssertionError(f"unexpected NS rank {d}")
     return KahlerModel(cone_from_rays(d, rays), ns.basis, h_ext.lattice)
+
+
+# --- reflection groups and dihedral fixtures --------------------------------
+
+
+def reflection(gram, r):
+    """The reflection x -> x - 2<x, r>/<r, r> r in the root r."""
+    gr = la.mat_vec(gram, r)
+    rr = la.dot(gr, r)
+    n = len(r)
+    return tuple(
+        tuple(int(i == j) - Fraction(2 * r[i] * gr[j], rr) for j in range(n))
+        for i in range(n)
+    )
+
+
+# Vinberg's roots of diag(1, -1, ..., -1), a point xi inside their chamber
+# and a word bound: the (2,4,inf) triangle group and the [3,4,4] simplex group
+REFLECTION_GROUPS = {
+    "triangle-2-4-inf": ((1, -1, -1), ((0, -1, 1), (0, 0, -1), (1, 1, 1)), (10, 2, 1), 12),
+    "coxeter-3-4-4": (
+        (1, -1, -1, -1), ((0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1), (1, 1, 1, 1)),
+        (10, 3, 2, 1), 10,
+    ),
+}
+
+
+def reflection_group(diag, roots, xi, bound):
+    """The group generated by the reflections in the roots of diag, with
+    xi as its component base."""
+    n = len(diag)
+    gram = tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n))
+    lat = IntegerLattice(gram)
+    return GeneratedGroup(
+        lat, tuple(Isometry(lat, reflection(gram, r)) for r in roots),
+        word_bound=bound, component_base=xi,
+    )
+
+
+# the fundamental unit (a, b) of a^2 - k b^2 = 1 for six k
+DIHEDRAL_UNITS = {2: (3, 2), 3: (2, 1), 5: (9, 4), 6: (5, 2), 7: (8, 3), 10: (19, 6)}
+
+
+def dihedral_fixture(k):
+    """(lattice, generators, certificate) of the infinite dihedral group on
+    diag(2, -2k) generated by the Pell unit and the reflection in e2: the
+    Dirichlet domain at word bound 12 from the first point of C with a
+    trivial stabilizer."""
+    a, b = DIHEDRAL_UNITS[k]
+    lat = IntegerLattice(((2, 0), (0, -2 * k)))
+    gens = (Isometry(lat, ((a, k * b), (b, a))), Isometry(lat, ((1, 0), (0, -1))))
+    gamma = GeneratedGroup(lat, gens, word_bound=12, component_base=(1, 0))
+    pos = PositiveCone(lat, (1, 0))
+    xi = find_trivial_stabilizer_point(gamma, pos)
+    return lat, gens, dirichlet_domain(gamma, pos, xi, word_bound=12)
 
 
 # --- lattice ----------------------------------------------------------------

@@ -25,9 +25,7 @@ from klein_lattice.cohomology import (
     twist_fiber_check,
 )
 from klein_lattice.cones import (
-    PositiveCone,
     dirichlet_domain,
-    find_trivial_stabilizer_point,
     siegel_intersections,
     verify_fundamental_domain,
 )
@@ -55,6 +53,7 @@ from cases import (
     SHIPPED,
     SHIPPED_KLEIN_GROUPS,
     char_poly_sign_counts,
+    dihedral_fixture,
     hilbert_kahler_model,
     rand_sym,
     ses_corpus,
@@ -237,26 +236,15 @@ def test_criterion_6_finite_subgroup_cross_check(
     _report(6, "finite-subgroup classification cross-check", started)
 
 
-# fundamental solutions of x^2 - k y^2 = 1, with the word bound of each
-# dihedral group <[[x, k y], [y, x]], diag(1, -1)> on diag(2, -2k)
-DIHEDRAL_FAMILY = {
-    2: ((3, 2), 3), 3: ((2, 1), 3), 5: ((9, 4), 3),
-    6: ((5, 2), 4), 7: ((8, 3), 4), 10: ((19, 6), 4),
-}
+# the word bound of the cross-check on each dihedral fixture of cases.py
+DIHEDRAL_BOUNDS = {2: 3, 3: 3, 5: 3, 6: 4, 7: 4, 10: 4}
 
 
-@pytest.mark.parametrize("k", sorted(DIHEDRAL_FAMILY))
+@pytest.mark.parametrize("k", sorted(DIHEDRAL_BOUNDS))
 def test_criterion_6_on_the_dihedral_family(k):
     started = time.monotonic()
-    (x, y), bound = DIHEDRAL_FAMILY[k]
-    lat = IntegerLattice(((2, 0), (0, -2 * k)))
-    gens = (Isometry(lat, ((x, k * y), (y, x))), Isometry(lat, ((1, 0), (0, -1))))
-    pos = PositiveCone(lat, (1, 0))
-    full = GeneratedGroup(lat, gens, word_bound=12, component_base=(1, 0))
-    cert = dirichlet_domain(
-        full, pos, find_trivial_stabilizer_point(full, pos), word_bound=12
-    )
-    gamma = GeneratedGroup(lat, gens, word_bound=bound, component_base=(1, 0))
+    lat, gens, cert = dihedral_fixture(k)
+    gamma = GeneratedGroup(lat, gens, word_bound=DIHEDRAL_BOUNDS[k], component_base=(1, 0))
     conjugators = [el.matrix for el in gamma.elements_up_to()]
     _cross_check_finite_subgroups(gamma, cert, conjugators)
     assert time.monotonic() - started < 120

@@ -97,10 +97,12 @@ Z4_SEQ_OUT_OF_RANGE = json.dumps({
 })
 
 
-def kaut_criterion(embedding):
+def kaut_criterion(embedding, rays=None):
     """hk kaut-criterion for the identity on HODGE4, with KAHLER4 given the
-    embedding."""
+    embedding (and the cone rays, when given)."""
     model = {**KAHLER4, "embedding": embedding}
+    if rays is not None:
+        model["cone"] = {"rays": rays}
     return [
         "hk", "kaut-criterion", "--phi", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
         "--hodge", json.dumps(HODGE4), "--cone", json.dumps(model),
@@ -222,6 +224,7 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (["h1", "compute", "--group", "Z2", "--coeff", S6_GENERATORS], "ParseError"),
         (kaut_criterion([[1]]), "DimensionMismatch"),
         (kaut_criterion([[0, 0, 1, 0, 7]]), "DimensionMismatch"),
+        (kaut_criterion([[0, 0, 1, 0], [0, 0, 2, 0]], rays=[[1, 0], [0, 1]]), "InvalidInput"),
         (["cone", "verify", "--cert", pell_cert(xi=[0, 1])], "NonPositiveVector"),
         (["cone", "verify", "--cert", pell_cert(xi=[1, 1])], "NonPositiveVector"),
         (["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0", "--pi1", PELL_PI,
@@ -256,7 +259,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "disjoint-bound-zero", "sigma-out-of-range", "sigma-negative",
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
-         "embedding-row-long", "cert-xi-0-1-outside-c", "cert-xi-1-1-outside-c",
+         "embedding-row-long", "embedding-rows-dependent", "cert-xi-0-1-outside-c",
+         "cert-xi-1-1-outside-c",
          "siegel-bound-zero", "siegel-halfspace-not-a-facet",
          "siegel-equality-not-the-cones", "siegel-bound-negative",
          "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",

@@ -39,6 +39,8 @@ from klein_lattice.errors import (
 from klein_lattice.isometry import GeneratedGroup, Isometry, stabilizer
 from klein_lattice.lattice import IntegerLattice, U
 
+from cases import REFLECTION_GROUPS, reflection_group
+
 PELL = ((3, 4), (2, 3))
 
 
@@ -185,6 +187,36 @@ def test_reduction_failure_on_budget(pell_cert):
     assert pell_cert.domain_contains(point) and steps >= 2
 
 
+def test_reduction_refuses_a_point_off_the_closed_cone(monkeypatch, pell_lattice, pell_cert):
+    # <xi, .> has no lower bound off the closure of C, so no step is taken
+    # there; one word-matrix product is one step
+    from klein_lattice.errors import ReductionFailure
+
+    real, steps = la.mat_mul, []
+
+    def counting(a, b):
+        steps.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(la, "mat_mul", counting)
+    far = (Fraction(3), Fraction(1))
+    for _ in range(22):
+        far = la.mat_vec(PELL, far)
+    _, _, taken = reduce_into_domain(pell_cert, far)
+    assert taken >= 2 and len(steps) == taken
+    # -xi, -(3, 1), and two points with q < 0, one of them with <xi, x> > 0
+    for x in ((-1, 0), (-3, -1), (0, 1), (1, 3)):
+        steps.clear()
+        with pytest.raises(ReductionFailure, match="outside the closed positive cone"):
+            reduce_into_domain(pell_cert, x, max_steps=50)
+        assert steps == []
+    p2 = real(PELL, PELL)
+    gamma = GeneratedGroup(pell_lattice, (Isometry(pell_lattice, p2),), component_base=(1, 0))
+    tester = make_membership_tester(dirichlet_domain(gamma, pell_cert.positive_cone, (1, 0)))
+    steps.clear()
+    assert tester(((-1, 0), (0, -1))) == "unknown" and steps == []
+
+
 def test_dirichlet_domain_pell(pell_cert):
     assert set(pell_cert.domain.rays) == {(2, 1), (2, -1)}
     assert set(pell_cert.halfspaces) == {(1, 2), (1, -2)}
@@ -224,38 +256,16 @@ def test_dirichlet_rejects_fixed_base(dihedral_group, pell_cone):
         dirichlet_domain(dihedral_group, pell_cone, (1, 0))
 
 
-def reflection(gram, r):
-    """The reflection x -> x - 2<x, r>/<r, r> r in the root r."""
-    gr = la.mat_vec(gram, r)
-    rr = la.dot(gr, r)
-    n = len(r)
-    return tuple(
-        tuple(int(i == j) - Fraction(2 * r[i] * gr[j], rr) for j in range(n))
-        for i in range(n)
-    )
-
-
 @pytest.mark.parametrize(
-    "diag, roots, xi, bound",
-    [
-        ((1, -1, -1), ((0, -1, 1), (0, 0, -1), (1, 1, 1)), (10, 2, 1), 12),
-        ((1, -1, -1, -1), ((0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1), (1, 1, 1, 1)),
-         (10, 3, 2, 1), 10),
-    ],
-    ids=["triangle-2-4-inf", "coxeter-3-4-4"],
+    "diag, roots, xi, bound", list(REFLECTION_GROUPS.values()), ids=list(REFLECTION_GROUPS)
 )
 def test_dirichlet_domain_of_a_reflection_group_is_its_chamber(diag, roots, xi, bound):
     # Vinberg's roots of diag(1, -1, ..., -1): for xi inside the chamber the
     # Dirichlet domain of the reflection group is the chamber, cut out by
     # exactly the root walls, and depth 1 already finds every wall
-    n = len(diag)
-    gram = tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n))
-    lat = IntegerLattice(gram)
-    gamma = GeneratedGroup(
-        lat, tuple(Isometry(lat, reflection(gram, r)) for r in roots),
-        word_bound=bound, component_base=xi,
-    )
-    cert = dirichlet_domain(gamma, PositiveCone(lat, xi), xi)
+    gamma = reflection_group(diag, roots, xi, bound)
+    gram = gamma.lattice.gram
+    cert = dirichlet_domain(gamma, PositiveCone(gamma.lattice, xi), xi)
     walls = {la.primitive_vector(la.mat_vec(gram, r)) for r in roots}
     assert all(la.dot(h, xi) > 0 for h in walls)
     assert set(cert.halfspaces) == walls

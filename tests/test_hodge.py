@@ -1,10 +1,19 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from klein_lattice import intlinalg as la
+from klein_lattice import serialize as ser
 from klein_lattice.cohomology import finite_subgroup_classes_matrix
-from klein_lattice.cones import cone_from_rays, intersect, transform_cone
+from klein_lattice.cones import (
+    PositiveCone,
+    cone_from_rays,
+    dirichlet_domain,
+    intersect,
+    transform_cone,
+)
 from klein_lattice.errors import InvalidInput, Undecidable
 from klein_lattice.hodge import (
     HodgeKind,
@@ -25,7 +34,8 @@ from klein_lattice.hodge import (
     torelli_anti_check,
     transcendental,
 )
-from klein_lattice.isometry import Isometry, KleinIsometry
+from klein_lattice.hodge import _meets_domain
+from klein_lattice.isometry import GeneratedGroup, Isometry, KleinIsometry
 from klein_lattice.lattice import (
     IntegerLattice,
     LatticeType,
@@ -34,7 +44,16 @@ from klein_lattice.lattice import (
     direct_sum,
 )
 
-from cases import SHIPPED, config_diag4, config_u3, hilbert_kahler_model
+from cases import (
+    DIHEDRAL_UNITS,
+    REFLECTION_GROUPS,
+    SHIPPED,
+    config_diag4,
+    config_u3,
+    dihedral_fixture,
+    hilbert_kahler_model,
+    reflection_group,
+)
 
 PELL = ((3, 4), (2, 3))
 REFLECTION = ((1, 0), (0, -1))
@@ -411,6 +430,18 @@ def test_restrict_matrix_needs_the_ns_span_kept_integrally():
         anti_invariant_class(coarse, KleinIsometry(Isometry(lat, swap), 1))
 
 
+def test_kahler_embedding_rows_must_be_independent():
+    # 2 e3 repeats e3: the identity would restrict to ((1, 2), (0, 0))
+    lat = IntegerLattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, -2)))
+    quadrant = cone_from_rays(2, ((1, 0), (0, 1)))
+    with pytest.raises(InvalidInput, match="linearly independent"):
+        KahlerModel(quadrant, ((0, 0, 1, 0), (0, 0, 2, 0)), lat)
+    with pytest.raises(InvalidInput, match="linearly independent"):
+        KahlerModel(quadrant, ((0, 0, 1, 0), (0, 0, 0, 0)), lat)
+    km = KahlerModel(quadrant, ((0, 0, 1, 0), (0, 1, 0, 0)), lat)
+    assert km.restrict_matrix(la.identity_matrix(4)) == la.identity_matrix(2)
+
+
 def test_kahler_embedding_entries_must_be_integers():
     # truncated, this would be the identity embedding
     square = cone_from_rays(2, ((1, 0), (0, 1)))
@@ -619,3 +650,71 @@ def test_classify_subgroups_finite_group_case():
     cert = dirichlet_domain(gamma, pos, (2, 1))
     classes, _ = classify_finite_subgroups_on_cone(gamma, cert)
     assert len(classes) == 2  # trivial and the full order-2 group
+
+
+@pytest.fixture(scope="module")
+def dihedral_fixtures():
+    return {k: dihedral_fixture(k) for k in DIHEDRAL_UNITS}
+
+
+def test_s_test_matches_the_two_build_oracle(dihedral_fixtures):
+    # the reference builds m(D) from its rays and then intersects it with D
+    certs = [cert for _, _, cert in dihedral_fixtures.values()]
+    for diag, roots, xi, bound in REFLECTION_GROUPS.values():
+        gamma = reflection_group(diag, roots, xi, bound)
+        certs.append(dirichlet_domain(gamma, PositiveCone(gamma.lattice, xi), xi))
+    for cert in certs:
+        gamma, domain = cert.group, cert.domain
+        answers = set()
+        for el in gamma.elements_up_to():
+            m = el.matrix
+            want = not intersect(transform_cone(domain, m), domain).is_zero()
+            assert _meets_domain(cert, m) == want
+            answers.add(want)
+        assert answers == {True, False}
+
+
+# sha256 of the JSON of [bound, matrix classes, cone classes] for bounds 3
+# and 4, each class a sorted matrix list, per dihedral fixture
+PINNED_CLASSES = {
+    2: "49ea7e87b5707851d507177f5a66e599386b240902ae53f8c6a766991a951def",
+    3: "f2bb1c77edfd3ce9c26a6c23e7de6679e7b98c565a75e11795efc96f81946812",
+    5: "88797929e3fd10d8f9e0d72b4f3af6b65f70fb42f76266030af300ccb71203e7",
+    6: "c0614bd1fcbcef86d91f34490af5cd958086cd6e7e96f98eae6e598f461ce3a1",
+    7: "cd658595f441e8346f746baf408dab395e5c3174d589d129697cf765f3b80c3e",
+    10: "9f436d96638bc087163c5525f0f1b155f65c69d342fc284ab1642cdf2b58d77d",
+}
+
+
+def test_finite_subgroup_classes_are_pinned(dihedral_fixtures):
+    for k, (lat, gens, cert) in dihedral_fixtures.items():
+        out = []
+        for bound in (3, 4):
+            gamma = GeneratedGroup(lat, gens, word_bound=bound, component_base=(1, 0))
+            mat, _ = finite_subgroup_classes_matrix(gamma)
+            cone, _ = classify_finite_subgroups_on_cone(gamma, cert)
+            assert len(mat) == len(cone) == 3
+            out.append([bound, [sorted(h) for h in mat], [sorted(h) for h in cone]])
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == PINNED_CLASSES[k]
+
+
+def test_only_generators_are_inverted_by_elimination(monkeypatch, dihedral_fixtures):
+    real, calls = la.unimodular_inverse, []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(la, "unimodular_inverse", counting)
+    lat, gens, cert = dihedral_fixtures[2]
+    generators = [g.matrix for g in gens]
+    # one matrix task: both routes on one group
+    gamma = GeneratedGroup(lat, gens, word_bound=4, component_base=(1, 0))
+    finite_subgroup_classes_matrix(gamma)
+    classify_finite_subgroups_on_cone(gamma, cert)
+    assert calls == generators
+    # the reader walks the words of a fresh group, and the moves use its tree
+    calls.clear()
+    back = ser.certificate_from_json(ser.certificate_to_json(cert))
+    assert len(back.moves) > len(generators)
+    assert calls == generators

@@ -44,6 +44,7 @@ from klein_lattice.lattice import (
 )
 
 PELL = ((3, 4), (2, 3))
+REFLECTION = ((1, 0), (0, -1))
 
 
 def test_is_isometry_examples():
@@ -584,6 +585,51 @@ def test_cached_layers_equal_an_uncached_bfs(pell_lattice):
             assert closed == (not want[-1])
     assert [len(layer) for layer in finite.layers(8)] == [1, 2, 1, 0]
     assert finite.enumeration(3)[1] and not finite.enumeration(2)[1]
+
+
+def test_inverses_are_read_off_the_word_tree(pell_lattice):
+    lat3 = IntegerLattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    # the reflections in the roots (0,-1,1), (0,0,-1), (1,1,1) of (2,4,inf)
+    roots = (
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+        ((3, -2, -2), (2, -1, -2), (2, -2, -1)),
+    )
+    sign_flips = (REFLECTION, ((-1, 0), (0, 1)))
+
+    def on(lat, *mats):
+        return tuple(Isometry(lat, m) for m in mats)
+
+    groups = {
+        "pell": (GeneratedGroup(pell_lattice, on(pell_lattice, PELL)), 6),
+        "dihedral": (GeneratedGroup(pell_lattice, on(pell_lattice, PELL, REFLECTION)), 5),
+        # both generators are involutions, and the group has order 4
+        "involutions": (GeneratedGroup(pell_lattice, on(pell_lattice, *sign_flips)), 4),
+        "klein": (GeneratedGroup(pell_lattice, tuple(
+            KleinIsometry(g, -1) for g in on(pell_lattice, PELL, REFLECTION)
+        )), 5),
+        "reflections": (GeneratedGroup(lat3, on(lat3, *roots)), 4),
+    }
+    letters = {name: len(g.generator_elements()) for name, (g, _) in groups.items()}
+    assert letters == {"pell": 2, "dihedral": 3, "involutions": 2, "klein": 3, "reflections": 3}
+    for name, (gamma, bound) in groups.items():
+        ident = la.identity_matrix(gamma.lattice.rank)
+        elements = [el.matrix for layer in gamma.layers(bound) for el in layer]
+        assert len(elements) >= 4
+        for m in elements:
+            inv = gamma.inverse(m)
+            assert la.mat_mul(m, inv) == ident, name
+            assert gamma.inverse(inv) == m, name
+            assert inv == la.unimodular_inverse(m), name
+    # P^3 is in the group but two letters past the walk; a reflection is not in it
+    pell = GeneratedGroup(pell_lattice, on(pell_lattice, PELL))
+    pell.layers(1)
+    p3 = la.mat_mul(PELL, la.mat_mul(PELL, PELL))
+    for m in (p3, REFLECTION):
+        with pytest.raises(InvalidInput, match="not reached"):
+            pell.inverse(m)
+    pell.layers(3)
+    assert pell.inverse(p3) == la.unimodular_inverse(p3)
 
 
 def test_enumeration_runs_once_per_group(monkeypatch, pell_lattice):
