@@ -20,6 +20,7 @@ import time
 
 from . import serialize as ser
 from .errors import (
+    InvalidInput,
     KleinLatticeError,
     ParseError,
     Undecidable,
@@ -247,12 +248,14 @@ def emit_sectors(cert, out_path, depth=3):
     """CSV of boundary rays of the domain plus labelled translates.
 
     Supported for ambient rank 2 or 3 only; no rendering is done here, the
-    file is meant for external plotting.
+    file is meant for external plotting.  A negative depth is refused.
     """
     import csv
 
     from .cones import transform_cone
 
+    if depth < 0:
+        raise InvalidInput("sector depth must be at least 0")
     n = cert.positive_cone.dim
     if n not in (2, 3):
         raise UnsupportedRank("sector emission needs rank 2 or 3")

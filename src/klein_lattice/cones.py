@@ -232,6 +232,18 @@ def transform_cone(cone, matrix):
     return cone_from_rays(cone.ambient_dim, rays, lines)
 
 
+def meet_preimage(other, m, cone):
+    """{x in other : m x in cone}, one cone build on other's constraints and
+    the pull-backs h -> m^T h of cone's: other cap g cone is
+    meet_preimage(other, g^-1, cone)."""
+    mt = la.transpose(m)
+    return cone_from_halfspaces(
+        other.ambient_dim,
+        other.halfspaces + tuple(la.mat_vec(mt, h) for h in cone.halfspaces),
+        other.equalities + tuple(la.mat_vec(mt, e) for e in cone.equalities),
+    )
+
+
 # --- positive cones in hyperbolic lattices ---------------------------------
 
 
@@ -327,12 +339,9 @@ def cone_meets_component(cone, pos):
     return mx is not None and mx > 0
 
 
-def interiors_meet_component(c1, c2, pos):
-    """True iff int(c1) cap int(c2) cap C is nonempty (all full-dim data)."""
-    k = intersect(c1, c2)
-    if not k.is_full_dimensional():
-        return False
-    return cone_meets_component(k, pos)
+def interiors_meet_component(cone, pos):
+    """True iff the cone is full-dimensional and its interior meets C."""
+    return cone.is_full_dimensional() and cone_meets_component(cone, pos)
 
 
 # --- Dirichlet fundamental domains ------------------------------------------
@@ -580,8 +589,7 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
     for layer in gamma.layers(word_bound):
         new = 0
         for el in layer:
-            moved = transform_cone(pi1, el.matrix)
-            inter = intersect(moved, pi2)
+            inter = meet_preimage(pi2, gamma.inverse(el.matrix), pi1)
             if inter.is_zero():
                 continue
             # pointed, as pi1 and pi2 are: its rays determine it
@@ -663,13 +671,13 @@ def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
         "max_reduction_steps": max_moves,
         "status": "pass",
     }
-    dcone = cert.domain
+    dcone, group = cert.domain, cert.group
     checked = 0
-    for layer in cert.group.layers(disjoint_word_len)[1:]:
+    for layer in group.layers(disjoint_word_len)[1:]:
         for el in layer:
-            moved = transform_cone(dcone, el.matrix)
             checked += 1
-            if interiors_meet_component(dcone, moved, pos):
+            meet = meet_preimage(dcone, group.inverse(el.matrix), dcone)
+            if interiors_meet_component(meet, pos):
                 raise DisjointnessFailure(f"interior overlap with translate by {el.word}")
     disjointness = {
         "word_bound": disjoint_word_len,

@@ -18,9 +18,9 @@ from .errors import (
 from .frozen import Frozen
 from .cones import (
     _integer_vectors_of_height,
-    cone_from_halfspaces,
     cone_from_rays,
     intersect,
+    meet_preimage,
     reduce_into_domain,
     transform_cone,
 )
@@ -279,15 +279,6 @@ class KahlerModel(Frozen):
         return la.mat_vec(la.transpose(rays), (1,) * len(rays))
 
 
-def open_cones_intersect(c1, c2):
-    """Nonemptiness of int_rel(c1) cap int_rel(c2) for cones of equal span
-    dimension: the intersection must reach that same dimension."""
-    d1, d2 = c1.dim(), c2.dim()
-    if d1 != d2:
-        raise InvalidInput("cone models of different dimensions")
-    return intersect(c1, c2).dim() == d1
-
-
 # --- Torelli-style predicates ---------------------------------------------------
 
 
@@ -308,12 +299,13 @@ def torelli_anti_check(matrix, h_source, h_target, k_source, k_target, spec):
     cond1 = mon_verdict == "in"
     cond2 = is_isometry(lat, matrix)
     cond3 = period_action(matrix, h_source, h_target)[0] == HodgeKind.ANTI
-    moved = transform_cone(k_source.ambient_cone(), matrix)
-    negated = cone_from_rays(
-        lat.rank,
-        tuple(tuple(-x for x in r) for r in k_target.ambient_cone().rays),
-    )
-    cond4 = open_cones_intersect(moved, negated)
+    # m S meets -T in relative interiors iff -m S meets T (m may be singular)
+    negated = tuple(tuple(-x for x in row) for row in matrix)
+    moved = transform_cone(k_source.ambient_cone(), negated)
+    target = k_target.ambient_cone()
+    if moved.dim() != target.dim():
+        raise InvalidInput("cone models of different dimensions")
+    cond4 = intersect(moved, target).dim() == target.dim()
     return {
         "parallel_transport": cond1,
         "parallel_transport_mode": "bounded" if mon_verdict == "unknown" else "exact",
@@ -354,8 +346,9 @@ def kaut_star_criterion(matrix, h, kmodel, spec):
         kappa = kmodel.to_lattice(kmodel.interior_point())
         if h.lattice.pairing(la.mat_vec(matrix, kappa), kappa) < 0:
             dagger = tuple(tuple(-x for x in row) for row in matrix)
-    moved = transform_cone(kmodel.ambient_cone(), dagger)
-    if open_cones_intersect(moved, kmodel.ambient_cone()):
+    # an isometry: A cap dagger^-1 A has the dimension of dagger A cap A
+    ample = kmodel.ambient_cone()
+    if meet_preimage(ample, dagger, ample).dim() == ample.dim():
         return KleinVerdict("KleinRealizable", sign=sign)
     return KleinVerdict("NotRealizable", reason="cone condition fails")
 
@@ -467,8 +460,9 @@ def anti_invariant_class(kmodel, klein):
     r = kmodel.restrict_matrix(dag)
     if r is None:
         raise InvalidInput("dagger action does not preserve the NS span")
-    moved = transform_cone(kmodel.cone, r)
-    if not moved.same_cone(kmodel.cone):
+    # r maps the pointed full-dimensional cone onto itself iff it permutes its rays up to scale
+    rays = kmodel.cone.rays
+    if sorted(la.primitive_vector(la.mat_vec(r, ray)) for ray in rays) != sorted(rays):
         raise InvalidInput("dagger action does not preserve the cone")
     order = la.matrix_order(r, 64)
     if order is None:
@@ -494,17 +488,11 @@ def anti_invariant_class(kmodel, klein):
 def _meets_domain(cert, m):
     """Whether m lies in the set S: m(Sigma) cap Sigma != {0} for the domain
     Sigma of cert, always true when the domain is the full cone.  m^-1 maps
-    that intersection onto {x in Sigma : m x in Sigma}, which Sigma's
-    constraints and their pull-backs h -> m^T h cut out: one cone build."""
+    that intersection onto {x in Sigma : m x in Sigma}, so no inverse is
+    needed."""
     if cert.full_cone:
         return True
-    dom, mt = cert.domain, la.transpose(m)
-    meet = cone_from_halfspaces(
-        dom.ambient_dim,
-        dom.halfspaces + tuple(la.mat_vec(mt, h) for h in dom.halfspaces),
-        dom.equalities + tuple(la.mat_vec(mt, e) for e in dom.equalities),
-    )
-    return not meet.is_zero()
+    return not meet_preimage(cert.domain, m, cert.domain).is_zero()
 
 
 def prop_key_reduction(group_elements, cert, y):

@@ -205,6 +205,10 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
         (["cone", "verify", "--cert", pell_cert(), "--samples=-5"], "InvalidInput"),
         (["cone", "verify", "--cert", pell_cert(), "--samples", "0"], "InvalidInput"),
         (["cone", "verify", "--cert", pell_cert(), "--disjoint-bound", "0"], "InvalidInput"),
+        # refused before the file is opened; without the check it would be
+        # written as at depth 0
+        (["cone", "domain", "--group", PELL_GROUP, "--base", "1,0", "--xi", "1,0",
+          "--sectors-csv", os.devnull, "--sectors-depth", "-1"], "InvalidInput"),
         (["h1", "real-forms", "--klein", klein_d4(40)], "InvalidInput"),
         (["h1", "real-forms", "--klein", klein_d4(-4)], "InvalidInput"),
         (["h1", "les", "--seq", Z4_SEQ_OUT_OF_RANGE], "InvalidInput"),
@@ -256,7 +260,7 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
          "bound-negative", "neither-pos-nor-base", "orbit-singular",
          "orbit-not-unimodular", "samples-negative", "samples-zero",
-         "disjoint-bound-zero", "sigma-out-of-range", "sigma-negative",
+         "disjoint-bound-zero", "sectors-depth-negative", "sigma-out-of-range", "sigma-negative",
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
          "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
          "embedding-row-long", "embedding-rows-dependent", "cert-xi-0-1-outside-c",

@@ -19,6 +19,7 @@ from klein_lattice.cones import (
     interiors_meet_component,
     intersect,
     make_membership_tester,
+    meet_preimage,
     rational_closure_member,
     reduce_into_domain,
     sample_cone_points,
@@ -620,7 +621,8 @@ def test_cone_meets_component(pell_cone):
 
 
 def test_interiors_meet_component(pell_cert, pell_cone):
+    # D cap D meets C; D cap PELL D = {x in D : PELL^-1 x in D} does not
     d = pell_cert.domain
-    assert interiors_meet_component(d, d, pell_cone)
-    moved = transform_cone(d, PELL)
-    assert not interiors_meet_component(d, moved, pell_cone)
+    assert interiors_meet_component(meet_preimage(d, la.identity_matrix(2), d), pell_cone)
+    pell_inv = la.unimodular_inverse(PELL)
+    assert not interiors_meet_component(meet_preimage(d, pell_inv, d), pell_cone)

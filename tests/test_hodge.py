@@ -12,6 +12,7 @@ from klein_lattice.cones import (
     cone_from_rays,
     dirichlet_domain,
     intersect,
+    meet_preimage,
     transform_cone,
 )
 from klein_lattice.errors import InvalidInput, Undecidable
@@ -401,6 +402,16 @@ def test_anti_invariant_class_quadrant_swap():
     k = KleinIsometry(Isometry(lat, swap4), 1)
     c = anti_invariant_class(km, k)
     assert c[0] == c[1]
+    # twice the swap maps the cone onto itself only up to scale
+    twice = tuple(tuple(2 * x for x in row) for row in swap4)
+    assert km.restrict_matrix(twice) == ((0, 2), (2, 0))
+    with pytest.raises(InvalidInput, match="unbounded order"):
+        anti_invariant_class(km, twice)
+    # a singular dagger sends both rays onto (1, 0)
+    singular = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0))
+    assert km.restrict_matrix(singular) == ((1, 1), (0, 0))
+    with pytest.raises(InvalidInput, match="does not preserve the cone"):
+        anti_invariant_class(km, singular)
 
 
 def test_anti_invariant_identity_dagger():
@@ -658,7 +669,8 @@ def dihedral_fixtures():
 
 
 def test_s_test_matches_the_two_build_oracle(dihedral_fixtures):
-    # the reference builds m(D) from its rays and then intersects it with D
+    # the reference builds m(D) from its rays and then intersects it with D;
+    # the pull-back of D by m^-1 is the same cone
     certs = [cert for _, _, cert in dihedral_fixtures.values()]
     for diag, roots, xi, bound in REFLECTION_GROUPS.values():
         gamma = reflection_group(diag, roots, xi, bound)
@@ -668,7 +680,9 @@ def test_s_test_matches_the_two_build_oracle(dihedral_fixtures):
         answers = set()
         for el in gamma.elements_up_to():
             m = el.matrix
-            want = not intersect(transform_cone(domain, m), domain).is_zero()
+            meet = intersect(transform_cone(domain, m), domain)
+            assert meet_preimage(domain, gamma.inverse(m), domain).same_cone(meet)
+            want = not meet.is_zero()
             assert _meets_domain(cert, m) == want
             answers.add(want)
         assert answers == {True, False}

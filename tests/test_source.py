@@ -152,20 +152,20 @@ def test_only_the_lattice_evaluates_the_form():
 CONE_BUILDERS = ("cone_from_halfspaces", "cone_from_rays")
 
 
-def direct_cone_calls(source):
-    """Lines of PolyhedralCone(...) calls outside the module-level functions
-    cone_from_halfspaces and cone_from_rays."""
+def calls_outside(source, callee, functions):
+    """Lines of calls to `callee`, bare or dotted, outside the module-level
+    functions named in `functions`."""
     tree = ast.parse(source)
-    builders = [
+    allowed = [
         range(node.lineno, node.end_lineno + 1)
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in CONE_BUILDERS
+        if isinstance(node, ast.FunctionDef) and node.name in functions
     ]
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and name_of(node.func) == "PolyhedralCone"
-        and not any(node.lineno in lines for lines in builders)
+        if isinstance(node, ast.Call) and name_of(node.func) == callee
+        and not any(node.lineno in lines for lines in allowed)
     )
 
 
@@ -175,14 +175,41 @@ def test_direct_cone_calls_detects_a_direct_call():
         "def shortcut(dim):\n    return cones.PolyhedralCone(dim, (), (), (), ())\n\n\n"
         "zero = PolyhedralCone(1, (), (), (), ())\n"
     )
-    assert direct_cone_calls(source) == [6, 9]
+    assert calls_outside(source, "PolyhedralCone", CONE_BUILDERS) == [6, 9]
 
 
 def test_cones_are_built_only_by_the_two_builders():
     # a direct call can pair rays with equalities they do not span, and
     # dim() trusts the equalities
     sources = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
-    found = {f"{p.parent.name}/{p.name}": direct_cone_calls(p.read_text()) for p in sources}
+    found = {
+        f"{p.parent.name}/{p.name}": calls_outside(p.read_text(), "PolyhedralCone", CONE_BUILDERS)
+        for p in sources
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the library functions that need an image cone m(K): the sector rays and the
+# Torelli cone condition, whose matrix may be singular
+IMAGE_CONE_CALLERS = {"cli.py": ("emit_sectors",), "hodge.py": ("torelli_anti_check",)}
+
+
+def test_calls_outside_detects_a_translate_built_as_an_image():
+    source = (
+        "def emit_sectors(cert, m):\n    return transform_cone(cert.domain, m)\n\n\n"
+        "def meets(d, m):\n    return intersect(cones.transform_cone(d, m), d)\n"
+    )
+    assert calls_outside(source, "transform_cone", ("emit_sectors",)) == [6]
+    assert calls_outside(source, "transform_cone", ()) == [2, 6]
+
+
+def test_translates_meet_cones_by_one_pull_back():
+    # D cap gD is meet_preimage(D, g^-1, D), one cone build; only the two
+    # callers that need an image cone call transform_cone
+    found = {
+        p.name: calls_outside(p.read_text(), "transform_cone", IMAGE_CONE_CALLERS.get(p.name, ()))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
