@@ -8,7 +8,7 @@ Siegel-property intersection enumeration.  All arithmetic is integer/Fraction.
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 
 from . import intlinalg as la
 from .errors import (
@@ -472,21 +472,23 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
     )
 
 
-def reduce_into_domain(cert, x, max_steps=1000):
+def reduce_into_domain(cert, x):
     """Move x into the domain by greedily decreasing <xi, .> over the
     recorded orbit moves.  Returns (point, matrix, steps), matrix * x = point.
 
-    If x is outside D, some recorded halfspace is violated, and the inverse
-    of its defining orbit element strictly decreases the pairing; values lie
-    in a discrete subset bounded below, so the loop terminates.  That holds
-    on the closure of C only, where q >= 0 and <xi, .> > 0 (0 lies in D), so
-    a point outside it is refused before the first move.
+    A move must lower <xi, .> and keep it positive; for x in the closure of
+    C outside D, the inverse of the orbit element of a violated halfspace
+    is one, as the group preserves C.  With D the denominator of x and d
+    that of xi, every pairing lies in (1/dD)*Z (the moves are integral), so
+    at most dD*<xi, x> moves are taken before x lies in D or no move
+    qualifies (ReductionFailure).  A point off the closure of C (q < 0 or
+    <xi, .> <= 0; 0 lies in D) is refused before the first move.
     """
     lat = cert.positive_cone.lattice
     xiv = cert.xi
     current = tuple(Fraction(c) for c in x)
     word_matrix = la.identity_matrix(lat.rank)
-    for step in range(max_steps):
+    for step in count():
         if cert.domain.contains(current):
             return current, word_matrix, step
         if not step:
@@ -498,13 +500,12 @@ def reduce_into_domain(cert, x, max_steps=1000):
         for mv in cert.moves:
             cand = la.mat_vec(mv, current)
             v = lat.pairing(xiv, cand)
-            if v < val and (best is None or v < best[0]):
+            if val > v > 0 and (best is None or v < best[0]):
                 best = (v, cand, mv)
         if best is None:
-            raise ReductionFailure("no strictly decreasing move available")
+            raise ReductionFailure("no move lowers <xi, .> and keeps it positive")
         val, current, mv = best
         word_matrix = la.mat_mul(mv, word_matrix)
-    raise ReductionFailure(f"reduction step budget of {max_steps} exhausted")
 
 
 def make_membership_tester(cert):
@@ -639,9 +640,8 @@ def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
     """Sampled covering plus exact interior disjointness for a certificate.
 
     Covering: each sample point of C is moved into D by the reduction
-    procedure, in at most 2000 steps.  Disjointness: for every nonidentity
-    word up to the bound, int(D) cap gamma . int(D) cap C is empty (exact
-    polyhedral check).
+    procedure.  Disjointness: for every nonidentity word up to the bound,
+    int(D) cap gamma . int(D) cap C is empty (exact polyhedral check).
     Raises CoverageFailure / DisjointnessFailure accordingly; returns
     (report, certificate-with-evidence) on success.  samples or
     disjoint_word_len below 1 is InvalidInput: that check would pass
@@ -653,15 +653,12 @@ def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
         raise InvalidInput("disjointness needs a word bound of at least 1")
     pos = cert.positive_cone
     points = sample_cone_points(pos, samples, seed)
-    max_steps = 2000
     max_moves = 0
     for p in points:
         try:
-            reduced, _, steps = reduce_into_domain(cert, p, max_steps=max_steps)
+            reduced, _, steps = reduce_into_domain(cert, p)
         except ReductionFailure as exc:
-            raise CoverageFailure(
-                f"point {p} could not be reduced in {max_steps} steps"
-            ) from exc
+            raise CoverageFailure(f"point {p} could not be reduced: {exc}") from exc
         if not cert.domain_contains(reduced):
             raise CoverageFailure(f"point {p} reduced outside D")
         max_moves = max(max_moves, steps)

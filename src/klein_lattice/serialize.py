@@ -292,7 +292,9 @@ def certificate_from_json(obj):
     flags must be the domain's, and each orbit matrix the element that its
     word names.  Data of the wrong rank is a DimensionMismatch first, and
     an xi outside the open cone C a NonPositiveVector, as for
-    dirichlet_domain."""
+    dirichlet_domain; a generator that moves xi out of C and a
+    stabilization depth that dirichlet_domain would not write are
+    InvalidInput."""
     from .cones import DomainCertificate
 
     def need(key):
@@ -320,7 +322,15 @@ def certificate_from_json(obj):
         raise InvalidInput("positive cone and group live on different lattices")
     if not pos.contains_open(xi):
         raise NonPositiveVector("xi must lie in the open cone C")
+    for g in group.generator_elements():
+        if not pos.contains_open(la.mat_vec(g.matrix, xi)):
+            raise InvalidInput(f"{g.word} moves xi out of the component C")
     word_bound = int_from_json(need("word_bound"))
+    stabilization_depth = int_from_json(need("stabilization_depth"))
+    if not (0 < stabilization_depth < word_bound if orbit else stabilization_depth == 0):
+        raise InvalidInput(
+            "stabilization depth must be 0 without orbit elements, else in [1, word_bound)"
+        )
     # the BFS goes as deep as the longest word, which is at most the bound
     depth = max((w.count("*") + 1 for _, w in orbit if isinstance(w, str)), default=0)
     layers = group.layers(min(depth, word_bound))[1:]
@@ -333,7 +343,7 @@ def certificate_from_json(obj):
         xi=xi,
         word_bound=word_bound,
         domain=domain,
-        stabilization_depth=int_from_json(need("stabilization_depth")),
+        stabilization_depth=stabilization_depth,
         orbit_elements=orbit,
         covering_evidence=obj.get("covering_evidence"),
         disjointness_evidence=obj.get("disjointness_evidence"),

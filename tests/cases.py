@@ -322,8 +322,10 @@ def forged_certificates(cert):
     """The JSON certificate cert of a Pell domain on diag(2, -4), each time
     with one fact whose second copy is broken: no halfspaces beside the
     domain, a halfspace beside the domain's rays that is not their facet,
-    an orbit matrix of determinant -1 beside the word g0, and a positive
-    cone on another lattice than the group's."""
+    an orbit matrix of determinant -1 beside the word g0, a positive cone
+    on another lattice than the group's, a group generator -I that moves xi
+    out of C, and a stabilization depth equal to the word bound, which
+    dirichlet_domain would have refused as still growing."""
     return {
         "no-halfspaces": {**cert, "halfspaces": []},
         "domain-halfspace-not-a-facet": {
@@ -338,6 +340,16 @@ def forged_certificates(cert):
         "positive-cone-on-another-lattice": {
             **cert,
             "positive_cone": {"lattice": {"gram": [[1, 0], [0, -1]]}, "component_base": [1, 0]},
+        },
+        "generator-moves-xi-out-of-c": {
+            **cert,
+            "group": {
+                **cert["group"],
+                "generators": cert["group"]["generators"] + [{"matrix": [[-1, 0], [0, -1]]}],
+            },
+        },
+        "stabilization-depth-at-the-word-bound": {
+            **cert, "stabilization_depth": cert["word_bound"],
         },
     }
 

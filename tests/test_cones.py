@@ -175,17 +175,55 @@ def test_domain_construction_rank_limit():
     assert c.is_full_dimensional()
 
 
-def test_reduction_failure_on_budget(pell_cert):
-    from klein_lattice.errors import ReductionFailure
-
+def test_reduction_of_a_point_past_the_recorded_orbit(pell_cert):
     far = (3, 1)
     for _ in range(22):  # deep in the orbit: needs two moves of depth <= 20
         far = la.mat_vec(PELL, far)
     assert pell_cert.positive_cone.contains_open(far)
-    with pytest.raises(ReductionFailure):
-        reduce_into_domain(pell_cert, far, max_steps=1)
     point, _, steps = reduce_into_domain(pell_cert, far)
     assert pell_cert.domain_contains(point) and steps >= 2
+
+
+def test_membership_tester_takes_every_move_the_point_needs(monkeypatch):
+    # the (2,4,inf) triangle group at word bound 3, with 16 moves; u = g1*g2,
+    # the product of the reflections in (0, 0, -1) and (1, 1, 1), is
+    # parabolic, and u^1510*xi lies 1007 moves from xi: past a fixed budget
+    # of 1000, which would have answered unknown
+    diag, roots, xi, _ = REFLECTION_GROUPS["triangle-2-4-inf"]
+    gamma = reflection_group(diag, roots, xi, 3)
+    cert = dirichlet_domain(gamma, PositiveCone(gamma.lattice, xi), xi)
+    assert len(cert.moves) == 16
+    g = [el.matrix for el in gamma.generator_elements()]
+    u = la.mat_mul(g[1], g[2])
+    assert u != la.identity_matrix(3) and sum(u[i][i] for i in range(3)) == 3
+    m = la.identity_matrix(3)
+    for _ in range(1510):
+        m = la.mat_mul(u, m)
+    real, products = la.mat_mul, []
+    monkeypatch.setattr(la, "mat_mul", lambda a, b: products.append(1) or real(a, b))
+    assert make_membership_tester(cert)(m) == "in"
+    assert len(products) == 1007 + 1  # one product per move, then W*M
+
+
+def test_reduction_takes_no_move_out_of_the_component(pell_lattice, pell_cert):
+    # a group that also holds -I, which dirichlet_domain and the JSON reader
+    # refuse: a move to -x lowers <xi, .> below 0, and taking it would send
+    # the reduction off the cone
+    minus = ((-1, 0), (0, -1))
+    group = GeneratedGroup(
+        pell_lattice, pell_cert.group.generators + (Isometry(pell_lattice, minus),),
+        word_bound=20, component_base=(1, 0),
+    )
+    group.layers(20)  # the moves' inverses are read off the word tree
+    cert = frozen.replace(pell_cert, group=group)
+    assert minus in cert.moves
+    y = la.mat_vec(PELL, pell_cert.xi)
+    _, _, pell_steps = reduce_into_domain(pell_cert, y)
+    point, w, steps = reduce_into_domain(cert, y)
+    assert point == pell_cert.xi and steps == pell_steps
+    assert w == la.unimodular_inverse(PELL)
+    report, _ = verify_fundamental_domain(cert, samples=5, disjoint_word_len=2)
+    assert report["covering"]["status"] == report["disjointness"]["status"] == "pass"
 
 
 def test_reduction_refuses_a_point_off_the_closed_cone(monkeypatch, pell_lattice, pell_cert):
@@ -209,7 +247,7 @@ def test_reduction_refuses_a_point_off_the_closed_cone(monkeypatch, pell_lattice
     for x in ((-1, 0), (-3, -1), (0, 1), (1, 3)):
         steps.clear()
         with pytest.raises(ReductionFailure, match="outside the closed positive cone"):
-            reduce_into_domain(pell_cert, x, max_steps=50)
+            reduce_into_domain(pell_cert, x)
         assert steps == []
     p2 = real(PELL, PELL)
     gamma = GeneratedGroup(pell_lattice, (Isometry(pell_lattice, p2),), component_base=(1, 0))

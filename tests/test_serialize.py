@@ -216,15 +216,28 @@ def test_forged_certificates_are_refused(pell_cert):
         ("orbit_elements", [{"matrix": [[3, 4], [2, 3]], "word": "g0*g0"}]),
         ("orbit_elements", [{"matrix": [[1, 0], [0, 1]], "word": "e"}]),
         ("word_bound", 0),
+        ("stabilization_depth", -3),
+        ("stabilization_depth", 0),
     ],
     ids=["a-facet-missing", "not-a-facet", "zero-halfspace", "full-cone-claimed",
          "full-cone-not-a-boolean", "rays-in-closure-denied", "no-word", "word-not-a-string",
-         "word-of-another-element", "identity", "words-past-the-bound"],
+         "word-of-another-element", "identity", "words-past-the-bound", "negative-depth",
+         "depth-0-with-orbit-elements"],
 )
 def test_certificate_facts_that_disagree_are_refused(pell_cert, key, value):
     obj = dict(ser.certificate_to_json(pell_cert), **{key: value})
     with pytest.raises(InvalidInput):
         ser.certificate_from_json(obj)
+
+
+def test_certificate_without_orbit_elements_has_depth_0(pell_lattice, pell_cone):
+    # dirichlet_domain writes depth 0 for a group with no orbit elements
+    gamma = GeneratedGroup(pell_lattice, (), word_bound=4, component_base=(1, 0))
+    obj = ser.certificate_to_json(dirichlet_domain(gamma, pell_cone, (1, 0)))
+    assert obj["stabilization_depth"] == 0 and obj["orbit_elements"] == []
+    assert ser.certificate_to_json(ser.certificate_from_json(obj)) == obj
+    with pytest.raises(InvalidInput, match="stabilization depth"):
+        ser.certificate_from_json(dict(obj, stabilization_depth=2))
 
 
 def test_certificate_halfspaces_are_read_as_facets(pell_cert):
