@@ -60,14 +60,10 @@ def _parse_ints(text):
     return tuple(ser.int_from_json(part.strip()) for part in text.split(","))
 
 
-def _membership_tester(text):
-    """Reduction-based membership from a domain certificate; none when the
-    text is empty."""
-    if not text:
-        return None
-    from .cones import make_membership_tester
-
-    return make_membership_tester(ser.certificate_from_json(_maybe_inline_json(text)))
+def _certificate(text):
+    """A domain certificate, inline or in a file; none when the text is
+    empty."""
+    return ser.certificate_from_json(_maybe_inline_json(text)) if text else None
 
 
 def _lattice_arg(args):
@@ -168,7 +164,13 @@ def cmd_isom_fix_sublattice(args):
 def cmd_isom_stabilizer(args):
     from .isometry import stabilizer
 
-    st = stabilizer(args.group, args.point, tester=args.cert)
+    tester = None
+    if args.cert is not None:
+        from .cones import make_membership_tester
+
+        args.cert.check_group(args.group)
+        tester = make_membership_tester(args.cert)
+    st = stabilizer(args.group, args.point, tester=tester)
     return {
         "members": [ser.mat_to_json(m.matrix) for m in st.members],
         "unresolved": [ser.mat_to_json(m) for m in st.unresolved],
@@ -565,7 +567,7 @@ COMMANDS = {
         "stabilizer": (cmd_isom_stabilizer, (
             GROUP,
             _opt("--point", _parse_vector, required=True),
-            _opt("--cert", _membership_tester,
+            _opt("--cert", _certificate,
                  help="domain certificate enabling reduction-based membership"),
         )),
     },

@@ -8,7 +8,7 @@ Siegel-property intersection enumeration.  All arithmetic is integer/Fraction.
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 from . import intlinalg as la
 from .errors import (
@@ -33,16 +33,41 @@ from .lattice import signature
 # --- double description ----------------------------------------------------
 
 
-def _tight_set(inserted, r):
-    return frozenset(j for j, hj in enumerate(inserted) if la.dot(hj, r) == 0)
-
-
 def _insert_halfspace(dim, lines, rays, inserted, h):
-    """One incremental DD step.  rays is a list of (vector, tight-set)."""
+    """One incremental DD step on rays (vector, mask), where bit j of the
+    mask is set iff inserted[j] vanishes on the vector; h gets bit
+    len(inserted).  The masks are updated, never recomputed.  Every ray
+    satisfies every inserted halfspace, so a ray on h gains the bit, a ray
+    strictly inside keeps its mask, and the combination w = dp*n + |dn|*p
+    of an adjacent pair has h_j.w = dp*(h_j.n) + |dn|*(h_j.p) > 0 unless
+    both terms vanish: its mask is (tp & tn) | bit.  Every inserted
+    halfspace vanishes on the lines and h does not vanish on l0, so l0 gets
+    bit - 1, and a moved ray d0*r - dr*l0 has h_j-pairing d0*(h_j.r) and
+    gains the bit.  Repeats share a mask; the first is kept."""
+    bit = 1 << len(inserted)
     pairings = [la.dot(h, l) for l in lines]
     pivot = next((i for i, p in enumerate(pairings) if p != 0), None)
-    new_inserted = inserted + [h]
-    if pivot is not None:
+    if pivot is None:
+        pos, zero, neg = [], [], []
+        for r, tight in rays:
+            d = la.dot(h, r)
+            if d > 0:
+                pos.append((r, tight, d))
+            elif d == 0:
+                zero.append((r, tight | bit))
+            else:
+                neg.append((r, tight, d))
+        new_rays = [(r, tight) for r, tight, _ in pos] + zero
+        adjacent_rank = dim - len(lines) - 2
+        for p, tp, dp in pos:
+            for nvec, tn, dn in neg:
+                tcommon = tp & tn
+                normals = [hj for j, hj in enumerate(inserted) if tcommon >> j & 1]
+                if la.rank(normals) == adjacent_rank:
+                    w = tuple(dp * a - dn * b for a, b in zip(nvec, p))
+                    new_rays.append((la.primitive_vector(w), tcommon | bit))
+        new_lines = lines
+    else:
         l0 = lines[pivot]
         d0 = pairings[pivot]
         if d0 < 0:
@@ -54,42 +79,12 @@ def _insert_halfspace(dim, lines, rays, inserted, h):
                 continue
             nl = tuple(d0 * a - pairings[i] * b for a, b in zip(l, l0))
             new_lines.append(la.primitive_vector(nl))
-        vectors = [la.primitive_vector(l0)]
-        for r, _ in rays:
+        new_rays = [(la.primitive_vector(l0), bit - 1)]
+        for r, tight in rays:
             dr = la.dot(h, r)
             nr = tuple(d0 * a - dr * b for a, b in zip(r, l0))
-            vectors.append(la.primitive_vector(nr))
-        new_rays = [
-            (v, _tight_set(new_inserted, v))
-            for v in dict.fromkeys(vectors)
-            if not la.is_zero_vector(v)
-        ]
-        return new_lines, new_rays
-    pos, zero, neg = [], [], []
-    for r, tight in rays:
-        d = la.dot(h, r)
-        if d > 0:
-            pos.append((r, tight, d))
-        elif d == 0:
-            zero.append(r)
-        else:
-            neg.append((r, tight, d))
-    vectors = [r for r, _, _ in pos] + zero
-    lineality_dim = len(lines)
-    for p, tp, dp in pos:
-        for nvec, tn, dn in neg:
-            tcommon = tp & tn
-            normals = [inserted[j] for j in sorted(tcommon)]
-            if la.rank(normals) != dim - lineality_dim - 2:
-                continue
-            w = tuple(dp * a - dn * b for a, b in zip(nvec, p))
-            w = la.primitive_vector(w)
-            if not la.is_zero_vector(w):
-                vectors.append(w)
-    new_rays = [
-        (v, _tight_set(new_inserted, v)) for v in dict.fromkeys(vectors)
-    ]
-    return lines, new_rays
+            new_rays.append((la.primitive_vector(nr), tight | bit))
+    return new_lines, [(v, m) for v, m in dict(new_rays).items() if any(v)]
 
 
 def dd_rays(dim, halfspaces, equalities=()):
@@ -107,9 +102,8 @@ def dd_rays(dim, halfspaces, equalities=()):
             continue
         lines, rays = _insert_halfspace(dim, lines, rays, inserted, h)
         inserted.append(h)
-    out_rays = tuple(sorted({r for r, _ in rays if not la.is_zero_vector(r)}))
-    out_lines = tuple(sorted({l for l in lines if not la.is_zero_vector(l)}))
-    return out_rays, out_lines
+    # the rays are distinct and nonzero, the lines independent
+    return tuple(sorted(r for r, _ in rays)), tuple(sorted(lines))
 
 
 class PolyhedralCone(Frozen):
@@ -384,6 +378,13 @@ class DomainCertificate(Frozen):
             rational_closure_member(pos, r) for r in self.domain.rays
         )
 
+    def check_group(self, gamma):
+        """Refuse gamma (InvalidInput) unless it is the certificate's group:
+        the same lattice and the same set of generators, at any word bound."""
+        group = self.group
+        if group.lattice != gamma.lattice or {*group.generators} != {*gamma.generators}:
+            raise InvalidInput("the certificate's group has another lattice or generators")
+
     def domain_contains(self, x):
         return rational_closure_member(self.positive_cone, x) and self.domain.contains(x)
 
@@ -554,15 +555,7 @@ def find_trivial_stabilizer_point(gamma, pos):
 
 
 def _integer_vectors_of_height(n, h):
-    def rec(prefix):
-        if len(prefix) == n:
-            if max(abs(c) for c in prefix) == h:
-                yield tuple(prefix)
-            return
-        for c in range(-h, h + 1):
-            yield from rec(prefix + [c])
-
-    yield from rec([])
+    return (v for v in product(range(-h, h + 1), repeat=n) if max(map(abs, v)) == h)
 
 
 # --- Siegel property --------------------------------------------------------

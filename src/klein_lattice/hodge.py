@@ -540,8 +540,10 @@ def classify_finite_subgroups_on_cone(gamma, cert):
     Enumerates words up to the group's bound, keeps those meeting the domain,
     lists the subgroups inside S by cyclic extension, and deduplicates by
     bounded conjugation.  Returns (representatives, report); completeness is
-    BoundedSearch by construction.
+    BoundedSearch by construction.  A certificate of another group than
+    gamma is refused (InvalidInput).
     """
+    cert.check_group(gamma)
     elements = gamma.elements_up_to()
     s_set = sorted({el.matrix for el in elements if _meets_domain(cert, el.matrix)})
     ident = la.identity_matrix(gamma.lattice.rank)

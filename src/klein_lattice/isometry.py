@@ -9,7 +9,7 @@ procedure.
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import isqrt
+from math import ceil, floor, isqrt
 
 from . import intlinalg as la
 from .errors import (
@@ -166,16 +166,11 @@ def vectors_of_norm(gram, m):
         t = sum(c[i][j] * x[j] for j in range(i + 1, n))
         limit = Fraction(remaining) / d[i]
         s = isqrt(int(limit)) + 1
-        lo = -t - s
-        k = int(lo.numerator // lo.denominator) if isinstance(lo, Fraction) else lo
-        while Fraction(k) < -t - s:
-            k += 1
-        while Fraction(k) <= -t + s:
+        for k in range(ceil(-t - s), floor(-t + s) + 1):
             term = d[i] * (k + t) ** 2
             if term <= remaining:
                 x[i] = k
                 rec(i - 1, remaining - term)
-            k += 1
         x[i] = 0
 
     rec(n - 1, Fraction(m))

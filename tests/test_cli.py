@@ -410,6 +410,59 @@ def test_isom_stabilizer_with_cert(pell_group_file, tmp_path, capsys):
     assert len(rep["result"]["members"]) == 1
 
 
+def test_a_certificate_of_another_group_exits_1(pell_group_file, capsys):
+    # the Pell certificate decides membership in <P>: with the dihedral
+    # group <P, diag(1, -1)> the stabilizer of (1, 0) would lose diag(1, -1)
+    code, rep = run_cli(
+        [
+            "cone", "domain", "--group", pell_group_file, "--base", "1,0",
+            "--xi", "1,0", "--bound", "14",
+        ],
+        capsys,
+    )
+    assert code == 0
+    cert = json.dumps(rep["result"]["certificate"])
+    dihedral = json.dumps({
+        "lattice": {"gram": [[2, 0], [0, -4]]},
+        "generators": [{"matrix": [[3, 4], [2, 3]]}, {"matrix": [[1, 0], [0, -1]]}],
+        "word_bound": 12,
+        "component_base": [1, 0],
+    })
+    for argv in (
+        ["isom", "stabilizer", "--group", dihedral, "--point", "1,0", "--cert", cert],
+        ["hk", "classify-subgroups", "--gamma", dihedral, "--domain", cert],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: InvalidInput: ")
+    code, rep = run_cli(["isom", "stabilizer", "--group", dihedral, "--point", "1,0"], capsys)
+    assert code == 0 and len(rep["result"]["members"]) == 2
+
+
+def test_cone_verify_writes_the_sectors_of_cone_domain(pell_group_file, tmp_path, capsys):
+    domain_csv, verify_csv = tmp_path / "domain.csv", tmp_path / "verify.csv"
+    code, rep = run_cli(
+        [
+            "cone", "domain", "--group", pell_group_file, "--base", "1,0",
+            "--xi", "1,0", "--bound", "14", "--sectors-csv", str(domain_csv),
+        ],
+        capsys,
+    )
+    assert code == 0
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(rep["result"]["certificate"]))
+    code, _ = run_cli(
+        [
+            "cone", "verify", "--cert", str(cpath), "--samples", "5",
+            "--disjoint-bound", "2", "--sectors-csv", str(verify_csv),
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = verify_csv.read_text().splitlines()
+    assert len(rows) > 3 and rows[1].startswith("domain,")
+    assert verify_csv.read_text() == domain_csv.read_text()
+
+
 @pytest.mark.parametrize(
     "gram,base,rays",
     [

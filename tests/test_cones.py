@@ -108,6 +108,27 @@ def test_double_description_outputs_are_pinned():
     )
 
 
+def test_every_dd_step_keeps_each_mask_equal_to_its_tight_set(monkeypatch):
+    # _insert_halfspace updates the masks without rescanning: after each
+    # step, bit j of a ray's mask must be set iff inserted[j] vanishes on it
+    real = cones._insert_halfspace
+    steps = []
+
+    def checked(dim, lines, rays, inserted, h):
+        new_lines, new_rays = real(dim, lines, rays, inserted, h)
+        after = inserted + [h]
+        for v, mask in new_rays:
+            assert mask == sum(1 << j for j, hj in enumerate(after) if la.dot(hj, v) == 0)
+        steps.append(len(new_lines) < len(lines))
+        return new_lines, new_rays
+
+    monkeypatch.setattr(cones, "_insert_halfspace", checked)
+    for _ in pinned_cones(500, 18):
+        pass
+    # both branches ran: steps that used up a line and steps that did not
+    assert len(set(steps)) == 2 and len(steps) > 10000
+
+
 def test_dual_dual_identity_on_full_dimensional():
     c = cone_from_rays(3, ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)))
     assert c.is_full_dimensional()

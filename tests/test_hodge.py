@@ -575,6 +575,23 @@ def test_classify_subgroups_pell_trivial(pell_group, pell_cert):
     assert len(classes) == 1
 
 
+def test_classify_subgroups_refuses_a_certificate_of_another_group(
+    pell_group, pell_cert, dihedral_group, dihedral_cert
+):
+    # the domain of one group is no fundamental domain of the other, and
+    # the answer would still be a class list
+    for gamma, cert in ((dihedral_group, pell_cert), (pell_group, dihedral_cert)):
+        with pytest.raises(InvalidInput):
+            classify_finite_subgroups_on_cone(gamma, cert)
+    # the word bound may differ: the same generators give the same group
+    fewer_words = GeneratedGroup(
+        dihedral_group.lattice, dihedral_group.generators, word_bound=3,
+        component_base=(1, 0),
+    )
+    classes, _ = classify_finite_subgroups_on_cone(fewer_words, dihedral_cert)
+    assert len(classes) == 3
+
+
 def test_classify_subgroups_cross_module_agreement(dihedral_group, dihedral_cert):
     cone_classes, _ = classify_finite_subgroups_on_cone(dihedral_group, dihedral_cert)
     mat_classes, _ = finite_subgroup_classes_matrix(dihedral_group)

@@ -61,6 +61,18 @@ def test_group_roundtrip():
     assert back.generators[1].sign == -1
 
 
+def test_full_orthogonal_plus_group_roundtrip():
+    # the flag is written only when set, and read back beside its base
+    swap = Isometry(U(), ((0, 1), (1, 0)))
+    g = GeneratedGroup(U(), (swap,), word_bound=5, full_orthogonal_plus=True,
+                       component_base=(1, 1))
+    doc = ser.generated_group_to_json(g)
+    assert doc["full_orthogonal_plus"] is True
+    assert "full_orthogonal_plus" not in ser.generated_group_to_json(GeneratedGroup(U(), (swap,)))
+    back = ser.generated_group_from_json(doc)
+    assert back == g and back.full_orthogonal_plus
+
+
 def test_cone_roundtrip():
     c = cone_from_rays(2, ((2, 1), (2, -1)))
     back = ser.cone_from_json(ser.cone_to_json(c))
