@@ -60,12 +60,6 @@ def _parse_ints(text):
     return tuple(ser.int_from_json(part.strip()) for part in text.split(","))
 
 
-def _certificate(text):
-    """A domain certificate, inline or in a file; none when the text is
-    empty."""
-    return ser.certificate_from_json(_maybe_inline_json(text)) if text else None
-
-
 def _lattice_arg(args):
     if args.name and args.infile:
         raise ParseError("give --in or --name, not both")
@@ -306,7 +300,7 @@ def _rational_isotropic_rays(pos):
     out = []
     for ray in rays:
         v = la.primitive_vector(ray)
-        if not la.is_zero_vector(v) and lat.q(v) == 0 and lat.pairing(v, pos.component_base) > 0:
+        if not la.is_zero_vector(v) and lat.q(v) == 0 and la.dot(pos.base_covector, v) > 0:
             if v not in out:
                 out.append(v)
     return out
@@ -530,10 +524,13 @@ def _opt(flag, reader=None, **kwargs):
     return flag, kwargs, reader
 
 
-def _doc(flag, read):
-    """A required option holding a JSON document, inline or in a file, that
-    the serialize reader `read` turns into a library value."""
-    return _opt(flag, lambda text: read(_maybe_inline_json(text)), required=True)
+def _doc(flag, read, required=True, **kwargs):
+    """An option holding a JSON document, inline or in a file, that the
+    serialize reader `read` turns into a library value; required unless
+    told otherwise.  Empty text names no file: a ParseError."""
+    return _opt(
+        flag, lambda text: read(_maybe_inline_json(text)), required=required, **kwargs
+    )
 
 
 LATTICE = (
@@ -567,7 +564,7 @@ COMMANDS = {
         "stabilizer": (cmd_isom_stabilizer, (
             GROUP,
             _opt("--point", _parse_vector, required=True),
-            _opt("--cert", _certificate,
+            _doc("--cert", ser.certificate_from_json, required=False,
                  help="domain certificate enabling reduction-based membership"),
         )),
     },

@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedRank,
 )
 from .frozen import Frozen, replace
-from .isometry import stabilizer
 from .lattice import signature
 
 
@@ -137,16 +136,22 @@ class PolyhedralCone(Frozen):
                     raise InvalidInput("line not contained in a constraint boundary")
 
     def contains(self, x):
+        """Membership of a rational point, decided on its primitive integer
+        multiple: the signs of h.x and e.x are those of h.v and e.v for
+        v = lambda x, lambda > 0."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
-        return all(la.dot(h, x) >= 0 for h in self.halfspaces) and all(
-            la.dot(e, x) == 0 for e in self.equalities
+        v = la.primitive_vector(x)
+        return all(la.dot(h, v) >= 0 for h in self.halfspaces) and all(
+            la.dot(e, v) == 0 for e in self.equalities
         )
 
     def contains_strictly(self, x):
-        """Interior membership; meaningful for full-dimensional cones."""
-        return all(la.dot(h, x) > 0 for h in self.halfspaces) and all(
-            la.dot(e, x) == 0 for e in self.equalities
+        """Interior membership; meaningful for full-dimensional cones.
+        Decided on the primitive integer multiple of x, as contains is."""
+        v = la.primitive_vector(x)
+        return all(la.dot(h, v) > 0 for h in self.halfspaces) and all(
+            la.dot(e, v) == 0 for e in self.equalities
         )
 
     def generators(self):
@@ -242,7 +247,12 @@ def meet_preimage(other, m, cone):
 
 
 class PositiveCone(Frozen):
-    """Selected component of {q > 0} in a hyperbolic lattice."""
+    """Selected component of {q > 0} in a hyperbolic lattice.
+
+    Membership signs are read on the primitive integer multiple v = lambda x
+    (lambda > 0) of a rational point x: q(x) and <base, x> are homogeneous of
+    degree 2 and 1, so their signs are those of q(v) and base_covector.v.
+    """
 
     lattice: object
     component_base: tuple
@@ -262,9 +272,16 @@ class PositiveCone(Frozen):
     def dim(self):
         return self.lattice.rank
 
+    @cached_property
+    def base_covector(self):
+        """The covector <component_base, .> as a primitive integer vector.
+        Kept in the instance dictionary, outside the value's fields, so
+        equality, hashing and repr do not see it."""
+        return self.lattice.covector(self.component_base)
+
     def contains_open(self, x):
-        lat = self.lattice
-        return lat.q(x) > 0 and lat.pairing(x, self.component_base) > 0
+        v = la.primitive_vector(x)
+        return self.lattice.q(v) > 0 and la.dot(self.base_covector, v) > 0
 
 
 def rational_closure_member(pos, x):
@@ -272,17 +289,17 @@ def rational_closure_member(pos, x):
 
     C+ consists of 0, the open component C, and the rational isotropic rays on
     its boundary; an irrational boundary direction cannot be represented by a
-    rational input in the first place.
+    rational input in the first place.  Decided on the primitive integer
+    multiple of x, as PositiveCone.contains_open is.
     """
     if len(x) != pos.dim:
         raise DimensionMismatch("point dimension != lattice rank")
-    xv = tuple(Fraction(c) for c in x)
-    if all(c == 0 for c in xv):
+    v = la.primitive_vector(x)
+    if not any(v):
         return True
-    lat = pos.lattice
-    if lat.q(xv) < 0:
+    if pos.lattice.q(v) < 0:
         return False
-    return lat.pairing(xv, pos.component_base) > 0
+    return la.dot(pos.base_covector, v) > 0
 
 
 # --- deciding whether a polyhedral cone meets the open component C ---------
@@ -322,9 +339,8 @@ def cone_meets_component(cone, pos):
     """True iff the polyhedral cone contains a point with q > 0 in C."""
     if cone.ambient_dim != pos.dim:
         raise DimensionMismatch("cone and positive cone dimension mismatch")
-    base_h = pos.lattice.covector(pos.component_base)
     clipped = cone_from_halfspaces(
-        cone.ambient_dim, cone.halfspaces + (base_h,), cone.equalities
+        cone.ambient_dim, cone.halfspaces + (pos.base_covector,), cone.equalities
     )
     gens = clipped.generators()
     if not gens:
@@ -424,6 +440,8 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         raise InvalidInput("word bound must be at least 1")
     if pos.dim > 4:
         raise UnsupportedRank("domain construction is limited to rank <= 4")
+    from .isometry import stabilizer
+
     xiv = tuple(Fraction(c) for c in xi)
     if not pos.contains_open(xiv):
         raise NonPositiveVector("xi must lie in the open cone C")
@@ -534,6 +552,8 @@ def find_trivial_stabilizer_point(gamma, pos):
     """Deterministic search for a rational point of C with certified trivial
     stabilizer: integer vectors enumerated by increasing height up to 12,
     lex order."""
+    from .isometry import stabilizer
+
     n = pos.dim
     height_bound = 12
     ident = la.identity_matrix(n)

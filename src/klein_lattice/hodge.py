@@ -19,6 +19,7 @@ from .frozen import Frozen
 from .cones import (
     _integer_vectors_of_height,
     cone_from_rays,
+    cone_meets_component,
     intersect,
     meet_preimage,
     reduce_into_domain,
@@ -486,20 +487,25 @@ def anti_invariant_class(kmodel, klein):
 
 
 def _meets_domain(cert, m):
-    """Whether m lies in the set S: m(Sigma) cap Sigma != {0} for the domain
-    Sigma of cert, always true when the domain is the full cone.  m^-1 maps
-    that intersection onto {x in Sigma : m x in Sigma}, so no inverse is
-    needed."""
+    """Whether m lies in the set S: m(Sigma) cap Sigma meets the open cone C
+    for the domain Sigma of cert, always true when the domain is the full
+    cone.  m^-1 maps that intersection onto {x in Sigma : m x in Sigma}, so
+    no inverse is needed.  A meet in a cusp ray alone does not count: the
+    parabolic words that meet Sigma there would make S grow with the word
+    bound."""
     if cert.full_cone:
         return True
-    return not meet_preimage(cert.domain, m, cert.domain).is_zero()
+    meet = meet_preimage(cert.domain, m, cert.domain)
+    if meet.is_zero():
+        return False
+    return cone_meets_component(meet, cert.positive_cone)
 
 
 def prop_key_reduction(group_elements, cert, y):
     """Conjugate a finite dagger-image group into the neighborhood of the
     fundamental domain: fix x = sum g.y, reduce x into the domain by the
     certificate, conjugate by the reduction word, and verify every conjugated
-    element phi satisfies phi(Sigma) cap Sigma != {0}."""
+    element phi satisfies: phi(Sigma) cap Sigma meets C."""
     pos = cert.positive_cone
     mats = []
     for g in group_elements:
@@ -535,7 +541,9 @@ def prop_key_reduction(group_elements, cert, y):
 
 def classify_finite_subgroups_on_cone(gamma, cert):
     """Conjugacy classes of finite subgroups of the cone action, through the
-    finite set S = {phi : phi(Sigma) cap Sigma != {0}}.
+    finite set S = {phi : phi(Sigma) cap Sigma meets C}.  A finite subgroup
+    fixes a point of C, which reduces into Sigma, so a conjugate of it lies
+    in S; a word whose translate meets Sigma only in a cusp ray is left out.
 
     Enumerates words up to the group's bound, keeps those meeting the domain,
     lists the subgroups inside S by cyclic extension, and deduplicates by

@@ -438,6 +438,16 @@ def test_a_certificate_of_another_group_exits_1(pell_group_file, capsys):
     assert code == 0 and len(rep["result"]["members"]) == 2
 
 
+def test_an_empty_cert_exits_1(pell_group_file, capsys):
+    # empty text names no certificate file; it is not an absent --cert
+    argv = ["isom", "stabilizer", "--group", pell_group_file, "--point", "9,4"]
+    assert main(argv + ["--cert", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ParseError: ")
+    code, rep = run_cli(argv, capsys)
+    assert code == 0 and rep["completeness"] == "Certified"
+
+
 def test_cone_verify_writes_the_sectors_of_cone_domain(pell_group_file, tmp_path, capsys):
     domain_csv, verify_csv = tmp_path / "domain.csv", tmp_path / "verify.csv"
     code, rep = run_cli(

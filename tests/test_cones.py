@@ -165,6 +165,68 @@ def test_rational_closure_membership(pell_cone):
     assert not rational_closure_member(pos_u, (0, -1))
 
 
+# (diagonal Gram matrix, component base, rational isotropic vectors): the
+# Pell form 2x^2 - 4y^2 has none
+SIGN_TEST_LATTICES = {
+    "pell": ((2, -4), (1, 0), ()),
+    "signflip": ((2, -2, -2), (1, 0, 0), ((1, 1, 0), (1, 0, -1), (-1, 1, 0))),
+    "triangle-2-4-inf": ((1, -1, -1), (10, 2, 1), ((1, 1, 0), (5, 3, -4), (-1, 0, 1))),
+    "coxeter-3-4-4": (
+        (1, -1, -1, -1), (10, 3, 2, 1), ((1, 1, 0, 0), (3, -2, 2, 1), (-1, 0, 1, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_TEST_LATTICES))
+def test_membership_signs_on_primitive_vectors_match_fractions(name):
+    # the membership tests read their signs on primitive integer vectors;
+    # the reference evaluates the same forms on the Fraction point
+    diag, base, isotropic = SIGN_TEST_LATTICES[name]
+    n = len(diag)
+    lat = IntegerLattice(tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
+    pos = PositiveCone(lat, base)
+    rng = random.Random(25)
+    cones_ = [
+        cone_from_rays(n, tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)))
+        for k in (n - 1, n, n + 2)
+    ]
+    # a lower-dimensional cone has equalities, a full-dimensional one none
+    assert any(c.equalities for c in cones_) and any(c.is_full_dimensional() for c in cones_)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    points = [(0,) * n]
+    for _ in range(300):
+        points.append(tuple(rational() for _ in range(n)))
+    for v in isotropic:
+        assert lat.q(v) == 0
+        points += [tuple(c * Fraction(k, 3) for c in v) for k in (-4, -1, 2, 5)]
+    # points on the cones' boundaries, where >= and > part
+    points += [tuple(a * Fraction(k, 2) for a in r) for c in cones_ for r in c.rays for k in (-1, 3)]
+    seen = {True: 0, False: 0}
+    for x in points:
+        xv = tuple(Fraction(c) for c in x)
+        q, side = lat.q(xv), lat.pairing(xv, pos.component_base)
+        assert pos.contains_open(x) == (q > 0 and side > 0)
+        assert rational_closure_member(pos, x) == (not any(xv) or q >= 0 and side > 0)
+        seen[rational_closure_member(pos, x)] += 1
+        for c in cones_:
+            hs = [la.dot(h, xv) for h in c.halfspaces]
+            eqs = [la.dot(e, xv) for e in c.equalities]
+            on_span = all(d == 0 for d in eqs)
+            assert c.contains(x) == (all(d >= 0 for d in hs) and on_span)
+            assert c.contains_strictly(x) == (all(d > 0 for d in hs) and on_span)
+        for lam in (Fraction(1, 7), Fraction(5, 3), 4):
+            y = tuple(lam * c for c in x)
+            assert pos.contains_open(y) == pos.contains_open(x)
+            assert rational_closure_member(pos, y) == rational_closure_member(pos, x)
+            for c in cones_:
+                assert c.contains(y) == c.contains(x)
+                assert c.contains_strictly(y) == c.contains_strictly(x)
+    assert seen[True] and seen[False]
+
+
 def test_positive_cone_validation():
     with pytest.raises(NotHyperbolic):
         PositiveCone(IntegerLattice(((2, 0), (0, 2))), (1, 0))

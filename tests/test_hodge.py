@@ -10,6 +10,7 @@ from klein_lattice.cohomology import finite_subgroup_classes_matrix
 from klein_lattice.cones import (
     PositiveCone,
     cone_from_rays,
+    cone_meets_component,
     dirichlet_domain,
     intersect,
     meet_preimage,
@@ -687,7 +688,8 @@ def dihedral_fixtures():
 
 def test_s_test_matches_the_two_build_oracle(dihedral_fixtures):
     # the reference builds m(D) from its rays and then intersects it with D;
-    # the pull-back of D by m^-1 is the same cone
+    # the pull-back of D by m^-1 is the same cone, and m is in S iff that
+    # meet is nonzero and meets the open cone C
     certs = [cert for _, _, cert in dihedral_fixtures.values()]
     for diag, roots, xi, bound in REFLECTION_GROUPS.values():
         gamma = reflection_group(diag, roots, xi, bound)
@@ -699,10 +701,35 @@ def test_s_test_matches_the_two_build_oracle(dihedral_fixtures):
             m = el.matrix
             meet = intersect(transform_cone(domain, m), domain)
             assert meet_preimage(domain, gamma.inverse(m), domain).same_cone(meet)
-            want = not meet.is_zero()
+            want = not meet.is_zero() and cone_meets_component(meet, cert.positive_cone)
             assert _meets_domain(cert, m) == want
             answers.add(want)
         assert answers == {True, False}
+
+
+def test_s_of_the_triangle_group_holds_only_finite_order_words():
+    # the (2,4,inf) domain has the cusp ray (1, 1, 0), where parabolic words
+    # meet it; they meet it nowhere in C, so S leaves them out and does not
+    # grow with the word bound
+    diag, roots, xi, bound = REFLECTION_GROUPS["triangle-2-4-inf"]
+    gamma = reflection_group(diag, roots, xi, bound)
+    cert = dirichlet_domain(gamma, PositiveCone(gamma.lattice, xi), xi)
+    ident = la.identity_matrix(3)
+    sets = []
+    for word_bound in (4, 8):
+        g = reflection_group(diag, roots, xi, word_bound)
+        s = {el.matrix for el in g.elements_up_to() if _meets_domain(cert, el.matrix)}
+        _, report = classify_finite_subgroups_on_cone(g, cert)
+        assert report["s_size"] == len(s) == 10
+        assert report["class_count"] == 11
+        sets.append(s)
+    assert sets[0] == sets[1]
+    for m in sets[0]:
+        # an element of finite order in GL_3(Z) has order 1, 2, 3, 4 or 6
+        powers = [m]
+        while len(powers) < 6:
+            powers.append(la.mat_mul(m, powers[-1]))
+        assert ident in powers
 
 
 # sha256 of the JSON of [bound, matrix classes, cone classes] for bounds 3

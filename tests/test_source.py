@@ -152,20 +152,35 @@ def test_only_the_lattice_evaluates_the_form():
 CONE_BUILDERS = ("cone_from_halfspaces", "cone_from_rays")
 
 
-def calls_outside(source, callee, functions):
-    """Lines of calls to `callee`, bare or dotted, outside the module-level
-    functions named in `functions`."""
+def nodes_outside(source, match, definitions):
+    """Lines of the nodes that `match` accepts outside the module-level
+    functions and classes named in `definitions`."""
     tree = ast.parse(source)
     allowed = [
         range(node.lineno, node.end_lineno + 1)
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in functions
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in definitions
     ]
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and name_of(node.func) == callee
-        and not any(node.lineno in lines for lines in allowed)
+        if match(node) and not any(node.lineno in lines for lines in allowed)
+    )
+
+
+def calls_outside(source, callee, functions):
+    """Lines of calls to `callee`, bare or dotted, outside the module-level
+    functions named in `functions`."""
+    return nodes_outside(
+        source, lambda n: isinstance(n, ast.Call) and name_of(n.func) == callee, functions
+    )
+
+
+def reads_outside(source, attr, classes):
+    """Lines that read the attribute `attr` outside the module-level classes
+    named in `classes`."""
+    return nodes_outside(
+        source, lambda n: isinstance(n, ast.Attribute) and n.attr == attr, classes
     )
 
 
@@ -209,6 +224,28 @@ def test_translates_meet_cones_by_one_pull_back():
     found = {
         p.name: calls_outside(p.read_text(), "transform_cone", IMAGE_CONE_CALLERS.get(p.name, ()))
         for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the orientation of C is read off PositiveCone.base_covector; only the
+# class itself reads its component_base
+ORIENTATION_READERS = {"cones.py": ("PositiveCone",), "cli.py": (), "hodge.py": ()}
+
+
+def test_reads_outside_detects_a_stray_orientation_test():
+    source = (
+        "class PositiveCone:\n    def covector(self):\n        return self.component_base\n\n\n"
+        "def member(pos, x):\n    return pairing(x, pos.component_base) > 0\n"
+    )
+    assert reads_outside(source, "component_base", ("PositiveCone",)) == [7]
+    assert reads_outside(source, "component_base", ()) == [3, 7]
+
+
+def test_only_the_positive_cone_reads_its_base():
+    found = {
+        name: reads_outside((PACKAGE / name).read_text(), "component_base", classes)
+        for name, classes in ORIENTATION_READERS.items()
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -299,9 +336,13 @@ from klein_lattice.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["lattice", "signature", "--name", "K3"])
 request, request_slow = loaded(), slow()
+with contextlib.redirect_stdout(io.StringIO()):
+    cone_code = main(["cone", "member", "--name", "U", "--base", "1,1", "--point", "1,0"])
+cone_request = loaded()
 for name in sys.argv[1:]:
     importlib.import_module("klein_lattice." + name)
 print(json.dumps({"import": after_import, "request": request, "code": code,
+                  "cone_request": cone_request, "cone_code": cone_code,
                   "request_slow": request_slow, "all_slow": slow()}))
 """
 
@@ -320,6 +361,11 @@ def test_lattice_request_loads_no_other_library_module():
     assert heavy.isdisjoint(out["import"])
     assert "klein_lattice.cli" in out["request"]
     assert heavy.isdisjoint(out["request"])
+    # a cone member request needs no group: cones imports isometry only
+    # where a group is involved
+    assert out["cone_code"] == 0
+    assert "klein_lattice.cones" in out["cone_request"]
+    assert (heavy - {"klein_lattice.cones"}).isdisjoint(out["cone_request"])
     # neither the request nor the whole library loads dataclasses or inspect
     assert out["request_slow"] == []
     assert out["all_slow"] == []
