@@ -10,6 +10,10 @@ text into a library value (None keeps the text).  main() echoes the text,
 runs the readers in table order and passes the values to the handler.
 Options that depend on each other (--in/--name, --pos/--base, a lattice
 command's --sub) are read by the handler.
+
+A request compiles what it imports, so the readers of numbers, matrices
+and lattices come from codec, and serialize is imported only where a
+composite document is read or written.
 """
 
 import argparse
@@ -18,7 +22,7 @@ import os
 import sys
 import time
 
-from . import serialize as ser
+from . import codec
 from .errors import (
     InvalidInput,
     KleinLatticeError,
@@ -53,20 +57,20 @@ def _maybe_inline_json(text):
 
 
 def _parse_vector(text):
-    return tuple(ser.rat_from_json(part.strip()) for part in text.split(","))
+    return tuple(codec.rat_from_json(part.strip()) for part in text.split(","))
 
 
 def _parse_ints(text):
-    return tuple(ser.int_from_json(part.strip()) for part in text.split(","))
+    return tuple(codec.int_from_json(part.strip()) for part in text.split(","))
 
 
 def _lattice_arg(args):
     if args.name and args.infile:
         raise ParseError("give --in or --name, not both")
     if args.name:
-        return ser.lattice_from_json(args.name)
+        return codec.lattice_from_json(args.name)
     if args.infile:
-        return ser.lattice_from_json(_maybe_inline_json(args.infile))
+        return codec.lattice_from_json(_maybe_inline_json(args.infile))
     raise ParseError("need --in or --name")
 
 
@@ -91,7 +95,7 @@ def cmd_lattice_radical(args):
     from .lattice import radical
 
     lat = _lattice_arg(args)
-    return {"basis": ser.mat_to_json(radical(lat).basis)}, "Certified"
+    return {"basis": codec.mat_to_json(radical(lat).basis)}, "Certified"
 
 
 def cmd_lattice_classify(args):
@@ -109,7 +113,7 @@ def cmd_lattice_discriminant(args):
     return {
         "invariant_factors": list(dg.invariant_factors),
         "order": dg.order,
-        "lift_matrix": ser.mat_to_json(dg.lift_matrix) if dg.lift_matrix else [],
+        "lift_matrix": codec.mat_to_json(dg.lift_matrix) if dg.lift_matrix else [],
     }, "Certified"
 
 
@@ -117,9 +121,9 @@ def cmd_lattice_saturate(args):
     from .lattice import saturation
 
     lat = _lattice_arg(args)
-    sub = ser.sublattice_from_json(lat, _maybe_inline_json(args.sub))
+    sub = codec.sublattice_from_json(lat, _maybe_inline_json(args.sub))
     sat = saturation(lat, sub)
-    return {"basis": ser.mat_to_json(sat.basis)}, "Certified"
+    return {"basis": codec.mat_to_json(sat.basis)}, "Certified"
 
 
 # --- isom subcommands -----------------------------------------------------------
@@ -138,7 +142,7 @@ def cmd_isom_definite_group(args):
     group = isometry_group_definite(lat)
     return {
         "order": len(group),
-        "elements": [ser.mat_to_json(g.matrix) for g in group],
+        "elements": [codec.mat_to_json(g.matrix) for g in group],
     }, "Certified"
 
 
@@ -146,11 +150,11 @@ def cmd_isom_fix_sublattice(args):
     from .isometry import fixes_pointwise_implies_identity
 
     lat = _lattice_arg(args)
-    sub = ser.sublattice_from_json(lat, _maybe_inline_json(args.sub))
+    sub = codec.sublattice_from_json(lat, _maybe_inline_json(args.sub))
     out = fixes_pointwise_implies_identity(lat, sub, search_bound=args.bound)
     payload = {"kind": out.kind}
     if out.witness is not None:
-        payload["witness"] = ser.mat_to_json(out.witness)
+        payload["witness"] = codec.mat_to_json(out.witness)
     completeness = "Certified" if out.kind != "Undecided" else "BoundedSearch"
     return payload, completeness
 
@@ -166,8 +170,8 @@ def cmd_isom_stabilizer(args):
         tester = make_membership_tester(args.cert)
     st = stabilizer(args.group, args.point, tester=tester)
     return {
-        "members": [ser.mat_to_json(m.matrix) for m in st.members],
-        "unresolved": [ser.mat_to_json(m) for m in st.unresolved],
+        "members": [codec.mat_to_json(m.matrix) for m in st.members],
+        "unresolved": [codec.mat_to_json(m) for m in st.unresolved],
         "completeness": st.completeness,
     }, st.completeness
 
@@ -181,13 +185,16 @@ def _positive_cone_from_args(args):
     if args.pos is not None and args.base is not None:
         raise ParseError("give --pos or --base, not both")
     if args.pos is not None:
-        return ser.positive_cone_from_json(_maybe_inline_json(args.pos))
+        from .serialize import positive_cone_from_json
+
+        return positive_cone_from_json(_maybe_inline_json(args.pos))
     if args.base is None:
         raise ParseError("need --pos or --base")
     return PositiveCone(args.group.lattice, _parse_vector(args.base))
 
 
 def cmd_cone_domain(args):
+    from . import serialize as ser
     from .cones import dirichlet_domain
 
     pos = _positive_cone_from_args(args)
@@ -197,12 +204,13 @@ def cmd_cone_domain(args):
     return {
         "certificate": ser.certificate_to_json(cert),
         "stabilization_depth": cert.stabilization_depth,
-        "halfspaces": ser.mat_to_json(cert.halfspaces),
-        "rays": ser.mat_to_json(cert.domain.rays),
+        "halfspaces": codec.mat_to_json(cert.halfspaces),
+        "rays": codec.mat_to_json(cert.domain.rays),
     }, "Certified"
 
 
 def cmd_cone_verify(args):
+    from . import serialize as ser
     from .cones import verify_fundamental_domain
 
     report, updated = verify_fundamental_domain(
@@ -220,6 +228,7 @@ def cmd_cone_verify(args):
 
 
 def cmd_cone_siegel(args):
+    from . import serialize as ser
     from .cones import siegel_intersections
 
     pos = _positive_cone_from_args(args)
@@ -310,13 +319,23 @@ def _rational_isotropic_rays(pos):
 
 
 def _group_spec(text):
-    """A built-in name, or an inline/file JSON group description."""
-    if text in ser.BUILTIN_GROUPS:
+    """A built-in name, or an inline/file JSON group description.  Text
+    that is neither JSON, a built-in name nor an existing path is a
+    ParseError that lists the built-in names."""
+    from .serialize import BUILTIN_GROUPS
+
+    if text in BUILTIN_GROUPS:
         return text
+    if not text.strip().startswith(("[", "{")) and not os.path.exists(text):
+        raise ParseError(
+            f"{text!r} is neither a built-in group nor a readable file; "
+            f"built-in groups: {', '.join(BUILTIN_GROUPS)}"
+        )
     return _maybe_inline_json(text)
 
 
 def cmd_h1_compute(args):
+    from . import serialize as ser
     from .cohomology import h1_finite
 
     obj = {
@@ -445,8 +464,8 @@ def cmd_hk_ns(args):
     ns = neron_severi(h)
     t = transcendental(h)
     return {
-        "ns_basis": ser.mat_to_json(ns.basis),
-        "transcendental_basis": ser.mat_to_json(t.basis),
+        "ns_basis": codec.mat_to_json(ns.basis),
+        "transcendental_basis": codec.mat_to_json(t.basis),
         "ns_plus_t_index": ns_plus_t_index(h),
         "ns_type": classify_type(ns.as_lattice()).value if ns.rank else "Zero",
     }, "Certified"
@@ -471,6 +490,7 @@ def cmd_hk_torelli(args):
 
 
 def cmd_hk_hilbert(args):
+    from . import serialize as ser
     from .hodge import hilbert_square_extension
     from .isometry import Isometry
 
@@ -479,10 +499,10 @@ def cmd_hk_hilbert(args):
         h, args.n, Isometry(h.lattice, args.sigma)
     )
     payload = {
-        "lattice": ser.lattice_to_json(h_ext.lattice),
+        "lattice": codec.lattice_to_json(h_ext.lattice),
         "klein": ser.klein_to_json(klein),
         "report": {
-            k: (ser.vec_to_json(v) if k == "anti_invariant_class" and v else v)
+            k: (codec.vec_to_json(v) if k == "anti_invariant_class" and v else v)
             for k, v in report.items()
         },
     }
@@ -510,7 +530,7 @@ def cmd_hk_classify_subgroups(args):
     classes, report = classify_finite_subgroups_on_cone(args.gamma, args.domain)
     return {
         "class_count": len(classes),
-        "classes": [[ser.mat_to_json(m) for m in cl] for cl in classes],
+        "classes": [[codec.mat_to_json(m) for m in cl] for cl in classes],
         "s_size": report["s_size"],
         "completeness": report["completeness"],
     }, report["completeness"]
@@ -524,12 +544,24 @@ def _opt(flag, reader=None, **kwargs):
     return flag, kwargs, reader
 
 
-def _doc(flag, read, required=True, **kwargs):
+def _doc(flag, name, required=True, **kwargs):
     """An option holding a JSON document, inline or in a file, that the
-    serialize reader `read` turns into a library value; required unless
-    told otherwise.  Empty text names no file: a ParseError."""
+    serialize reader `name` turns into a library value; serialize is
+    imported only when the option is read.  Required unless told otherwise.
+    Empty text names no file: a ParseError."""
+
+    def read(text):
+        from . import serialize
+
+        return getattr(serialize, name)(_maybe_inline_json(text))
+
+    return _opt(flag, read, required=required, **kwargs)
+
+
+def _matrix(flag):
+    """A required option holding an integer matrix, inline or in a file."""
     return _opt(
-        flag, lambda text: read(_maybe_inline_json(text)), required=required, **kwargs
+        flag, lambda text: codec.int_mat_from_json(_maybe_inline_json(text)), required=True
     )
 
 
@@ -538,10 +570,10 @@ LATTICE = (
     _opt("--name", help="built-in lattice name (U, E8(-1), K3, ...)"),
 )
 SECTORS = (_opt("--sectors-csv"), _opt("--sectors-depth", type=int, default=3))
-GROUP = _doc("--group", ser.generated_group_from_json)
-HODGE = _doc("--hodge", ser.hodge_from_json)
-PHI = _doc("--phi", ser.int_mat_from_json)
-MON = _doc("--mon", ser.monodromy_spec_from_json)
+GROUP = _doc("--group", "generated_group_from_json")
+HODGE = _doc("--hodge", "hodge_from_json")
+PHI = _matrix("--phi")
+MON = _doc("--mon", "monodromy_spec_from_json")
 
 COMMANDS = {
     "lattice": {
@@ -555,7 +587,7 @@ COMMANDS = {
         ),
     },
     "isom": {
-        "check": (cmd_isom_check, LATTICE + (_doc("--matrix", ser.int_mat_from_json),)),
+        "check": (cmd_isom_check, LATTICE + (_matrix("--matrix"),)),
         "definite-group": (cmd_isom_definite_group, LATTICE),
         "fix-sublattice": (
             cmd_isom_fix_sublattice,
@@ -564,7 +596,7 @@ COMMANDS = {
         "stabilizer": (cmd_isom_stabilizer, (
             GROUP,
             _opt("--point", _parse_vector, required=True),
-            _doc("--cert", ser.certificate_from_json, required=False,
+            _doc("--cert", "certificate_from_json", required=False,
                  help="domain certificate enabling reduction-based membership"),
         )),
     },
@@ -577,7 +609,7 @@ COMMANDS = {
             _opt("--bound", type=int, default=12),
         ) + SECTORS),
         "verify": (cmd_cone_verify, (
-            _doc("--cert", ser.certificate_from_json),
+            _doc("--cert", "certificate_from_json"),
             _opt("--samples", type=int, default=200),
             _opt("--disjoint-bound", type=int, default=6),
         ) + SECTORS),
@@ -585,8 +617,8 @@ COMMANDS = {
             GROUP,
             _opt("--base"),
             _opt("--pos"),
-            _doc("--pi1", ser.cone_from_json),
-            _doc("--pi2", ser.cone_from_json),
+            _doc("--pi1", "cone_from_json"),
+            _doc("--pi2", "cone_from_json"),
             _opt("--bound", type=int, default=12),
         )),
         "member": (cmd_cone_member, LATTICE + (
@@ -601,17 +633,17 @@ COMMANDS = {
             _opt("--action", default="trivial"),
         )),
         "twist": (cmd_h1_twist, (
-            _doc("--ggroup", ser.ggroup_from_json),
+            _doc("--ggroup", "ggroup_from_json"),
             _opt("--sub", _parse_ints, required=True, help="comma-separated carrier indices"),
             _opt("--phi", _parse_ints, required=True, help="comma-separated cocycle values"),
         )),
         "les": (cmd_h1_les, (
-            _doc("--seq", ser.exact_sequence_from_json),
+            _doc("--seq", "exact_sequence_from_json"),
             _opt("--fibers", action="store_true"),
         )),
-        "filtration": (cmd_h1_filtration, (_doc("--spec", ser.filtration_spec_from_json),)),
+        "filtration": (cmd_h1_filtration, (_doc("--spec", "filtration_spec_from_json"),)),
         "real-forms": (cmd_h1_real_forms, (
-            _doc("--klein", ser.klein_group_from_json),
+            _doc("--klein", "klein_group_from_json"),
             _opt("--inner-twist", action="store_true"),
         )),
     },
@@ -620,29 +652,33 @@ COMMANDS = {
         "projective": (cmd_hk_projective, (HODGE,)),
         "torelli": (cmd_hk_torelli, (
             PHI,
-            _doc("--source", ser.hodge_from_json),
-            _doc("--target", ser.hodge_from_json),
-            _doc("--ksource", ser.kahler_model_from_json),
-            _doc("--ktarget", ser.kahler_model_from_json),
+            _doc("--source", "hodge_from_json"),
+            _doc("--target", "hodge_from_json"),
+            _doc("--ksource", "kahler_model_from_json"),
+            _doc("--ktarget", "kahler_model_from_json"),
             MON,
         )),
         "hilbert": (cmd_hk_hilbert, (
             HODGE,
             _opt("--n", type=int, required=True),
-            _doc("--sigma", ser.int_mat_from_json),
+            _matrix("--sigma"),
         )),
         "kaut-criterion": (cmd_hk_kaut_criterion, (
-            PHI, HODGE, _doc("--cone", ser.kahler_model_from_json), MON,
+            PHI, HODGE, _doc("--cone", "kahler_model_from_json"), MON,
         )),
         "classify-subgroups": (cmd_hk_classify_subgroups, (
-            _doc("--gamma", ser.generated_group_from_json),
-            _doc("--domain", ser.certificate_from_json),
+            _doc("--gamma", "generated_group_from_json"),
+            _doc("--domain", "certificate_from_json"),
         )),
     },
 }
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser of every command group, with the subcommands (and their
+    options) of only the groups named in argv: a request builds its own
+    group's parsers, and a group name given as an option value adds one
+    more group but changes no parse."""
     parser = argparse.ArgumentParser(
         prog="klein-lattice",
         description="Exact lattice, cone and cohomology computations for "
@@ -654,8 +690,12 @@ def build_parser():
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     groups = parser.add_subparsers(dest="command")
+    named = set(argv)
     for group, commands in COMMANDS.items():
-        names = groups.add_parser(group).add_subparsers(dest="subcommand")
+        group_parser = groups.add_parser(group)
+        if group not in named:
+            continue
+        names = group_parser.add_subparsers(dest="subcommand")
         for name, (_, options) in commands.items():
             p = names.add_parser(name, parents=[common])
             for flag, kwargs, _ in options:
@@ -682,7 +722,8 @@ def _write_output(text, out):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,7 +8,6 @@ from enum import Enum
 from fractions import Fraction
 
 from . import intlinalg as la
-from .cohomology import conjugacy_representatives, extension_subgroups
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -551,6 +550,8 @@ def classify_finite_subgroups_on_cone(gamma, cert):
     BoundedSearch by construction.  A certificate of another group than
     gamma is refused (InvalidInput).
     """
+    from .cohomology import conjugacy_representatives, extension_subgroups
+
     cert.check_group(gamma)
     elements = gamma.elements_up_to()
     s_set = sorted({el.matrix for el in elements if _meets_domain(cert, el.matrix)})

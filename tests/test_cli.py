@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -226,6 +227,7 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
             "ParseError",
         ),
         (["h1", "compute", "--group", "Z2", "--coeff", S6_GENERATORS], "ParseError"),
+        (["h1", "compute", "--group", "Z2", "--coeff", "Q9"], "ParseError"),
         (kaut_criterion([[1]]), "DimensionMismatch"),
         (kaut_criterion([[0, 0, 1, 0, 7]]), "DimensionMismatch"),
         (kaut_criterion([[0, 0, 1, 0], [0, 0, 2, 0]], rays=[[1, 0], [0, 1]]), "InvalidInput"),
@@ -262,7 +264,8 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
          "orbit-not-unimodular", "samples-negative", "samples-zero",
          "disjoint-bound-zero", "sectors-depth-negative", "sigma-out-of-range", "sigma-negative",
          "inclusion-out-of-range", "chain-out-of-range", "sub-out-of-range",
-         "phi-not-an-integer", "permutation-group-past-s5", "embedding-row-short",
+         "phi-not-an-integer", "permutation-group-past-s5", "unknown-builtin-group",
+         "embedding-row-short",
          "embedding-row-long", "embedding-rows-dependent", "cert-xi-0-1-outside-c",
          "cert-xi-1-1-outside-c",
          "siegel-bound-zero", "siegel-halfspace-not-a-facet",
@@ -279,6 +282,13 @@ def test_malformed_request_is_an_input_error(argv, error, capsys):
     assert captured.err.startswith(f"error: {error}: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_an_unknown_group_name_lists_the_builtin_names(capsys):
+    assert main(["h1", "compute", "--group", "Z2", "--coeff", "Q9"]) == 1
+    err = capsys.readouterr().err
+    assert "'Q9' is neither a built-in group nor a readable file" in err
+    assert all(name in err for name in ser.BUILTIN_GROUPS)
 
 
 def test_cone_member_takes_no_pos_option(capsys):
@@ -300,6 +310,42 @@ def test_exit_code_1_on_unknown_command(capsys):
     assert main(["bogus"]) == 1
     assert main(["lattice", "bogus"]) == 1
     assert main([]) == 1
+
+
+def usage_argvs():
+    """Every help request, and requests that argparse refuses before any
+    handler runs."""
+    argvs = [["--help"], []]
+    for group, commands in COMMANDS.items():
+        argvs.append([group, "--help"])
+        argvs.extend([group, name, "--help"] for name in commands)
+    return argvs + [
+        ["bogus"],
+        ["lattice"],
+        ["lattice", "bogus"],
+        ["lattice", "saturate", "--name", "U"],
+        ["lattice", "signature", "--name", "U", "--bogus"],
+        ["--seed", "x", "lattice", "signature", "--name", "U"],
+        ["lattice", "signature", "--name", "U", "--seed", "x"],
+        ["--out", "cone", "lattice", "--help"],
+    ]
+
+
+# sha256 of the JSON of [argv, exit code, stdout, stderr] over usage_argvs(),
+# at 80 columns; argparse words its texts slightly differently from one
+# Python minor version to the next, and this is Python 3.11's
+USAGE_PIN = "6651e5f3e65091684e9783e3a9024e00ab1f040493db00526966726573475fa1"
+
+
+def test_help_and_usage_texts_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = []
+    for argv in usage_argvs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        runs.append([argv, code, captured.out, captured.err])
+    assert len(runs) == 39
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == USAGE_PIN
 
 
 def test_sectors_unsupported_rank(tmp_path, capsys):

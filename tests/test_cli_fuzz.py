@@ -5,8 +5,8 @@ by junk, a key or item dropped, the text cut short) and runs main()
 in-process.  A deterministic sweep also sets each integer leaf of the
 documents that carry element indices to -1 and to 99.  Every request must
 end in exit 0, 1 or 2 without a traceback, and exit 1 must name a
-KleinLatticeError subclass on stderr.  The serialize readers get broken
-documents too, and must return a value or raise a KleinLatticeError.
+KleinLatticeError subclass on stderr.  The codec and serialize readers get
+broken documents too, and must return a value or raise a KleinLatticeError.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klein_lattice import serialize as ser
+from klein_lattice import codec, serialize as ser
 from klein_lattice.cli import main
 from klein_lattice.cones import (
     DomainCertificate,
@@ -306,11 +306,11 @@ def test_out_of_range_indices_end_in_an_exit_code():
 
 @cache
 def readers():
-    """Every serialize.*_from_json reader as a function of one document,
-    with valid documents for it."""
+    """Every codec.*_from_json and serialize.*_from_json reader as a
+    function of one document, with valid documents for it."""
     u = ser.lattice_from_json("U")
     return {
-        "rat_from_json": (ser.rat_from_json, [3, "1/2"]),
+        "rat_from_json": (codec.rat_from_json, [3, "1/2"]),
         "int_from_json": (ser.int_from_json, [3, "4"]),
         "list_from_json": (lambda v: ser.list_from_json(v, "list"), [[1, 2]]),
         "vec_from_json": (ser.vec_from_json, [[1, "1/2"]]),
@@ -318,7 +318,7 @@ def readers():
         "int_mat_from_json": (ser.int_mat_from_json, [[[1, 0], [0, 1]]]),
         "lattice_from_json": (ser.lattice_from_json, valid_documents("--in") + ["U"]),
         "sublattice_from_json": (
-            lambda obj: ser.sublattice_from_json(u, obj), valid_documents("--sub")
+            lambda obj: codec.sublattice_from_json(u, obj), valid_documents("--sub")
         ),
         "generated_group_from_json": (ser.generated_group_from_json, [PELL_GROUP]),
         "cone_from_json": (ser.cone_from_json, valid_documents("--pi1")),
@@ -345,7 +345,9 @@ def readers():
 
 
 def test_every_reader_is_fuzzed():
-    assert set(readers()) == {name for name in dir(ser) if name.endswith("_from_json")}
+    assert set(readers()) == {
+        name for module in (codec, ser) for name in dir(module) if name.endswith("_from_json")
+    }
     for read, docs in readers().values():
         for doc in docs:
             read(doc)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import klein_lattice
 
+from cases import HODGE6
+
 PACKAGE = Path(klein_lattice.__file__).parent
 
 
@@ -339,10 +341,14 @@ request, request_slow = loaded(), slow()
 with contextlib.redirect_stdout(io.StringIO()):
     cone_code = main(["cone", "member", "--name", "U", "--base", "1,1", "--point", "1,0"])
 cone_request = loaded()
-for name in sys.argv[1:]:
+with contextlib.redirect_stdout(io.StringIO()):
+    hk_code = main(["hk", "projective", "--hodge", sys.argv[1]])
+hk_request = loaded()
+for name in sys.argv[2:]:
     importlib.import_module("klein_lattice." + name)
 print(json.dumps({"import": after_import, "request": request, "code": code,
                   "cone_request": cone_request, "cone_code": cone_code,
+                  "hk_request": hk_request, "hk_code": hk_code,
                   "request_slow": request_slow, "all_slow": slow()}))
 """
 
@@ -351,7 +357,7 @@ def test_lattice_request_loads_no_other_library_module():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED, *modules],
+        [sys.executable, "-c", LOADED, json.dumps(HODGE6), *modules],
         capture_output=True, text=True, env=env, check=True,
     )
     out = json.loads(proc.stdout)
@@ -361,11 +367,18 @@ def test_lattice_request_loads_no_other_library_module():
     assert heavy.isdisjoint(out["import"])
     assert "klein_lattice.cli" in out["request"]
     assert heavy.isdisjoint(out["request"])
+    # the lattice and matrix codecs live apart from the composite ones
+    assert "klein_lattice.codec" in out["request"]
+    assert "klein_lattice.serialize" not in out["request"]
     # a cone member request needs no group: cones imports isometry only
     # where a group is involved
     assert out["cone_code"] == 0
     assert "klein_lattice.cones" in out["cone_request"]
     assert (heavy - {"klein_lattice.cones"}).isdisjoint(out["cone_request"])
+    # hodge imports cohomology only to classify finite subgroups
+    assert out["hk_code"] == 0
+    assert "klein_lattice.hodge" in out["hk_request"]
+    assert "klein_lattice.cohomology" not in out["hk_request"]
     # neither the request nor the whole library loads dataclasses or inspect
     assert out["request_slow"] == []
     assert out["all_slow"] == []
