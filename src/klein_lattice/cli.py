@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 One request per process; reports are JSON with the request echoed, a result
-payload, completeness flags, a seed (mandatory even when unused) and timing.
-Exit codes: 0 success, 1 input error, 2 verification failure.
+payload, its routine's completeness flag, a seed (mandatory even when unused)
+and timing.  Exit codes: 0 success, 1 input error, 2 verification failure.
 
 Each command is one entry of COMMANDS: its handler and its options.  An
 option is a flag, its argparse keywords and a reader that turns the option's
@@ -80,8 +80,7 @@ def _lattice_arg(args):
 def cmd_lattice_signature(args):
     from .lattice import signature
 
-    lat = _lattice_arg(args)
-    s = signature(lat)
+    s = signature(_lattice_arg(args))
     return {
         "signature": {
             "positive": s.positive,
@@ -94,15 +93,13 @@ def cmd_lattice_signature(args):
 def cmd_lattice_radical(args):
     from .lattice import radical
 
-    lat = _lattice_arg(args)
-    return {"basis": codec.mat_to_json(radical(lat).basis)}, "Certified"
+    return {"basis": codec.mat_to_json(radical(_lattice_arg(args)).basis)}, "Certified"
 
 
 def cmd_lattice_classify(args):
     from .lattice import classify_type
 
-    lat = _lattice_arg(args)
-    return {"type": classify_type(lat).value}, "Certified"
+    return {"type": classify_type(_lattice_arg(args)).value}, "Certified"
 
 
 def cmd_lattice_discriminant(args):
@@ -155,8 +152,7 @@ def cmd_isom_fix_sublattice(args):
     payload = {"kind": out.kind}
     if out.witness is not None:
         payload["witness"] = codec.mat_to_json(out.witness)
-    completeness = "Certified" if out.kind != "Undecided" else "BoundedSearch"
-    return payload, completeness
+    return payload, out.completeness
 
 
 def cmd_isom_stabilizer(args):
@@ -222,9 +218,9 @@ def cmd_cone_verify(args):
     if args.sectors_csv:
         emit_sectors(updated, args.sectors_csv, depth=args.sectors_depth)
     return {
-        "report": report,
+        "report": {k: v for k, v in report.items() if k != "completeness"},
         "certificate": ser.certificate_to_json(updated),
-    }, "BoundedSearch"
+    }, report["completeness"]
 
 
 def cmd_cone_siegel(args):
@@ -239,7 +235,7 @@ def cmd_cone_siegel(args):
         "count": report["count"],
         "stabilized_at_depth": report["stabilized_at_depth"],
         "intersections": [ser.cone_to_json(c) for c in cones],
-    }, "BoundedSearch"
+    }, report["completeness"]
 
 
 def cmd_cone_member(args):
@@ -381,9 +377,7 @@ def cmd_h1_les(args):
         },
     }
     if args.fibers:
-        fibers = []
-        for phi in rep.h1_mid.representatives:
-            fibers.append(twist_fiber_check(ses, phi))
+        fibers = [twist_fiber_check(ses, phi) for phi in rep.h1_mid.representatives]
         payload["fibers"] = fibers
         if not all(f["bijection"] for f in fibers):
             raise Undecidable("fiber-orbit bijection failed")
@@ -483,10 +477,7 @@ def cmd_hk_torelli(args):
     out = torelli_anti_check(
         args.phi, args.source, args.target, args.ksource, args.ktarget, args.mon
     )
-    completeness = (
-        "BoundedSearch" if out["parallel_transport_mode"] == "bounded" else "Certified"
-    )
-    return out, completeness
+    return {k: v for k, v in out.items() if k != "completeness"}, out["completeness"]
 
 
 def cmd_hk_hilbert(args):
@@ -520,8 +511,7 @@ def cmd_hk_kaut_criterion(args):
         payload["sign"] = v.sign
     if v.reason:
         payload["reason"] = v.reason
-    completeness = "Certified" if v.kind != "Undecided" else "BoundedSearch"
-    return payload, completeness
+    return payload, v.completeness
 
 
 def cmd_hk_classify_subgroups(args):

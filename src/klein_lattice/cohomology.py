@@ -54,12 +54,12 @@ def subgroup_closure(gens, mul, identity, bound=None, allowed=None):
     return frozenset(out)
 
 
-def _orbit_partition(count, gens, action):
-    """The orbits of the points 0, ..., count - 1 under the closure walk of
-    action over gens, each once, in the order of their least points."""
+def _orbit_partition(points, gens, action):
+    """The orbits of the points under the closure walk of action over gens,
+    each once, in the order of their first points."""
     orbits = []
     seen = set()
-    for p in range(count):
+    for p in points:
         if p not in seen:
             orbits.append(subgroup_closure(gens, action, p))
             seen |= orbits[-1]
@@ -788,7 +788,7 @@ def twist_fiber_check(ses, phi):
         theta = h1p_tw.representatives[ci]
         return h1p_tw.class_of(_pull_back(ses, aq_elem, theta, twisted))
 
-    orbits = _orbit_partition(h1p_tw.size, inv_q_tw, act_on_class)
+    orbits = _orbit_partition(range(h1p_tw.size), inv_q_tw, act_on_class)
 
     # translation map: theta -> theta * phi, into H1(G, A); the keys of
     # h1.class_index are all of Z^1(G, A), so a product outside them is no
@@ -1122,7 +1122,7 @@ def filtration_driver_split(spec, g):
             mat = spec.q_action[q_group.inv(q)]
             return class_of([la.mat_vec(mat, v) for v in elements[idx]])
 
-        orbits = _orbit_partition(len(elements), centralizer, move)
+        orbits = _orbit_partition(range(len(elements)), centralizer, move)
         fiber_size = len(orbits)
         total += fiber_size
         for orbit in orbits:
@@ -1227,15 +1227,9 @@ def real_structure_classifier(kg):
 
 
 def _classes_under(group, elements, conjugators):
-    classes = []
-    seen = set()
-    for x in elements:
-        if x in seen:
-            continue
-        orbit = {group.conj(c, x) for c in conjugators}
-        seen |= orbit
-        classes.append(min(orbit))
-    return sorted(classes)
+    """The least member of each class of elements under the conjugators."""
+    orbits = _orbit_partition(elements, conjugators, lambda x, c: group.conj(c, x))
+    return sorted(min(o) for o in orbits)
 
 
 # --- inner twist bijection ------------------------------------------------------

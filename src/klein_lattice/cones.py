@@ -584,9 +584,9 @@ def _integer_vectors_of_height(n, h):
 def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
     """Distinct nonzero intersections (gamma . Pi1) cap Pi2 over the group.
 
-    Returns (cones, report); report records the depth at which the collection
-    stopped growing.  Raises NonStabilizing when it was still growing at the
-    bound.  Ray containment of both cones in C+ is checked first.
+    Returns (cones, report), a BoundedSearch; report records the depth at which
+    the collection stopped growing.  Raises NonStabilizing when still growing
+    at the bound.  Ray containment of both cones in C+ is checked first.
     """
     if word_bound is None:
         word_bound = gamma.word_bound
@@ -621,6 +621,7 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
         "count": len(found),
         "stabilized_at_depth": stabilized_at,
         "word_bound": word_bound,
+        "completeness": "BoundedSearch",
     }
     cones = [found[k] for k in sorted(found.keys())]
     return cones, report
@@ -656,9 +657,9 @@ def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
     procedure.  Disjointness: for every nonidentity word up to the bound,
     int(D) cap gamma . int(D) cap C is empty (exact polyhedral check).
     Raises CoverageFailure / DisjointnessFailure accordingly; returns
-    (report, certificate-with-evidence) on success.  samples or
-    disjoint_word_len below 1 is InvalidInput: that check would pass
-    having checked nothing.
+    (report, certificate-with-evidence) on success, a BoundedSearch as the
+    covering is sampled.  samples or disjoint_word_len below 1 is
+    InvalidInput: that check would pass having checked nothing.
     """
     if samples < 1:
         raise InvalidInput("covering needs at least one sample")
@@ -694,7 +695,7 @@ def verify_fundamental_domain(cert, samples=200, seed=0, disjoint_word_len=6):
         "checked": checked,
         "status": "pass",
     }
-    report = {"covering": covering, "disjointness": disjointness}
+    report = {"covering": covering, "disjointness": disjointness, "completeness": "BoundedSearch"}
     return report, replace(
         cert, covering_evidence=covering, disjointness_evidence=disjointness
     )

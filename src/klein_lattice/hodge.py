@@ -31,6 +31,7 @@ from .isometry import (
     group_membership,
     is_isometry,
     preserves_positive_orientation,
+    search_completeness,
 )
 from .lattice import (
     IntegerLattice,
@@ -286,8 +287,8 @@ def torelli_anti_check(matrix, h_source, h_target, k_source, k_target, spec):
     """The four lattice-side conditions for an anti-holomorphic isomorphism:
     (1) monodromy membership, (2) isometry, (3) anti-Hodge, (4) the image of
     the source Kahler model meets the negated target model.  Returns the
-    per-condition booleans and their conjunction; when the monodromy variant
-    is word-bounded, condition 1 carries mode='bounded'.
+    per-condition booleans, their conjunction and completeness: a BoundedSearch
+    when condition 1 is undecided at the word bound, with mode='bounded'.
 
     Source and target are marked lattices on the same Gram matrix (the
     deformation-equivalent setting); only the periods and cone models differ.
@@ -313,6 +314,7 @@ def torelli_anti_check(matrix, h_source, h_target, k_source, k_target, spec):
         "anti_hodge": cond3,
         "kahler_condition": cond4,
         "verdict": cond1 and cond2 and cond3 and cond4,
+        "completeness": search_completeness(mon_verdict == "unknown"),
     }
 
 
@@ -320,6 +322,10 @@ class KleinVerdict(Frozen):
     kind: str  # "KleinRealizable" | "NotRealizable" | "Undecided"
     sign: int = 0
     reason: str = ""
+
+    @property
+    def completeness(self):
+        return search_completeness(self.kind == "Undecided")
 
 
 def kaut_star_criterion(matrix, h, kmodel, spec):
@@ -466,7 +472,7 @@ def anti_invariant_class(kmodel, klein):
         raise InvalidInput("dagger action does not preserve the cone")
     order = la.matrix_order(r, 64)
     if order is None:
-        raise InvalidInput("dagger restriction has unbounded order")
+        raise InvalidInput("dagger restriction has no order up to 64")
     omega = kmodel.interior_point()
     total = list(omega)
     current = tuple(omega)

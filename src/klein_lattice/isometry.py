@@ -257,9 +257,18 @@ def isometry_group_order_definite(lat):
 # --- pointwise-fixing decision procedure ----------------------------------
 
 
+def search_completeness(undecided):
+    """BoundedSearch if a search stopped at its bound undecided, else Certified."""
+    return "BoundedSearch" if undecided else "Certified"
+
+
 class FixDecision(Frozen):
     kind: str  # "IdentityOnly" | "Counterexample" | "Undecided"
     witness: tuple = None  # counterexample matrix when kind == "Counterexample"
+
+    @property
+    def completeness(self):
+        return search_completeness(self.kind == "Undecided")
 
 
 def fixes_pointwise_implies_identity(lat, sub, search_bound=1):
@@ -601,10 +610,9 @@ def stabilizer(gamma, x, tester=None):
             members.append(m)
         elif verdict == "unknown":
             unresolved.append(m)
-    completeness = "Certified" if not unresolved else "BoundedSearch"
     return StabilizerResult(
         tuple(Isometry(lat, m) for m in sorted(members)),
-        completeness,
+        search_completeness(unresolved),
         gamma.word_bound,
         tuple(unresolved),
     )

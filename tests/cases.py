@@ -1,7 +1,8 @@
 """Data shared by several test modules: the short exact sequence corpus and
 shipped Klein groups of the cohomology tests, the abelian equivalence
 solver that is the reference of the split filtration driver, the shipped Hodge
-configurations, the signature oracle and random Gram matrices of the lattice
+configurations and the monodromy spec that leaves the Hilbert operator of
+config_u3 undecided, the signature oracle and random Gram matrices of the lattice
 tests, the reflection groups and dihedral fixtures of the cone and
 finite-subgroup tests, and the JSON documents of the CLI tests.
 
@@ -29,7 +30,7 @@ from klein_lattice.cones import (
     dirichlet_domain,
     find_trivial_stabilizer_point,
 )
-from klein_lattice.hodge import HodgeLattice, KahlerModel, neron_severi
+from klein_lattice.hodge import HodgeLattice, KahlerModel, MonodromySpec, neron_severi
 from klein_lattice.isometry import GeneratedGroup, Isometry
 from klein_lattice.lattice import IntegerLattice, U, direct_sum
 
@@ -220,6 +221,34 @@ def hilbert_kahler_model(h_ext):
     else:
         raise AssertionError(f"unexpected NS rank {d}")
     return KahlerModel(cone_from_rays(d, rays), ns.basis, h_ext.lattice)
+
+
+SWAP = ((0, 1), (1, 0))
+# the Eichler transvection x -> x + <e2, x> e1 - <e1, x> e2 of U + U with
+# basis e1, f1, e2, f2: unipotent, so of infinite order
+EICHLER = ((1, 0, 0, 1), (0, 1, 0, 0), (0, -1, 1, 0), (0, 0, 0, 1))
+
+
+def padded(block, n, at=0):
+    """The n x n identity with block placed on the diagonal at index at."""
+    k = len(block)
+    return tuple(
+        tuple(
+            block[i - at][j - at] if at <= i < at + k and at <= j < at + k
+            else int(i == j)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def undecided_on_hilbert_square():
+    """Generators on U^3 + <-2> that neither reach nor exclude the Hilbert
+    operator of config_u3: the transvection on U1 + U2 and the swap on U3,
+    which has determinant -1."""
+    return MonodromySpec(
+        "generators", generators=(padded(EICHLER, 7), padded(SWAP, 7, 4)), word_bound=3
+    )
 
 
 # --- reflection groups and dihedral fixtures --------------------------------

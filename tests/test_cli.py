@@ -9,8 +9,19 @@ import pytest
 
 from klein_lattice import serialize as ser
 from klein_lattice.cli import COMMANDS, main
+from klein_lattice.hodge import MonodromySpec, hilbert_square_extension
+from klein_lattice.isometry import Isometry
 
-from cases import HODGE4, HODGE6, KAHLER4, SIGMA6, forged_certificates
+from cases import (
+    HODGE4,
+    HODGE6,
+    KAHLER4,
+    SIGMA6,
+    config_u3,
+    forged_certificates,
+    hilbert_kahler_model,
+    undecided_on_hilbert_square,
+)
 
 
 def run_cli(args, capsys):
@@ -861,3 +872,248 @@ def test_out_file_written_atomically(tmp_path, pell_group_file, capsys):
     rep = json.loads(out.read_text())
     assert rep["result"]["signature"] == {"positive": 1, "zero": 0, "negative": 1}
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".klein-lattice-")]
+
+
+# --- the completeness flag of every command -----------------------------------
+
+
+def hilbert_operator(command, spec):
+    """hk torelli or hk kaut-criterion for the Hilbert operator, config_u3's
+    involution extended to U^3 + <-2>, with the given monodromy spec."""
+    h, sigma = config_u3()
+    h_ext, klein, _ = hilbert_square_extension(h, 2, Isometry(h.lattice, sigma))
+    hodge = json.dumps(ser.hodge_to_json(h_ext))
+    model = json.dumps(ser.kahler_model_to_json(hilbert_kahler_model(h_ext)))
+    argv = ["hk", command, "--phi", json.dumps(ser.mat_to_json(klein.matrix))]
+    if command == "torelli":
+        argv += ["--source", hodge, "--target", hodge, "--ksource", model, "--ktarget", model]
+    else:
+        argv += ["--hodge", hodge, "--cone", model]
+    return argv + ["--mon", json.dumps(ser.monodromy_spec_to_json(spec))]
+
+
+DISCRIMINANT = MonodromySpec("discriminant", signs=(-1,))
+U_PLUS_U = '{"gram": [[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]}'
+# the reflections in (0, 1, 0) and (1, 1, 1) of diag(2, -2, -2): an infinite
+# group whose words up to length 4 leave six candidates undecided
+OPEN_REFLECTIONS = json.dumps({
+    "lattice": {"gram": [[2, 0, 0], [0, -2, 0], [0, 0, -2]]},
+    "generators": [{"matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+                   {"matrix": [[3, -2, -2], [2, -1, -2], [2, -2, -1]]}],
+    "word_bound": 4,
+})
+
+# one request per subcommand, and a second wherever a fixture reaches the
+# other flag, with the flag the report states
+FLAG_CASES = {
+    "lattice-signature": (["lattice", "signature", "--name", "K3"], "Certified"),
+    "lattice-radical": (
+        ["lattice", "radical", "--in", '{"gram": [[0,0],[0,-2]]}'], "Certified",
+    ),
+    "lattice-classify": (
+        ["lattice", "classify", "--in", '{"gram": [[2,0],[0,-4]]}'], "Certified",
+    ),
+    "lattice-discriminant": (
+        ["lattice", "discriminant", "--in", '{"gram": [[-4]]}'], "Certified",
+    ),
+    "lattice-saturate": (
+        ["lattice", "saturate", "--in", '{"gram": [[0,1],[1,0]]}',
+         "--sub", '{"basis": [[2, 0]]}'], "Certified",
+    ),
+    "isom-check": (
+        ["isom", "check", "--in", '{"gram": [[2,0],[0,-4]]}', "--matrix", "[[3,4],[2,3]]"],
+        "Certified",
+    ),
+    "isom-definite-group": (
+        ["isom", "definite-group", "--in", '{"gram": [[-2,0],[0,-2]]}'], "Certified",
+    ),
+    "isom-fix-sublattice-corank-1": (
+        ["isom", "fix-sublattice", "--in", U_PLUS_U,
+         "--sub", '{"basis": [[1,0,0,0],[0,1,0,0],[0,0,1,0]]}'], "Certified",
+    ),
+    "isom-fix-sublattice-corank-2": (
+        ["isom", "fix-sublattice", "--in", '{"gram": [[0,1,4],[1,-4,3],[4,3,-1]]}',
+         "--sub", '{"basis": [[1,0,0]]}'], "BoundedSearch",
+    ),
+    "isom-stabilizer-pell": (
+        ["isom", "stabilizer", "--group", PELL_GROUP, "--point", "1,0"], "Certified",
+    ),
+    "isom-stabilizer-open-reflections": (
+        ["isom", "stabilizer", "--group", OPEN_REFLECTIONS, "--point", "1,0,0"],
+        "BoundedSearch",
+    ),
+    "cone-domain": (
+        ["cone", "domain", "--group", PELL_GROUP, "--base", "1,0", "--xi", "1,0"],
+        "Certified",
+    ),
+    "cone-verify": (
+        ["cone", "verify", "--cert", pell_cert(), "--samples", "5", "--seed", "3"],
+        "BoundedSearch",
+    ),
+    "cone-siegel": (
+        ["cone", "siegel", "--group", PELL_GROUP, "--base", "1,0",
+         "--pi1", PELL_PI, "--pi2", PELL_PI], "BoundedSearch",
+    ),
+    "cone-member": (
+        ["cone", "member", "--in", '{"gram": [[0,1],[1,0]]}', "--base", "1,1",
+         "--point", "1,0"], "Certified",
+    ),
+    "h1-compute": (["h1", "compute", "--group", "Z2", "--coeff", "S3"], "Certified"),
+    "h1-twist": (
+        ["h1", "twist", "--ggroup", Z2_ON_S3, "--sub", "0,1,2,3,4,5", "--phi", "0,0"],
+        "Certified",
+    ),
+    "h1-les": (
+        ["h1", "les", "--fibers", "--seq", json.dumps({
+            "sub": {"group": "Z2", "carrier": "Z2", "action": "trivial"},
+            "mid": {"group": "Z2", "carrier": "Z4", "action": "trivial"},
+            "quot": {"group": "Z2", "carrier": "Z2", "action": "trivial"},
+            "inclusion": [0, 2],
+            "projection": [0, 1, 0, 1],
+        })], "Certified",
+    ),
+    "h1-filtration": (
+        ["h1", "filtration", "--spec", json.dumps({
+            "kind": "split", "free_rank": 1, "torsion": [], "quotient": "Z2",
+            "q_action": [[[1]], [[-1]]], "g": "Z2",
+        })], "Certified",
+    ),
+    "h1-real-forms": (
+        ["h1", "real-forms", "--klein", klein_d4(4), "--inner-twist"], "Certified",
+    ),
+    "hk-ns": (["hk", "ns", "--hodge", json.dumps(HODGE6)], "Certified"),
+    "hk-projective": (["hk", "projective", "--hodge", json.dumps(HODGE6)], "Certified"),
+    "hk-hilbert": (
+        ["hk", "hilbert", "--hodge", json.dumps(HODGE6), "--n", "3",
+         "--sigma", json.dumps(SIGMA6)], "Certified",
+    ),
+    "hk-torelli-discriminant": (hilbert_operator("torelli", DISCRIMINANT), "Certified"),
+    "hk-torelli-undecided": (
+        hilbert_operator("torelli", undecided_on_hilbert_square()), "BoundedSearch",
+    ),
+    "hk-kaut-criterion-discriminant": (
+        hilbert_operator("kaut-criterion", DISCRIMINANT), "Certified",
+    ),
+    "hk-kaut-criterion-undecided": (
+        hilbert_operator("kaut-criterion", undecided_on_hilbert_square()),
+        "BoundedSearch",
+    ),
+    "hk-classify-subgroups": (
+        ["hk", "classify-subgroups", "--gamma", PELL_GROUP, "--domain", pell_cert()],
+        "BoundedSearch",
+    ),
+}
+
+
+# the sha256 of each report of FLAG_CASES, by report_digest
+FLAG_PINS = {
+    "cone-domain": (
+        "b121c0c2e691e17d7562dc100a1c70c6f7ab2e9f7da727d4aaf824a43a10ebaf"
+    ),
+    "cone-member": (
+        "ba8218f315ce14e8b311505168a763133d9ce1becfbf24c787feb9750cd771d3"
+    ),
+    "cone-siegel": (
+        "806ecd9258bebf34dd9ff81d8b324a152ad302d4ba62b32b00f3bde18cd49456"
+    ),
+    "cone-verify": (
+        "ef2aff1823bea03fc8bb2e80e3c0e63f2f2d42b7a78038c6ba0758395e155029"
+    ),
+    "h1-compute": (
+        "472ec618e4d8770157c0e1e184c65b4296415689272b39680d30dad795280864"
+    ),
+    "h1-filtration": (
+        "cf4d9ea64e7978fdd2a94d5fba527fffa1140a2dfb5afe889378bd764195ad70"
+    ),
+    "h1-les": (
+        "4756d365d2bb40bdbce5e4fe757391ef2a0cfbacec410f39df056e4bf00ec4a0"
+    ),
+    "h1-real-forms": (
+        "997206a1d2eb85f5f7412aaf11289ab1a3d84968b8acf6e23bcf773a1ba9be35"
+    ),
+    "h1-twist": (
+        "c7c1259ce7f7cfd2ac78cdec8eeec8429503445ac572f8270427ea16669e17fd"
+    ),
+    "hk-classify-subgroups": (
+        "d1615b35dc7b0aa6a9fbbcfb3c540f2ddeca0594e844dcf44b0de82c6af07a9d"
+    ),
+    "hk-hilbert": (
+        "3115b316aedeb6d15c4a65b3aba6b0ca1165c7bdafc04696e6aea09522700c1c"
+    ),
+    "hk-kaut-criterion-discriminant": (
+        "14383cc17d897b89dc11721eb0a123f0a25c009cac0f7bdce2eccdaa414f4294"
+    ),
+    "hk-kaut-criterion-undecided": (
+        "ace87fdb2da28948ae51fb3bbd6ea9874c6c275524919ca8b08252441ff3ffed"
+    ),
+    "hk-ns": (
+        "af20811fc762d0db8439f9a02c2a4a86beabd8fac37d9866e7ae6d13e9f0d799"
+    ),
+    "hk-projective": (
+        "46cd9f90f3373006cb24c84ae9e5254c62b3387954d5deb502095ff9672fca47"
+    ),
+    "hk-torelli-discriminant": (
+        "2213ca1b9681eb931d49073d1eca18aef50f59a4c490821e3c6f9db1ddf46b7b"
+    ),
+    "hk-torelli-undecided": (
+        "06fd9f703da0c0617246d327567230ff9395bded6ebe6fcb8320536766c1eb89"
+    ),
+    "isom-check": (
+        "8bb5f6329477561d46d94c26b95c9658ece273701d617f13dea18150b9c2eff7"
+    ),
+    "isom-definite-group": (
+        "658822c8c5f50e7f23c12193855193fa45a7ac3acf56ce40bc18ce8a7ac5c81f"
+    ),
+    "isom-fix-sublattice-corank-1": (
+        "6fe964612bf1aa594089bcd5058c4bc566ce4ab7ac8546af04f0d52792d96bd0"
+    ),
+    "isom-fix-sublattice-corank-2": (
+        "ad6b955e48ec232e9237d6ebbe9a7f78a5e7d1e296722f20d8084d36dd9065d9"
+    ),
+    "isom-stabilizer-open-reflections": (
+        "955eb196dc516efc71391bf385205ec70f686dd79890ccc983821efa3a0b8214"
+    ),
+    "isom-stabilizer-pell": (
+        "046d7e17fcbbee94e4fc1aa9059f29e9ac6431770e67474034382d58f7476741"
+    ),
+    "lattice-classify": (
+        "f7f8fb0798058109243d34c7647f80f3cea79a3362d507dd36e5d7aacdaa8e5b"
+    ),
+    "lattice-discriminant": (
+        "db60e5f9964b250de717dc2bb62e27688014a0bf4242e88b523c7f749a7bc9d2"
+    ),
+    "lattice-radical": (
+        "dfd4b114236dc2d65f9bfb03fb66e279a2f1497d5be42ad39c57cf41b273d037"
+    ),
+    "lattice-saturate": (
+        "22b83feae8e10f16471b3cc9154f00738a7c119d015683408841a324288b063d"
+    ),
+    "lattice-signature": (
+        "2620461d8a71b40d17dab0bfa6eba1ce64d73a03a43dd80c6f7ab71e04eb89cd"
+    ),
+}
+
+
+def report_digest(report):
+    """sha256 of a report's JSON with sorted keys, less its elapsed_ms."""
+    kept = {k: v for k, v in report.items() if k != "elapsed_ms"}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+def test_flag_table_covers_every_command_and_both_flags_where_bounded():
+    requested = {}
+    for argv, flag in FLAG_CASES.values():
+        requested.setdefault((argv[0], argv[1]), set()).add(flag)
+    assert set(requested) == {(g, name) for g, names in COMMANDS.items() for name in names}
+    both = {command for command, flags in requested.items() if len(flags) == 2}
+    assert both == {("isom", "fix-sublattice"), ("isom", "stabilizer"),
+                    ("hk", "torelli"), ("hk", "kaut-criterion")}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_every_command_states_its_completeness(case, capsys):
+    argv, flag = FLAG_CASES[case]
+    code, rep = run_cli(argv, capsys)
+    assert code == 0
+    assert rep["completeness"] == flag
+    assert report_digest(rep) == FLAG_PINS[case]

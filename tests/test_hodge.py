@@ -48,46 +48,22 @@ from klein_lattice.lattice import (
 
 from cases import (
     DIHEDRAL_UNITS,
+    EICHLER,
     REFLECTION_GROUPS,
     SHIPPED,
+    SWAP,
     config_diag4,
     config_u3,
     dihedral_fixture,
     hilbert_kahler_model,
+    padded,
     reflection_group,
+    undecided_on_hilbert_square,
 )
 
 PELL = ((3, 4), (2, 3))
 REFLECTION = ((1, 0), (0, -1))
-SWAP = ((0, 1), (1, 0))
-# the Eichler transvection x -> x + <e2, x> e1 - <e1, x> e2 of U + U with
-# basis e1, f1, e2, f2: unipotent, so of infinite order
-EICHLER = ((1, 0, 0, 1), (0, 1, 0, 0), (0, -1, 1, 0), (0, 0, 0, 1))
-
-
-def padded(block, n, at=0):
-    """The n x n identity with block placed on the diagonal at index at."""
-    k = len(block)
-    return tuple(
-        tuple(
-            block[i - at][j - at] if at <= i < at + k and at <= j < at + k
-            else int(i == j)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 EICHLER6 = padded(EICHLER, 6)
-
-
-def undecided_on_hilbert_square():
-    """Generators on U^3 + <-2> that neither reach nor exclude the Hilbert
-    operator of config_u3: the transvection on U1 + U2 and the swap on U3,
-    which has determinant -1."""
-    return MonodromySpec(
-        "generators", generators=(padded(EICHLER, 7), padded(SWAP, 7, 4)), word_bound=3
-    )
 
 
 # --- period and NS machinery -----------------------------------------------------
@@ -406,7 +382,7 @@ def test_anti_invariant_class_quadrant_swap():
     # twice the swap maps the cone onto itself only up to scale
     twice = tuple(tuple(2 * x for x in row) for row in swap4)
     assert km.restrict_matrix(twice) == ((0, 2), (2, 0))
-    with pytest.raises(InvalidInput, match="unbounded order"):
+    with pytest.raises(InvalidInput, match="no order up to 64"):
         anti_invariant_class(km, twice)
     # a singular dagger sends both rays onto (1, 0)
     singular = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0))
@@ -440,6 +416,14 @@ def test_restrict_matrix_needs_the_ns_span_kept_integrally():
     assert coarse.restrict_matrix(swap) is None
     with pytest.raises(InvalidInput, match="dagger action does not preserve the NS span"):
         anti_invariant_class(coarse, KleinIsometry(Isometry(lat, swap), 1))
+
+
+def test_a_restriction_without_a_small_order_names_the_bound():
+    # diag(2, 1) fixes both rays of the quadrant up to scale, so it passes the
+    # cone check; its order is searched up to 64 only, and the error says so
+    km = KahlerModel(cone_from_rays(2, ((1, 0), (0, 1))), ((1, 0), (0, 1)), U())
+    with pytest.raises(InvalidInput, match="^dagger restriction has no order up to 64$"):
+        anti_invariant_class(km, ((2, 0), (0, 1)))
 
 
 def test_kahler_embedding_rows_must_be_independent():

@@ -252,6 +252,32 @@ def test_only_the_positive_cone_reads_its_base():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# a bounded routine states whether its answer is Certified or a
+# BoundedSearch; the CLI copies that flag and reads no kind or mode to
+# choose one
+FLAG_WORDS = ("BoundedSearch", "Undecided", "bounded")
+
+
+def flag_words(source):
+    """Lines of the string constants of FLAG_WORDS in a source."""
+    return nodes_outside(
+        source, lambda n: isinstance(n, ast.Constant) and n.value in FLAG_WORDS, ()
+    )
+
+
+def test_flag_words_detects_a_flag_chosen_from_a_kind():
+    source = (
+        'def handler(out):\n    """Undecided is bounded."""\n'
+        '    flag = "Certified" if out.kind != "Undecided" else "BoundedSearch"\n'
+        '    return out.mode == "bounded", flag\n'
+    )
+    assert flag_words(source) == [3, 3, 4]
+
+
+def test_the_cli_decides_no_flag():
+    assert flag_words((PACKAGE / "cli.py").read_text()) == []
+
+
 def names_read(source):
     """The bare names and the attribute names a module reads, as two sets."""
     names, attrs = set(), set()
