@@ -275,10 +275,13 @@ def emit_sectors(cert, out_path, depth=3):
                 moved = transform_cone(cert.domain, el.matrix)
                 for ray in moved.rays:
                     rows.append([el.word, "ray"] + [str(c) for c in ray])
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _rational_isotropic_rays(pos):
@@ -700,15 +703,17 @@ def _write_output(text, out):
     import tempfile
 
     d = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".klein-lattice-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".klein-lattice-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc.strerror}") from None
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def main(argv=None):
@@ -727,22 +732,23 @@ def main(argv=None):
     request = {k: v for k, v in vars(args).items() if k != "out" and v is not None}
     start = time.monotonic()
     try:
-        for flag, kwargs, reader in options:
-            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
-            text = getattr(args, dest)
-            if reader and text is not None:
-                setattr(args, dest, reader(text))
-        result, completeness = handler(args)
-        report, code = {"result": result, "completeness": completeness}, 0
-    except VerificationFailure as exc:
-        report, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
+        try:
+            for flag, kwargs, reader in options:
+                dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+                text = getattr(args, dest)
+                if reader and text is not None:
+                    setattr(args, dest, reader(text))
+            result, completeness = handler(args)
+            report, code = {"result": result, "completeness": completeness}, 0
+        except VerificationFailure as exc:
+            report, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
+        report.update(
+            request=request, seed=args.seed, elapsed_ms=int((time.monotonic() - start) * 1000)
+        )
+        _write_output(json.dumps(report, indent=2, sort_keys=True), args.out)
     except KleinLatticeError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    report.update(
-        request=request, seed=args.seed, elapsed_ms=int((time.monotonic() - start) * 1000)
-    )
-    _write_output(json.dumps(report, indent=2, sort_keys=True), args.out)
     return code
 
 

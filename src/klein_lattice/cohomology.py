@@ -856,8 +856,8 @@ def filtration_driver_finite(group, chain, g_group):
     chain is a descending list of subgroups of `group`, each required to be
     normal in the whole group (ambient normality).  g_group is the acting
     GGroup structure on `group` (its carrier must be `group`).  The driver
-    computes H^1 directly, plus per-layer data and the assembled bound on
-    orders of finite subgroups.
+    computes H^1 directly, plus per-layer data and the bound on orders of
+    finite subgroups: the product of the layer quotient orders, which is |G|.
     """
     if g_group.carrier.table != group.table:
         raise InvalidInput("g_group carrier differs from the filtered group")
@@ -874,19 +874,16 @@ def filtration_driver_finite(group, chain, g_group):
             raise NotNormal("chain member is not normal in the ambient group")
         if i and not sub <= layers[i - 1]:
             raise InvalidInput("chain is not descending")
-    per_layer = []
-    order_bound = 1
-    for i in range(len(layers) - 1):
-        upper, lower = layers[i], layers[i + 1]
-        quot_size = len(upper) // len(lower)
-        order_bound *= quot_size
-        per_layer.append({"index": i, "quotient_order": quot_size, "type": "Finite"})
+    per_layer = [
+        {"index": i, "quotient_order": len(upper) // len(lower), "type": "Finite"}
+        for i, (upper, lower) in enumerate(zip(layers, layers[1:]))
+    ]
     h1 = h1_finite(g_group)
     return {
         "h1_size": h1.size,
         "h1": h1,
         "per_layer": per_layer,
-        "finite_subgroup_order_bound": order_bound,
+        "finite_subgroup_order_bound": group.order,
     }
 
 
@@ -977,53 +974,65 @@ def _module_matrices_equal(module, m1, m2):
 def _h1_smith(agg):
     """H^1(G, M) = Z^1 / (B^1 + relation shifts), read off one Smith form.
 
-    Cocycles are stored on all of G as integer vectors.  Z^1 is the row-HNF
-    basis of their lifts: the kernel of the cocycle conditions, with one
-    slack column per condition on a torsion coordinate for its relation.
-    With B^1 and the relation shifts written in that basis as the rows of
-    C and U*C*V = D, a cocycle with Z^1 coordinates c lies in the class
-    (c*V)_j mod d_j.  Returns (factors, reps, elements, class_of): the
-    invariant factors above 1, one cocycle per factor (the class with
-    (c*V)_j = 1 there and 0 elsewhere), every class as the combination
-    of reps with coefficients 0 <= c_j < factors_j in iproduct order, and
-    the map from a cocycle to the index of its class in that list.
+    With (gens, tree, off_tree) = G.word_tree, a cocycle is its values on
+    gens: the tree writes phi(x * gens[k]) = phi(x) + x . phi(gens[k]) as an
+    integer matrix in them, and Z^1 lifts to the values for which that
+    identity also holds on every off_tree edge modulo the relations of M
+    (the proof that the edges suffice is in enumerate_cocycles).  That is
+    the kernel of one row per off_tree edge and coordinate, with one slack
+    column per torsion row.  A slack column has one nonzero entry, so
+    cutting the slack off int_kernel's basis leaves a basis of Z^1.  With
+    B^1 (s -> s.a - a on gens) and the relation shifts of each generator's
+    block written in that basis as the rows of C and U*C*V = D, a cocycle
+    with Z^1 coordinates c lies in the class (c*V)_j mod d_j.  Returns
+    (factors, reps, elements, class_of): the invariant factors above 1, one
+    cocycle per factor (the class with (c*V)_j = 1 there and 0 elsewhere),
+    every class as the combination of reps with coefficients
+    0 <= c_j < factors_j in iproduct order, and the map from a cocycle to
+    the index of its class in that list.
     """
     g, m = agg.group, agg.module
     n, ng, r = m.dim, g.order, m.free_rank
-    big = n * ng
+    gens, tree, off_tree = g.word_tree
+    big = n * len(gens)
+    expand = {g.identity: [[0] * big for _ in range(n)]}
+
+    def step(x, k):
+        # phi(x) + x . phi(gens[k]) as a matrix in the generator values
+        mat = [list(row) for row in expand[x]]
+        for i, row in enumerate(agg.action[x]):
+            for j, a in enumerate(row):
+                mat[i][k * n + j] += a
+        return mat
+
+    for y, x, k in tree:
+        expand[y] = step(x, k)
 
     def values(lift):
-        return tuple(m.normalize(lift[s * n:(s + 1) * n]) for s in range(ng))
+        return tuple(m.normalize(la.mat_vec(expand[y], lift)) for y in range(ng))
 
-    # cocycle condition rows: for each (s, t): phi(st) - phi(s) - s.phi(t) = 0
+    # phi(y) - phi(x) - x . phi(gens[k]) = 0 on each off_tree edge
     rows = []
-    width, slack = big + ng * ng * len(m.torsion), big
-    for s in range(ng):
-        for t in range(ng):
-            st = g.op(s, t)
-            for i in range(n):
-                row = [0] * width
-                row[st * n + i] += 1
-                row[s * n + i] -= 1
-                for j in range(n):
-                    row[t * n + j] -= agg.action[s][i][j]
-                if i >= r:
-                    row[slack] = -m.torsion[i - r]
-                    slack += 1
-                rows.append(tuple(row))
-    z_gens = [k[:big] for k in la.int_kernel(tuple(rows))]
+    width, slack = big + len(off_tree) * len(m.torsion), big
+    for x, k, y in off_tree:
+        for i, row in enumerate(step(x, k)):
+            row = [a - b for a, b in zip(expand[y][i], row)] + [0] * (width - big)
+            if i >= r:
+                row[slack] = -m.torsion[i - r]
+                slack += 1
+            rows.append(row)
+    z_gens = [k[:big] for k in la.int_kernel(rows)]
     if not z_gens:
         return (), [], [values((0,) * big)], lambda cocycle: 0
-    hk, _ = la.row_hnf(tuple(z_gens))
-    basis_t = la.transpose(tuple(row for row in hk if not la.is_zero_vector(row)))
-    # coboundaries g -> g.e_i - e_i, then the relation shifts inside Maps(G, M)
+    basis_t = la.transpose(z_gens)
+    # coboundaries s -> s.e_i - e_i, then the relation shifts of each block
     b_gens = [
-        tuple(agg.action[s][j][i] - (i == j) for s in range(ng) for j in range(n))
+        tuple(agg.action[s][j][i] - (i == j) for s in gens for j in range(n))
         for i in range(n)
     ]
     b_gens += [
-        tuple(col[j] if u == s else 0 for u in range(ng) for j in range(n))
-        for s in range(ng)
+        tuple(col[j] if u == k else 0 for u in range(len(gens)) for j in range(n))
+        for k in range(len(gens))
         for col in m.relation_columns()
     ]
     coeffs = []
@@ -1032,9 +1041,8 @@ def _h1_smith(agg):
         if sol is None:
             raise InvalidInput("coboundary lattice not inside the cocycle lattice")
         coeffs.append(sol)
-    rho = len(basis_t[0])
     d, _, v = la.snf(tuple(coeffs))
-    diag = [d[i][i] if i < len(d) else 0 for i in range(rho)]
+    diag = [d[i][i] if i < len(d) else 0 for i in range(len(z_gens))]
     assert all(x != 0 for x in diag), "H^1 of a f.g. abelian G-module must be finite"
     ones = diag.count(1)
     factors = tuple(diag[ones:])
@@ -1050,8 +1058,9 @@ def _h1_smith(agg):
     class_rows = la.transpose(v)[ones:]
 
     def class_of(cocycle):
-        c = la.solve_int(basis_t, tuple(x for value in cocycle for x in value))
-        if c is None:
+        lift = tuple(x for s in gens for x in cocycle[s])
+        c = la.solve_int(basis_t, lift)
+        if c is None or values(lift) != tuple(map(m.normalize, cocycle)):
             raise InvalidInput("not a cocycle of the module")
         index = 0
         for f, y in zip(factors, la.mat_vec(class_rows, c)):

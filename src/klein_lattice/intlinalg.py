@@ -94,57 +94,6 @@ def bareiss_det(a):
     return sign * m[n - 1][n - 1]
 
 
-def row_hnf(a):
-    """Row Hermite normal form.  Returns (H, U) with U unimodular, U*A = H.
-
-    Pivots are positive, entries above a pivot reduced into [0, pivot).
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    h = [list(row) for row in a]
-    u = [list(row) for row in identity_matrix(rows)]
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if h[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
-        # euclidean elimination below the pivot
-        while True:
-            nz = [i for i in range(r + 1, rows) if h[i][c] != 0]
-            if not nz:
-                break
-            for i in nz:
-                q = h[i][c] // h[r][c]
-                if q:
-                    for j in range(cols):
-                        h[i][j] -= q * h[r][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[r][j]
-                if h[i][c] != 0:
-                    h[r], h[i] = h[i], h[r]
-                    u[r], u[i] = u[i], u[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                for j in range(cols):
-                    h[i][j] -= q * h[r][j]
-                for j in range(rows):
-                    u[i][j] -= q * u[r][j]
-        r += 1
-        if r == rows:
-            break
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
-
-
 def snf(a):
     """Smith normal form.  Returns (D, U, V) with U*A*V = D, U and V unimodular.
 

@@ -874,6 +874,24 @@ def test_out_file_written_atomically(tmp_path, pell_group_file, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".klein-lattice-")]
 
 
+def test_unwritable_output_paths_exit_1(tmp_path, pell_group_file, capsys):
+    # a path under a regular file cannot be created, not even by root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    signature = ["lattice", "signature", "--name", "U"]
+    domain = ["cone", "domain", "--group", pell_group_file, "--base", "1,0", "--xi", "1,0"]
+    for argv in (
+        ["--out", str(blocker / "r.json")] + signature,
+        ["--out", str(tmp_path)] + signature,
+        domain + ["--sectors-csv", str(blocker / "s.csv")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: cannot write ")
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "pell.json"]
+
+
 # --- the completeness flag of every command -----------------------------------
 
 

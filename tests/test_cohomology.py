@@ -1,6 +1,6 @@
 import hashlib
 import json
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -370,8 +370,21 @@ def _matrix_as_permutation(factors, mat):
     return tuple(pos[apply(c)] for c in coords)
 
 
+def _permutation_matrix(p):
+    """The matrix sending e_j to e_p[j]."""
+    return tuple(tuple(int(p[j] == i) for j in range(len(p))) for i in range(len(p)))
+
+
+# symmetric(3) lists its elements as the sorted permutations of 0, 1, 2
+S3_PERMUTING = tuple(_permutation_matrix(p) for p in sorted(permutations(range(3))))
+# dihedral(4) encodes r^k s^e as k + 4e: r the quarter turn, s a reflection
+QUARTER_TURNS = (((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)))
+D4_SQUARE = QUARTER_TURNS + tuple(la.mat_mul(r, ((1, 0), (0, -1))) for r in QUARTER_TURNS)
+SWAP = ((0, 1), (1, 0))
+
+
 @pytest.mark.parametrize(
-    "g_order,factors,mat",
+    "g,factors,mat",
     [
         (2, (4,), ((1,),)),
         (2, (4,), ((-1,),)),
@@ -380,20 +393,32 @@ def _matrix_as_permutation(factors, mat):
         (2, (2, 4), ((-1, 0), (0, -1))),
         (2, (2, 4), ((1, 0), (2, -1))),
         (4, (5,), ((2,),)),  # order-4 automorphism of Z/5
+        pytest.param(symmetric(3), (2, 2, 2), S3_PERMUTING, id="S3-on-Z2^3"),
+        pytest.param(symmetric(3), (3, 3, 3), S3_PERMUTING, id="S3-on-Z3^3"),
+        pytest.param(
+            klein_four(), (2, 2), (la.identity_matrix(2),) * 2 + (SWAP,) * 2,
+            id="V4-on-Z2^2",
+        ),
+        pytest.param(dihedral(4), (4, 4), D4_SQUARE, id="D4-on-Z4^2"),
     ],
 )
-def test_h1_dual_route_finite_vs_lattice(g_order, factors, mat):
+def test_h1_dual_route_finite_vs_lattice(g, factors, mat):
     """The exhaustive-table route and the integer-lattice route must agree
-    on every finite abelian carrier."""
-    g = cyclic(g_order)
+    on every finite abelian carrier.  g is the order of a cyclic group and
+    mat the matrix of its generator, or g is a group and mat its action
+    matrices, one per element."""
     assert all(
         factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)
     ), "test data must list factors in divisibility order"
     module = FgAbelian(0, tuple(factors))
-    # matching actions on both sides: powers of the same matrix
-    mats = [la.identity_matrix(len(factors))]
-    for _ in range(g_order - 1):
-        mats.append(la.mat_mul(mat, mats[-1]))
+    if isinstance(g, int):
+        # matching actions on both sides: powers of the same matrix
+        mats = [la.identity_matrix(len(factors))]
+        for _ in range(g - 1):
+            mats.append(la.mat_mul(mat, mats[-1]))
+        g = cyclic(g)
+    else:
+        mats = mat
     agg = AbelianGGroup(g, module, tuple(mats))
     lattice_factors, _ = h1_abelian(agg)
     size_lattice = 1
