@@ -11,6 +11,9 @@ runs the readers in table order and passes the values to the handler.
 Options that depend on each other (--in/--name, --pos/--base, a lattice
 command's --sub) are read by the handler.
 
+Handlers return library values as they are: main() writes every report
+with one encoder, tuples as arrays and rationals as integers or "p/q".
+
 A request compiles what it imports, so the readers of numbers, matrices
 and lattices come from codec, and serialize is imported only where a
 composite document is read or written.
@@ -74,6 +77,12 @@ def _lattice_arg(args):
     raise ParseError("need --in or --name")
 
 
+def _without(report, *keys):
+    """A library report less the given keys: values that are no JSON, or
+    that the CLI does not report."""
+    return {k: v for k, v in report.items() if k not in keys}
+
+
 # --- lattice subcommands -----------------------------------------------------
 
 
@@ -93,7 +102,7 @@ def cmd_lattice_signature(args):
 def cmd_lattice_radical(args):
     from .lattice import radical
 
-    return {"basis": codec.mat_to_json(radical(_lattice_arg(args)).basis)}, "Certified"
+    return {"basis": radical(_lattice_arg(args)).basis}, "Certified"
 
 
 def cmd_lattice_classify(args):
@@ -105,12 +114,11 @@ def cmd_lattice_classify(args):
 def cmd_lattice_discriminant(args):
     from .lattice import discriminant_group
 
-    lat = _lattice_arg(args)
-    dg = discriminant_group(lat)
+    dg = discriminant_group(_lattice_arg(args))
     return {
-        "invariant_factors": list(dg.invariant_factors),
+        "invariant_factors": dg.invariant_factors,
         "order": dg.order,
-        "lift_matrix": codec.mat_to_json(dg.lift_matrix) if dg.lift_matrix else [],
+        "lift_matrix": dg.lift_matrix,
     }, "Certified"
 
 
@@ -119,8 +127,7 @@ def cmd_lattice_saturate(args):
 
     lat = _lattice_arg(args)
     sub = codec.sublattice_from_json(lat, _maybe_inline_json(args.sub))
-    sat = saturation(lat, sub)
-    return {"basis": codec.mat_to_json(sat.basis)}, "Certified"
+    return {"basis": saturation(lat, sub).basis}, "Certified"
 
 
 # --- isom subcommands -----------------------------------------------------------
@@ -129,18 +136,14 @@ def cmd_lattice_saturate(args):
 def cmd_isom_check(args):
     from .isometry import is_isometry
 
-    return {"isometry": bool(is_isometry(_lattice_arg(args), args.matrix))}, "Certified"
+    return {"isometry": is_isometry(_lattice_arg(args), args.matrix)}, "Certified"
 
 
 def cmd_isom_definite_group(args):
     from .isometry import isometry_group_definite
 
-    lat = _lattice_arg(args)
-    group = isometry_group_definite(lat)
-    return {
-        "order": len(group),
-        "elements": [codec.mat_to_json(g.matrix) for g in group],
-    }, "Certified"
+    group = isometry_group_definite(_lattice_arg(args))
+    return {"order": len(group), "elements": [g.matrix for g in group]}, "Certified"
 
 
 def cmd_isom_fix_sublattice(args):
@@ -151,7 +154,7 @@ def cmd_isom_fix_sublattice(args):
     out = fixes_pointwise_implies_identity(lat, sub, search_bound=args.bound)
     payload = {"kind": out.kind}
     if out.witness is not None:
-        payload["witness"] = codec.mat_to_json(out.witness)
+        payload["witness"] = out.witness
     return payload, out.completeness
 
 
@@ -166,8 +169,8 @@ def cmd_isom_stabilizer(args):
         tester = make_membership_tester(args.cert)
     st = stabilizer(args.group, args.point, tester=tester)
     return {
-        "members": [codec.mat_to_json(m.matrix) for m in st.members],
-        "unresolved": [codec.mat_to_json(m) for m in st.unresolved],
+        "members": [m.matrix for m in st.members],
+        "unresolved": st.unresolved,
         "completeness": st.completeness,
     }, st.completeness
 
@@ -200,8 +203,8 @@ def cmd_cone_domain(args):
     return {
         "certificate": ser.certificate_to_json(cert),
         "stabilization_depth": cert.stabilization_depth,
-        "halfspaces": codec.mat_to_json(cert.halfspaces),
-        "rays": codec.mat_to_json(cert.domain.rays),
+        "halfspaces": cert.halfspaces,
+        "rays": cert.domain.rays,
     }, "Certified"
 
 
@@ -218,7 +221,7 @@ def cmd_cone_verify(args):
     if args.sectors_csv:
         emit_sectors(updated, args.sectors_csv, depth=args.sectors_depth)
     return {
-        "report": {k: v for k, v in report.items() if k != "completeness"},
+        "report": _without(report, "completeness"),
         "certificate": ser.certificate_to_json(updated),
     }, report["completeness"]
 
@@ -242,7 +245,7 @@ def cmd_cone_member(args):
     from .cones import PositiveCone, rational_closure_member
 
     pos = PositiveCone(_lattice_arg(args), _parse_vector(args.base))
-    return {"member": bool(rational_closure_member(pos, args.point))}, "Certified"
+    return {"member": rational_closure_member(pos, args.point)}, "Certified"
 
 
 def emit_sectors(cert, out_path, depth=3):
@@ -346,7 +349,7 @@ def cmd_h1_compute(args):
     h1 = h1_finite(gg)
     return {
         "h1_size": h1.size,
-        "representatives": [list(rep) for rep in h1.representatives],
+        "representatives": h1.representatives,
         "cocycle_count": len(h1.cocycles),
     }, "Certified"
 
@@ -355,10 +358,7 @@ def cmd_h1_twist(args):
     from .cohomology import twist_subgroup
 
     twisted, embed = twist_subgroup(args.ggroup, args.sub, args.phi)
-    return {
-        "carrier_elements": list(embed),
-        "action": [list(p) for p in twisted.action],
-    }, "Certified"
+    return {"carrier_elements": embed, "action": twisted.action}, "Certified"
 
 
 def cmd_h1_les(args):
@@ -391,63 +391,23 @@ def cmd_h1_filtration(args):
     from .cohomology import filtration_driver_finite, filtration_driver_split
 
     kind, *spec = args.spec
-    if kind == "finite":
-        out = filtration_driver_finite(*spec)
-        return {
-            "h1_size": out["h1_size"],
-            "per_layer": out["per_layer"],
-            "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
-        }, "Certified"
-    out = filtration_driver_split(*spec)
-    return {
-        "h1_size": out["h1_size"],
-        "fibers": [
-            {
-                "quotient_class": list(f["quotient_class"]),
-                "h1_kernel_factors": list(f["h1_kernel_factors"]),
-                "fiber_size": f["fiber_size"],
-            }
-            for f in out["fibers"]
-        ],
-        "finite_subgroup_order_bound": out["finite_subgroup_order_bound"],
-        "per_layer": out["per_layer"],
-    }, "Certified"
+    driver = filtration_driver_finite if kind == "finite" else filtration_driver_split
+    return _without(driver(*spec), "h1", "representatives"), "Certified"
 
 
 def cmd_h1_real_forms(args):
-    from .cohomology import real_structure_classifier
+    from .cohomology import cyclic, inner_twist_bijection, real_structure_classifier
 
     kg = args.klein
     out = real_structure_classifier(kg)
-    payload = {
-        "class_count": len(out["direct_classes"]),
-        "direct_classes": out["direct_classes"],
-        "h1_size": out["h1_size"],
-        "h1_representatives": [list(rep) for rep in out["h1_representatives"]],
-        "paths_agree": out["paths_agree"],
-        "k_conjugacy_equals_kernel_conjugacy": out[
-            "k_conjugacy_equals_kernel_conjugacy"
-        ],
-    }
+    payload = _without(out, "h1_mapped_classes")
+    payload["class_count"] = len(out["direct_classes"])
     if args.inner_twist:
-        payload["inner_twist"] = _inner_twist_summary(kg)
+        rep = inner_twist_bijection(cyclic(2), kg.carrier, range(kg.carrier.order), kg.sigma)
+        payload["inner_twist"] = _without(rep, "pairs", "sigma_in_subgroup")
     if not out["paths_agree"]:
         raise Undecidable("classification paths disagree")
     return payload, "Certified"
-
-
-def _inner_twist_summary(kg):
-    from .cohomology import cyclic, inner_twist_bijection
-
-    rep = inner_twist_bijection(
-        cyclic(2), kg.carrier, range(kg.carrier.order), kg.sigma
-    )
-    return {
-        "mode": rep["mode"],
-        "bijection_holds": rep["bijection_holds"],
-        "h1_inner_size": rep["h1_inner_size"],
-        "h1_trivial_size": rep["h1_trivial_size"],
-    }
 
 
 # --- hk subcommands ---------------------------------------------------------------------------
@@ -461,8 +421,8 @@ def cmd_hk_ns(args):
     ns = neron_severi(h)
     t = transcendental(h)
     return {
-        "ns_basis": codec.mat_to_json(ns.basis),
-        "transcendental_basis": codec.mat_to_json(t.basis),
+        "ns_basis": ns.basis,
+        "transcendental_basis": t.basis,
         "ns_plus_t_index": ns_plus_t_index(h),
         "ns_type": classify_type(ns.as_lattice()).value if ns.rank else "Zero",
     }, "Certified"
@@ -471,7 +431,7 @@ def cmd_hk_ns(args):
 def cmd_hk_projective(args):
     from .hodge import is_projective_type
 
-    return {"projective_type": bool(is_projective_type(args.hodge))}, "Certified"
+    return {"projective_type": is_projective_type(args.hodge)}, "Certified"
 
 
 def cmd_hk_torelli(args):
@@ -480,7 +440,7 @@ def cmd_hk_torelli(args):
     out = torelli_anti_check(
         args.phi, args.source, args.target, args.ksource, args.ktarget, args.mon
     )
-    return {k: v for k, v in out.items() if k != "completeness"}, out["completeness"]
+    return _without(out, "completeness"), out["completeness"]
 
 
 def cmd_hk_hilbert(args):
@@ -495,10 +455,7 @@ def cmd_hk_hilbert(args):
     payload = {
         "lattice": codec.lattice_to_json(h_ext.lattice),
         "klein": ser.klein_to_json(klein),
-        "report": {
-            k: (codec.vec_to_json(v) if k == "anti_invariant_class" and v else v)
-            for k, v in report.items()
-        },
+        "report": report,
     }
     if not report["all_pass"]:
         raise Undecidable("hilbert extension checks failed")
@@ -521,12 +478,7 @@ def cmd_hk_classify_subgroups(args):
     from .hodge import classify_finite_subgroups_on_cone
 
     classes, report = classify_finite_subgroups_on_cone(args.gamma, args.domain)
-    return {
-        "class_count": len(classes),
-        "classes": [[codec.mat_to_json(m) for m in cl] for cl in classes],
-        "s_size": report["s_size"],
-        "completeness": report["completeness"],
-    }, report["completeness"]
+    return {"classes": classes, **_without(report, "word_bound")}, report["completeness"]
 
 
 # --- command table -------------------------------------------------------------------------
@@ -745,7 +697,8 @@ def main(argv=None):
         report.update(
             request=request, seed=args.seed, elapsed_ms=int((time.monotonic() - start) * 1000)
         )
-        _write_output(json.dumps(report, indent=2, sort_keys=True), args.out)
+        text = json.dumps(report, indent=2, sort_keys=True, default=codec.rat_to_json)
+        _write_output(text, args.out)
     except KleinLatticeError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -1023,7 +1023,14 @@ def _h1_smith(agg):
             rows.append(row)
     z_gens = [k[:big] for k in la.int_kernel(rows)]
     if not z_gens:
-        return (), [], [values((0,) * big)], lambda cocycle: 0
+        zero = values((0,) * big)
+
+        def only_zero(cocycle):
+            if tuple(map(m.normalize, cocycle)) != zero:
+                raise InvalidInput("not a cocycle of the module")
+            return 0
+
+        return (), [], [zero], only_zero
     basis_t = la.transpose(z_gens)
     # coboundaries s -> s.e_i - e_i, then the relation shifts of each block
     b_gens = [

@@ -160,6 +160,16 @@ def test_malformed_gram_is_an_input_error(gram, error, capsys):
     assert captured.out == ""
 
 
+def test_a_file_of_malformed_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    path.write_text('{"gram": [[1,0]')
+    code = main(["lattice", "discriminant", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: ParseError: bad JSON in {path}: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -996,6 +1006,11 @@ FLAG_CASES = {
             "q_action": [[[1]], [[-1]]], "g": "Z2",
         })], "Certified",
     ),
+    "h1-filtration-finite": (
+        ["h1", "filtration", "--spec", json.dumps({
+            "kind": "finite", "group": "S3", "chain": [[0, 3, 4]], "g": "Z2",
+        })], "Certified",
+    ),
     "h1-real-forms": (
         ["h1", "real-forms", "--klein", klein_d4(4), "--inner-twist"], "Certified",
     ),
@@ -1042,6 +1057,9 @@ FLAG_PINS = {
     ),
     "h1-filtration": (
         "cf4d9ea64e7978fdd2a94d5fba527fffa1140a2dfb5afe889378bd764195ad70"
+    ),
+    "h1-filtration-finite": (
+        "fc6f07d09658a981325b34f0f980de318937b905524602bbb0734e4c968c8afb"
     ),
     "h1-les": (
         "4756d365d2bb40bdbce5e4fe757391ef2a0cfbacec410f39df056e4bf00ec4a0"

@@ -336,6 +336,21 @@ def test_h1_abelian_examples():
     assert h1_abelian(AbelianGGroup(z2, m4, (((1,),), ((1,),))))[0] == (2,)
 
 
+def test_abelian_class_of_refuses_a_non_cocycle():
+    z2, m = cyclic(2), FgAbelian(1, ())
+    # Z2 acting trivially on Z: Z^1 = Hom(Z2, Z) = 0
+    class_of = cohomology._h1_smith(AbelianGGroup(z2, m, (((1,),), ((1,),))))[3]
+    assert class_of(((0,), (0,))) == 0
+    for bad in (((5,), (7,)), ((0,), (7,))):
+        with pytest.raises(InvalidInput, match="not a cocycle of the module"):
+            class_of(bad)
+    # Z2 acting by -1 on Z: phi(s) = a is a cocycle in the class of a mod 2
+    class_of = cohomology._h1_smith(AbelianGGroup(z2, m, (((1,),), ((-1,),))))[3]
+    assert class_of(((0,), (3,))) == 1
+    with pytest.raises(InvalidInput, match="not a cocycle of the module"):
+        class_of(((1,), (3,)))
+
+
 def test_h1_abelian_matches_finite_enumeration():
     # cross-check the lattice computation against brute force on Z/4
     z2 = cyclic(2)

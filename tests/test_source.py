@@ -230,6 +230,27 @@ def test_translates_meet_cones_by_one_pull_back():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# the JSON number codecs; the CLI writes a report with one json.dumps whose
+# default is rat_to_json, and its handlers return library values as they are
+NUMBER_ENCODERS = ("mat_to_json", "vec_to_json", "rat_to_json")
+
+
+def test_calls_outside_detects_an_encoder_call_not_a_reference():
+    source = (
+        "def cmd(args):\n    return {'basis': codec.mat_to_json(args.basis)}\n\n\n"
+        "text = json.dumps(report, default=codec.rat_to_json)\n"
+        "ray = vec_to_json(r)\n"
+    )
+    found = {name: calls_outside(source, name, ()) for name in NUMBER_ENCODERS}
+    assert found == {"mat_to_json": [2], "vec_to_json": [6], "rat_to_json": []}
+
+
+def test_the_cli_encodes_no_number_by_hand():
+    source = (PACKAGE / "cli.py").read_text()
+    found = {name: calls_outside(source, name, ()) for name in NUMBER_ENCODERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # the orientation of C is read off PositiveCone.base_covector; only the
 # class itself reads its component_base
 ORIENTATION_READERS = {"cones.py": ("PositiveCone",), "cli.py": (), "hodge.py": ()}
