@@ -497,28 +497,29 @@ def reduce_into_domain(cert, x):
 
     A move must lower <xi, .> and keep it positive; for x in the closure of
     C outside D, the inverse of the orbit element of a violated halfspace
-    is one, as the group preserves C.  With D the denominator of x and d
-    that of xi, every pairing lies in (1/dD)*Z (the moves are integral), so
-    at most dD*<xi, x> moves are taken before x lies in D or no move
-    qualifies (ReductionFailure).  A point off the closure of C (q < 0 or
-    <xi, .> <= 0; 0 lies in D) is refused before the first move.
+    is one, as the group preserves C.  The moves are ranked by xi's integer
+    covector c, a positive multiple of G*xi.  With D the denominator of x,
+    every <c, .> lies in (1/D)*Z (the moves are integral), so at most
+    D*<c, x> moves are taken before x lies in D or no move qualifies
+    (ReductionFailure).  A point off the closure of C (q < 0 or <xi, .> <= 0;
+    0 lies in D) is refused before the first move.
     """
     lat = cert.positive_cone.lattice
-    xiv = cert.xi
+    cov = lat.covector(cert.xi)
     current = tuple(Fraction(c) for c in x)
     word_matrix = la.identity_matrix(lat.rank)
     for step in count():
         if cert.domain.contains(current):
             return current, word_matrix, step
         if not step:
-            val = lat.pairing(xiv, current)
+            val = la.dot(cov, current)
             # the sign of q, read off a positive integer multiple
             if val <= 0 or lat.q(la.primitive_vector(current)) < 0:
                 raise ReductionFailure("point outside the closed positive cone: no reduction")
         best = None
         for mv in cert.moves:
             cand = la.mat_vec(mv, current)
-            v = lat.pairing(xiv, cand)
+            v = la.dot(cov, cand)
             if val > v > 0 and (best is None or v < best[0]):
                 best = (v, cand, mv)
         if best is None:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -36,11 +37,12 @@ from klein_lattice.errors import (
     NonStabilizing,
     NotHyperbolic,
     NontrivialStabilizer,
+    ReductionFailure,
 )
 from klein_lattice.isometry import GeneratedGroup, Isometry, stabilizer
 from klein_lattice.lattice import IntegerLattice, U
 
-from cases import REFLECTION_GROUPS, reflection_group
+from cases import DIHEDRAL_UNITS, REFLECTION_GROUPS, dihedral_fixture, reflection_group
 
 PELL = ((3, 4), (2, 3))
 
@@ -312,8 +314,6 @@ def test_reduction_takes_no_move_out_of_the_component(pell_lattice, pell_cert):
 def test_reduction_refuses_a_point_off_the_closed_cone(monkeypatch, pell_lattice, pell_cert):
     # <xi, .> has no lower bound off the closure of C, so no step is taken
     # there; one word-matrix product is one step
-    from klein_lattice.errors import ReductionFailure
-
     real, steps = la.mat_mul, []
 
     def counting(a, b):
@@ -617,6 +617,47 @@ def test_reduction_terminates_and_is_reproducible(pell_cert):
         q2, w2, s2 = reduce_into_domain(pell_cert, p)
         assert (q1, w1, s1) == (q2, w2, s2)
         assert pell_cert.domain_contains(q1)
+
+
+def test_reduction_outputs_are_pinned(pell_cert):
+    # a rewrite of the move loop (integer points, per-move covectors) must
+    # give these reductions byte for byte: seeded integer and rational points
+    # near 0..6 xi, moved by products of up to three recorded orbit elements,
+    # on the six dihedral certificates, both reflection groups and the Pell
+    # group; a point off the closure of C pins its refusal message
+    certs = [dihedral_fixture(k)[2] for k in DIHEDRAL_UNITS]
+    for diag, roots, xi, bound in REFLECTION_GROUPS.values():
+        gamma = reflection_group(diag, roots, xi, bound)
+        certs.append(dirichlet_domain(gamma, PositiveCone(gamma.lattice, xi), xi))
+    certs.append(pell_cert)
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    taken, refused = [], 0
+    for cert in certs:
+        c = cert.positive_cone.lattice.covector(cert.xi)
+        deep = [m for m, _ in cert.orbit_elements]
+        for _ in range(24):
+            k = rng.randint(0, 6)
+            v = tuple(k * a + rng.randint(-2, 2) for a in cert.xi)
+            for _ in range(rng.randint(0, 3)):
+                v = la.mat_vec(rng.choice(deep), v)
+            x = v if rng.random() < 0.5 else tuple(Fraction(a, rng.randint(1, 5)) for a in v)
+            try:
+                point, w, steps = reduce_into_domain(cert, x)
+            except ReductionFailure as err:
+                refused += 1
+                digest.update(str(err).encode())
+                continue
+            # <c, .> lies in (1/D)Z and falls at each move while positive
+            den = lcm(*(Fraction(a).denominator for a in x))
+            assert steps <= den * la.dot(c, x)
+            taken.append(steps)
+            rows = [[str(Fraction(a)) for a in row] for row in (point, *w)]
+            digest.update(repr((rows, steps)).encode())
+    assert refused > 20 and len(taken) > 100 and max(taken) >= 3
+    assert digest.hexdigest() == (
+        "cd9128b437a84005d4eeaf2c3c32522beeef316f9e9e01e05d41a8d0c526cd8f"
+    )
 
 
 def test_membership_tester(pell_cert):

@@ -151,6 +151,21 @@ def test_only_the_lattice_evaluates_the_form():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_calls_outside_detects_a_pairing_in_the_cone_layer():
+    source = (
+        "def rank(lat, xi, moves, x):\n"
+        "    return min(moves, key=lambda m: lat.pairing(xi, mat_vec(m, x)))\n\n\n"
+        "val = pairing(xi, x)\ncov = lat.covector(xi)\nside = la.dot(cov, x) > 0 < lat.q(x)\n"
+    )
+    assert calls_outside(source, "pairing", ()) == [2, 5]
+
+
+def test_the_cone_layer_reads_the_form_only_through_covectors():
+    # membership reads <base, .> through base_covector and reduction ranks
+    # its moves by xi's covector: cones calls covector and q, never pairing
+    assert calls_outside((PACKAGE / "cones.py").read_text(), "pairing", ()) == []
+
+
 CONE_BUILDERS = ("cone_from_halfspaces", "cone_from_rays")
 
 
