@@ -42,7 +42,10 @@ def _insert_halfspace(dim, lines, rays, inserted, h):
     both terms vanish: its mask is (tp & tn) | bit.  Every inserted
     halfspace vanishes on the lines and h does not vanish on l0, so l0 gets
     bit - 1, and a moved ray d0*r - dr*l0 has h_j-pairing d0*(h_j.r) and
-    gains the bit.  Repeats share a mask; the first is kept."""
+    gains the bit.  Repeats share a mask; the first is kept.  The
+    adjacency test is the rank of the inserted halfspaces in tp & tn
+    against a target fixed for the step, so it depends on the pair only
+    through that mask: one test per distinct mask decides every pair."""
     bit = 1 << len(inserted)
     pairings = [la.dot(h, l) for l in lines]
     pivot = next((i for i, p in enumerate(pairings) if p != 0), None)
@@ -58,11 +61,14 @@ def _insert_halfspace(dim, lines, rays, inserted, h):
                 neg.append((r, tight, d))
         new_rays = [(r, tight) for r, tight, _ in pos] + zero
         adjacent_rank = dim - len(lines) - 2
+        adjacent = {}
         for p, tp, dp in pos:
             for nvec, tn, dn in neg:
                 tcommon = tp & tn
-                normals = [hj for j, hj in enumerate(inserted) if tcommon >> j & 1]
-                if la.rank(normals) == adjacent_rank:
+                if tcommon not in adjacent:
+                    normals = [hj for j, hj in enumerate(inserted) if tcommon >> j & 1]
+                    adjacent[tcommon] = la.rank(normals) == adjacent_rank
+                if adjacent[tcommon]:
                     w = tuple(dp * a - dn * b for a, b in zip(nvec, p))
                     new_rays.append((la.primitive_vector(w), tcommon | bit))
         new_lines = lines
@@ -149,6 +155,8 @@ class PolyhedralCone(Frozen):
     def contains_strictly(self, x):
         """Interior membership; meaningful for full-dimensional cones.
         Decided on the primitive integer multiple of x, as contains is."""
+        if len(x) != self.ambient_dim:
+            raise DimensionMismatch("point dimension mismatch")
         v = la.primitive_vector(x)
         return all(la.dot(h, v) > 0 for h in self.halfspaces) and all(
             la.dot(e, v) == 0 for e in self.equalities

@@ -62,11 +62,15 @@ class IntegerLattice(Frozen):
 
     def gram_of(self, vectors):
         """The matrix of pairings <u, v>, u by row and v by column."""
+        if any(len(v) != self.rank for v in vectors):
+            raise DimensionMismatch("vector length != lattice rank")
         covectors = [la.mat_vec(self.gram, v) for v in vectors]
         return tuple(tuple(la.dot(c, u) for c in covectors) for u in vectors)
 
     def covector(self, v):
         """The covector <v, .> of the form, as a primitive vector."""
+        if len(v) != self.rank:
+            raise DimensionMismatch("vector length != lattice rank")
         return la.primitive_vector(la.mat_vec(self.gram, v))
 
     def det(self):

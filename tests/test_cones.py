@@ -131,6 +131,32 @@ def test_every_dd_step_keeps_each_mask_equal_to_its_tight_set(monkeypatch):
     assert len(set(steps)) == 2 and len(steps) > 10000
 
 
+def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
+    # the dim-5 cone of the ROADMAP Baseline: 16 halfspaces (|v|_1 + k, v)
+    # with 57 rays; one rank test per (positive, negative) pair made 10,138
+    rng = random.Random(5)
+    halfspaces = []
+    for _ in range(16):
+        v = [rng.randint(-3, 3) for _ in range(4)]
+        halfspaces.append((sum(map(abs, v)) + rng.randint(1, 3), *v))
+    real = la.rank
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(la, "rank", counted)
+    c = cone_from_halfspaces(5, halfspaces)
+    assert len(c.rays) == 57 and len(calls) <= 2000
+    digest = hashlib.sha256(
+        repr((c.ambient_dim, c.rays, c.lines, c.halfspaces, c.equalities)).encode()
+    )
+    assert digest.hexdigest() == (
+        "1c03bf99d8e83d17fb65d21593dc346e16ef2604c0bd61686246cefe1025d6df"
+    )
+
+
 def test_dual_dual_identity_on_full_dimensional():
     c = cone_from_rays(3, ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)))
     assert c.is_full_dimensional()
@@ -153,6 +179,15 @@ def test_contains_is_exact_on_rationals():
     assert c.contains((1, 0))
     assert c.contains((Fraction(1), Fraction(1, 2)))
     assert not c.contains((Fraction(1), Fraction(51, 100)))
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 0, 0)])
+def test_membership_refuses_a_point_of_the_wrong_length(point):
+    c = cone_from_rays(2, ((2, 1), (2, -1)))
+    with pytest.raises(DimensionMismatch):
+        c.contains(point)
+    with pytest.raises(DimensionMismatch):
+        c.contains_strictly(point)
 
 
 def test_rational_closure_membership(pell_cone):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klein_lattice import intlinalg as la
-from klein_lattice.errors import DegenerateLattice, InvalidInput
+from klein_lattice.errors import DegenerateLattice, DimensionMismatch, InvalidInput
 from klein_lattice.lattice import (
     A1,
     A1_minus,
@@ -292,3 +292,14 @@ def test_validation():
         Sublattice(U(), ((1, 0), (2, 0)))  # dependent basis
     assert Sublattice(U(), ((2, 0),)).is_primitive() is False
     assert Sublattice(U(), ((1, 0),)).is_primitive() is True
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2, 3)])
+def test_form_evaluations_refuse_a_vector_of_the_wrong_length(v):
+    # unchecked, covector((1,)) read (1, 0) and covector((1, 2, 3)) (1, -4)
+    lat = IntegerLattice(((2, 0), (0, -4)))
+    for evaluate in (lat.covector, lat.q, lambda u: lat.gram_of([u]),
+                     lambda u: lat.gram_of([(1, 0), u]), lambda u: lat.pairing(u, (1, 0))):
+        with pytest.raises(DimensionMismatch):
+            evaluate(v)
+    assert lat.covector((3, 3)) == (1, -2) and lat.gram_of([(1, 1)]) == ((-2,),)
