@@ -32,7 +32,7 @@ from .lattice import signature
 # --- double description ----------------------------------------------------
 
 
-def _insert_halfspace(dim, lines, rays, inserted, h):
+def _insert_halfspace(dim, lines, rays, inserted, h, ranks):
     """One incremental DD step on rays (vector, mask), where bit j of the
     mask is set iff inserted[j] vanishes on the vector; h gets bit
     len(inserted).  The masks are updated, never recomputed.  Every ray
@@ -43,9 +43,11 @@ def _insert_halfspace(dim, lines, rays, inserted, h):
     halfspace vanishes on the lines and h does not vanish on l0, so l0 gets
     bit - 1, and a moved ray d0*r - dr*l0 has h_j-pairing d0*(h_j.r) and
     gains the bit.  Repeats share a mask; the first is kept.  The
-    adjacency test is the rank of the inserted halfspaces in tp & tn
-    against a target fixed for the step, so it depends on the pair only
-    through that mask: one test per distinct mask decides every pair."""
+    adjacency test compares the rank of the inserted halfspaces in tp & tn
+    with the step's target, so it depends on the pair only through that
+    mask.  ranks maps a mask to that rank for the whole run: bit j names
+    inserted[j] in every step, so a mask's rank never changes, and the
+    target is compared afresh each step, so it may drop as lines run out."""
     bit = 1 << len(inserted)
     pairings = [la.dot(h, l) for l in lines]
     pivot = next((i for i, p in enumerate(pairings) if p != 0), None)
@@ -61,14 +63,13 @@ def _insert_halfspace(dim, lines, rays, inserted, h):
                 neg.append((r, tight, d))
         new_rays = [(r, tight) for r, tight, _ in pos] + zero
         adjacent_rank = dim - len(lines) - 2
-        adjacent = {}
         for p, tp, dp in pos:
             for nvec, tn, dn in neg:
                 tcommon = tp & tn
-                if tcommon not in adjacent:
+                if tcommon not in ranks:
                     normals = [hj for j, hj in enumerate(inserted) if tcommon >> j & 1]
-                    adjacent[tcommon] = la.rank(normals) == adjacent_rank
-                if adjacent[tcommon]:
+                    ranks[tcommon] = la.rank(normals)
+                if ranks[tcommon] == adjacent_rank:
                     w = tuple(dp * a - dn * b for a, b in zip(nvec, p))
                     new_rays.append((la.primitive_vector(w), tcommon | bit))
         new_lines = lines
@@ -93,10 +94,13 @@ def _insert_halfspace(dim, lines, rays, inserted, h):
 
 
 def dd_rays(dim, halfspaces, equalities=()):
-    """Extreme rays and lineality of {x : h.x >= 0, e.x = 0}."""
+    """Extreme rays and lineality of {x : h.x >= 0, e.x = 0}.  One rank
+    per common mask serves the whole run: inserted only grows, so a mask
+    names the same halfspaces in every step."""
     lines = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     rays = []
     inserted = []
+    ranks = {}
     constraints = []
     for e in equalities:
         constraints.append(tuple(e))
@@ -105,7 +109,7 @@ def dd_rays(dim, halfspaces, equalities=()):
     for h in constraints:
         if la.is_zero_vector(h):
             continue
-        lines, rays = _insert_halfspace(dim, lines, rays, inserted, h)
+        lines, rays = _insert_halfspace(dim, lines, rays, inserted, h, ranks)
         inserted.append(h)
     # the rays are distinct and nonzero, the lines independent
     return tuple(sorted(r for r, _ in rays)), tuple(sorted(lines))
@@ -203,9 +207,10 @@ def _double_description(dim, halfspaces, equalities):
     rays, lines = dd_rays(dim, hs, eqs)
     facets, normals = dd_rays(dim, rays, lines)
     gens = rays + lines + tuple(tuple(-x for x in l) for l in lines)
-    for h in hs:
-        if any(la.dot(h, g) < 0 for g in gens):
-            raise InvalidInput("double description round-trip failed")
+    if any(la.dot(h, g) < 0 for h in hs for g in gens) or any(
+        la.dot(e, g) != 0 for e in eqs for g in gens
+    ):
+        raise InvalidInput("double description round-trip failed")
     return rays, lines, facets, normals
 
 

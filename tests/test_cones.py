@@ -116,8 +116,8 @@ def test_every_dd_step_keeps_each_mask_equal_to_its_tight_set(monkeypatch):
     real = cones._insert_halfspace
     steps = []
 
-    def checked(dim, lines, rays, inserted, h):
-        new_lines, new_rays = real(dim, lines, rays, inserted, h)
+    def checked(dim, lines, rays, inserted, h, ranks):
+        new_lines, new_rays = real(dim, lines, rays, inserted, h, ranks)
         after = inserted + [h]
         for v, mask in new_rays:
             assert mask == sum(1 << j for j, hj in enumerate(after) if la.dot(hj, v) == 0)
@@ -133,7 +133,8 @@ def test_every_dd_step_keeps_each_mask_equal_to_its_tight_set(monkeypatch):
 
 def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
     # the dim-5 cone of the ROADMAP Baseline: 16 halfspaces (|v|_1 + k, v)
-    # with 57 rays; one rank test per (positive, negative) pair made 10,138
+    # with 57 rays; one rank test per (positive, negative) pair made 10,138,
+    # one per common mask in each step 1,520, one per mask in each run 559
     rng = random.Random(5)
     halfspaces = []
     for _ in range(16):
@@ -148,13 +149,34 @@ def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
 
     monkeypatch.setattr(la, "rank", counted)
     c = cone_from_halfspaces(5, halfspaces)
-    assert len(c.rays) == 57 and len(calls) <= 2000
+    first = len(calls)
+    assert len(c.rays) == 57 and first <= 700
     digest = hashlib.sha256(
         repr((c.ambient_dim, c.rays, c.lines, c.halfspaces, c.equalities)).encode()
     )
     assert digest.hexdigest() == (
         "1c03bf99d8e83d17fb65d21593dc346e16ef2604c0bd61686246cefe1025d6df"
     )
+    # the ranks live for one run: a second build pays for every mask again
+    assert cone_from_halfspaces(5, halfspaces) == c
+    assert len(calls) == 2 * first
+
+
+def test_round_trip_checks_the_input_equalities(monkeypatch):
+    # the round trip checks the input equalities as well as the halfspaces:
+    # a first pass that returns a generator off y = 0 must be refused
+    real = cones.dd_rays
+    passes = []
+
+    def broken(dim, halfspaces, equalities=()):
+        passes.append(dim)
+        if len(passes) == 1:
+            return ((1, 1),), ()
+        return real(dim, halfspaces, equalities)
+
+    monkeypatch.setattr(cones, "dd_rays", broken)
+    with pytest.raises(InvalidInput):
+        cone_from_halfspaces(2, [(1, 0)], [(0, 1)])
 
 
 def test_dual_dual_identity_on_full_dimensional():
