@@ -508,36 +508,37 @@ def reduce_into_domain(cert, x):
     """Move x into the domain by greedily decreasing <xi, .> over the
     recorded orbit moves.  Returns (point, matrix, steps), matrix * x = point.
 
-    A move must lower <xi, .> and keep it positive; for x in the closure of
-    C outside D, the inverse of the orbit element of a violated halfspace
-    is one, as the group preserves C.  The moves are ranked by xi's integer
-    covector c, a positive multiple of G*xi.  With D the denominator of x,
-    every <c, .> lies in (1/D)*Z (the moves are integral), so at most
-    D*<c, x> moves are taken before x lies in D or no move qualifies
-    (ReductionFailure).  A point off the closure of C (q < 0 or <xi, .> <= 0;
-    0 lies in D) is refused before the first move.
+    A point off the closure of C (q < 0 or <xi, .> <= 0) is refused before
+    the domain is tested; 0 lies in D.  A move must lower <xi, .> and keep
+    it positive; for x in the closure of C outside D, the inverse of the
+    orbit element of a violated halfspace is one, as the group preserves C.
+    The moves are ranked by xi's integer covector c, a positive multiple of
+    G*xi, through m^T*c per move: <m^T*c, x> = <c, m*x>, so only the chosen
+    image m*x is formed.  With D the denominator of x, every <c, .> lies in
+    (1/D)*Z (the moves are integral), so at most D*<c, x> moves are taken
+    before x lies in D or no move qualifies (ReductionFailure).
     """
     lat = cert.positive_cone.lattice
     cov = lat.covector(cert.xi)
+    ranked = [(mv, la.mat_vec(la.transpose(mv), cov)) for mv in cert.moves]
     current = tuple(Fraction(c) for c in x)
+    val = la.dot(cov, current)
+    # the sign of q, read off a positive integer multiple
+    if any(current) and (val <= 0 or lat.q(la.primitive_vector(current)) < 0):
+        raise ReductionFailure("point outside the closed positive cone: no reduction")
     word_matrix = la.identity_matrix(lat.rank)
     for step in count():
         if cert.domain.contains(current):
             return current, word_matrix, step
-        if not step:
-            val = la.dot(cov, current)
-            # the sign of q, read off a positive integer multiple
-            if val <= 0 or lat.q(la.primitive_vector(current)) < 0:
-                raise ReductionFailure("point outside the closed positive cone: no reduction")
         best = None
-        for mv in cert.moves:
-            cand = la.mat_vec(mv, current)
-            v = la.dot(cov, cand)
+        for mv, mc in ranked:
+            v = la.dot(mc, current)
             if val > v > 0 and (best is None or v < best[0]):
-                best = (v, cand, mv)
+                best = (v, mv)
         if best is None:
             raise ReductionFailure("no move lowers <xi, .> and keeps it positive")
-        val, current, mv = best
+        val, mv = best
+        current = la.mat_vec(mv, current)
         word_matrix = la.mat_mul(mv, word_matrix)
 
 
@@ -545,11 +546,14 @@ def make_membership_tester(cert):
     """Decide membership in the certificate's group via orbit reduction.
 
     M is in the group iff reducing M*xi lands exactly on xi with reduction
-    word W satisfying W*M = id; landing elsewhere in D certifies M outside.
+    word W satisfying W*M = id; landing elsewhere in D, or M*xi off C (every
+    member maps C to C), certifies M outside.
     """
 
     def tester(matrix):
         y = la.mat_vec(matrix, cert.xi)
+        if not cert.positive_cone.contains_open(y):
+            return "out"
         try:
             point, w, _ = reduce_into_domain(cert, y)
         except ReductionFailure:

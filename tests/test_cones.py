@@ -393,7 +393,53 @@ def test_reduction_refuses_a_point_off_the_closed_cone(monkeypatch, pell_lattice
     gamma = GeneratedGroup(pell_lattice, (Isometry(pell_lattice, p2),), component_base=(1, 0))
     tester = make_membership_tester(dirichlet_domain(gamma, pell_cert.positive_cone, (1, 0)))
     steps.clear()
-    assert tester(((-1, 0), (0, -1))) == "unknown" and steps == []
+    assert tester(((-1, 0), (0, -1))) == "out" and steps == []
+
+
+def test_reduction_refuses_an_off_cone_point_that_the_domain_holds(pell_lattice, pell_cone):
+    # the entry check runs before the domain test: D = {x2 <= 0} holds
+    # (0, -1) and (1, -3) (q < 0) and (-5, -1) (<xi, .> < 0), and the full
+    # cone of the trivial group holds (-1, 0); none lies in the closure of C
+    flip = GeneratedGroup(
+        pell_lattice, (Isometry(pell_lattice, ((1, 0), (0, -1))),),
+        word_bound=4, component_base=(1, 0),
+    )
+    cert = dirichlet_domain(flip, pell_cone, (3, -1))
+    assert cert.domain.halfspaces == ((0, -1),) and not cert.rays_in_closure
+    trivial = GeneratedGroup(pell_lattice, (), word_bound=4, component_base=(1, 0))
+    full = dirichlet_domain(trivial, pell_cone, (1, 0))
+    assert full.full_cone
+    for c, x in ((cert, (0, -1)), (cert, (1, -3)), (cert, (-5, -1)), (cert, (-5, 1)), (full, (-1, 0))):
+        with pytest.raises(ReductionFailure, match="outside the closed positive cone"):
+            reduce_into_domain(c, x)
+    for c in (cert, full):
+        assert reduce_into_domain(c, (0, 0)) == ((0, 0), la.identity_matrix(2), 0)
+    # every member keeps xi in C, so a matrix that moves it off C is out,
+    # whether or not its image lands in D
+    tester = make_membership_tester(cert)
+    assert cert.domain.contains((-3, -1))
+    assert tester(((-1, 0), (0, 1))) == tester(((-1, 0), (0, -1))) == "out"
+
+
+def test_reduction_forms_one_image_per_step(monkeypatch, pell_cert):
+    # the moves are ranked by their integer covectors m^T*c, so a step forms
+    # the Fraction image m*x of the chosen move only, not of every move
+    real, images = la.mat_vec, []
+    moves = set(pell_cert.moves)
+
+    def counting(a, v):
+        if a in moves and any(isinstance(c, Fraction) for c in v):
+            images.append(1)
+        return real(a, v)
+
+    far = (3, 1)
+    for _ in range(22):
+        far = la.mat_vec(PELL, far)
+    assert len(pell_cert.moves) > 2
+    monkeypatch.setattr(la, "mat_vec", counting)
+    point, _, steps = reduce_into_domain(pell_cert, far)
+    assert pell_cert.domain_contains(point) and steps >= 2
+    assert len(images) == steps
 
 
 def test_dirichlet_domain_pell(pell_cert):
@@ -736,8 +782,8 @@ def test_membership_tester_of_the_index_two_subgroup(pell_lattice, pell_cone):
     assert tester(PELL) == "out"
     assert tester(p2) == "in"
     assert tester(la.mat_mul(p2, PELL)) == "out"
-    # -xi leaves the positive cone, so reduction cannot start
-    assert tester(((-1, 0), (0, -1))) == "unknown"
+    # -xi leaves the positive cone, which every member preserves
+    assert tester(((-1, 0), (0, -1))) == "out"
     # the stabilizer of xi hands its one nonidentity candidate to the tester
     asked = []
     st_ = stabilizer(gamma, (1, 0), tester=lambda m: asked.append(m) or tester(m))
