@@ -271,9 +271,7 @@ def emit_sectors(cert, out_path, depth=3):
     else:
         for ray in cert.domain.rays:
             rows.append(["domain", "ray"] + [str(c) for c in ray])
-        for d, layer in enumerate(cert.group.layers(depth)):
-            if d == 0:
-                continue
+        for layer in cert.group.layers(depth)[1:]:
             for el in layer:
                 moved = transform_cone(cert.domain, el.matrix)
                 for ray in moved.rays:
@@ -424,7 +422,7 @@ def cmd_hk_ns(args):
         "ns_basis": ns.basis,
         "transcendental_basis": t.basis,
         "ns_plus_t_index": ns_plus_t_index(h),
-        "ns_type": classify_type(ns.as_lattice()).value if ns.rank else "Zero",
+        "ns_type": classify_type(ns.as_lattice()).value,
     }, "Certified"
 
 

@@ -70,6 +70,12 @@ def int_from_json(v):
     return int(x)
 
 
+def bool_from_json(v):
+    if isinstance(v, bool):
+        return v
+    raise ParseError(f"expected true or false, not {v!r}")
+
+
 def int_vec_from_json(v):
     return tuple(int_from_json(x) for x in list_from_json(v, "vector"))
 
@@ -103,7 +109,7 @@ def lattice_from_json(obj):
     if not gram:
         raise EmptyInput("gram matrix must have at least one row")
     lat = IntegerLattice(gram)
-    if "rank" in obj and obj["rank"] != lat.rank:
+    if "rank" in obj and int_from_json(obj["rank"]) != lat.rank:
         raise ParseError("declared rank does not match the gram matrix")
     return lat
 

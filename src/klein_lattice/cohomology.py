@@ -1022,16 +1022,7 @@ def _h1_smith(agg):
                 slack += 1
             rows.append(row)
     z_gens = [k[:big] for k in la.int_kernel(rows)]
-    if not z_gens:
-        zero = values((0,) * big)
-
-        def only_zero(cocycle):
-            if tuple(map(m.normalize, cocycle)) != zero:
-                raise InvalidInput("not a cocycle of the module")
-            return 0
-
-        return (), [], [zero], only_zero
-    basis_t = la.transpose(z_gens)
+    basis_t = la.transpose(z_gens) or ((),) * big  # Z^1 = 0: big rows, only 0 solves
     # coboundaries s -> s.e_i - e_i, then the relation shifts of each block
     b_gens = [
         tuple(agg.action[s][j][i] - (i == j) for s in gens for j in range(n))

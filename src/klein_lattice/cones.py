@@ -355,10 +355,7 @@ def cone_meets_component(cone, pos):
     clipped = cone_from_halfspaces(
         cone.ambient_dim, cone.halfspaces + (pos.base_covector,), cone.equalities
     )
-    gens = clipped.generators()
-    if not gens:
-        return False
-    mx = _simplex_max(pos.lattice.gram_of(gens))
+    mx = _simplex_max(pos.lattice.gram_of(clipped.generators()))
     return mx is not None and mx > 0
 
 
@@ -512,15 +509,14 @@ def reduce_into_domain(cert, x):
     the domain is tested; 0 lies in D.  A move must lower <xi, .> and keep
     it positive; for x in the closure of C outside D, the inverse of the
     orbit element of a violated halfspace is one, as the group preserves C.
-    The moves are ranked by xi's integer covector c, a positive multiple of
-    G*xi, through m^T*c per move: <m^T*c, x> = <c, m*x>, so only the chosen
-    image m*x is formed.  With D the denominator of x, every <c, .> lies in
-    (1/D)*Z (the moves are integral), so at most D*<c, x> moves are taken
-    before x lies in D or no move qualifies (ReductionFailure).
+    Moves are ranked, once x is found outside D, by xi's integer covector c
+    (a positive multiple of G*xi) through m^T*c: <m^T*c, x> = <c, m*x>, so
+    only the chosen image m*x is formed.  With D the denominator of x, every
+    <c, .> lies in (1/D)*Z (the moves are integral), so at most D*<c, x>
+    moves are taken before x is in D or no move qualifies (ReductionFailure).
     """
     lat = cert.positive_cone.lattice
     cov = lat.covector(cert.xi)
-    ranked = [(mv, la.mat_vec(la.transpose(mv), cov)) for mv in cert.moves]
     current = tuple(Fraction(c) for c in x)
     val = la.dot(cov, current)
     # the sign of q, read off a positive integer multiple
@@ -530,6 +526,8 @@ def reduce_into_domain(cert, x):
     for step in count():
         if cert.domain.contains(current):
             return current, word_matrix, step
+        if step == 0:  # x is outside D: rank the moves
+            ranked = [(mv, la.mat_vec(la.transpose(mv), cov)) for mv in cert.moves]
         best = None
         for mv, mc in ranked:
             v = la.dot(mc, current)

@@ -98,10 +98,7 @@ def ns_plus_t_index(h):
 
 
 def is_projective_type(h):
-    ns = neron_severi(h)
-    if ns.rank == 0:
-        return False
-    return classify_type(ns.as_lattice()) == LatticeType.HYPERBOLIC
+    return classify_type(neron_severi(h).as_lattice()) == LatticeType.HYPERBOLIC
 
 
 class HodgeKind(Enum):
@@ -363,7 +360,7 @@ def kaut_star_criterion(matrix, h, kmodel, spec):
 
 
 def hilbert_square_extension(h, n, sigma_star):
-    """Extend an anti-Hodge involution to L + <-2(n-1)> as sigma* + (-id).
+    """Extend an anti-Hodge Isometry sigma* to L + <-2(n-1)> as sigma* + (-id).
 
     Returns the extended Hodge lattice, the Klein isometry (sign -1), and a
     report verifying: involution, isometry, anti-Hodge, discriminant action
@@ -374,7 +371,7 @@ def hilbert_square_extension(h, n, sigma_star):
     if n < 2:
         raise InvalidInput("need n >= 2")
     lat = h.lattice
-    m = sigma_star.matrix if isinstance(sigma_star, Isometry) else sigma_star
+    m = sigma_star.matrix
     if not is_isometry(lat, m):
         raise InvalidInput("sigma* must be an isometry")
     if la.mat_mul(m, m) != la.identity_matrix(lat.rank):
@@ -493,13 +490,11 @@ def anti_invariant_class(kmodel, klein):
 
 def _meets_domain(cert, m):
     """Whether m lies in the set S: m(Sigma) cap Sigma meets the open cone C
-    for the domain Sigma of cert, always true when the domain is the full
-    cone.  m^-1 maps that intersection onto {x in Sigma : m x in Sigma}, so
-    no inverse is needed.  A meet in a cusp ray alone does not count: the
-    parabolic words that meet Sigma there would make S grow with the word
-    bound."""
-    if cert.full_cone:
-        return True
+    for the domain Sigma of cert.  m^-1 maps that intersection onto
+    {x in Sigma : m x in Sigma}, so no inverse is needed; when Sigma is the
+    full cone that set is the whole space, which meets C for every m.  A
+    meet in a cusp ray alone does not count: the parabolic words that meet
+    Sigma there would make S grow with the word bound."""
     meet = meet_preimage(cert.domain, m, cert.domain)
     if meet.is_zero():
         return False

@@ -16,7 +16,9 @@ def identity_matrix(n):
 
 
 def transpose(a):
-    return tuple(zip(*a)) if a else ()
+    """A^T.  A matrix with no rows keeps no column count and gives (), so
+    Sublattice.contains, which needs one, branches on an empty basis."""
+    return tuple(zip(*a))
 
 
 # Products are summed as sum(map(mul, ...)), which iterates in C; a generator
@@ -215,12 +217,11 @@ def invariant_factors(a):
 def int_kernel(a):
     """Basis (list of column vectors, as tuples) of {x in Z^n : A x = 0}.
 
-    The basis spans a saturated (primitive) sublattice of Z^n.
+    The basis spans a saturated (primitive) sublattice of Z^n.  A matrix with
+    no rows carries no n and gives [], so orthogonal_complement branches.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return [tuple(1 if i == j else 0 for i in range(cols)) for j in range(cols)]
     d, _, v = snf(a)
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
     vt = transpose(v)

@@ -313,13 +313,10 @@ def fixes_pointwise_implies_identity(lat, sub, search_bound=1):
         a = tuple(tuple(gn[i][j] for j in range(t)) for i in range(t))
         p = tuple(gn[i][t] for i in range(t))
         # z = +1: x in ker(A) with p.x = 0
-        stacked = a + (p,) if t else ((0,) * t,)
-        for x in la.int_kernel(stacked):
+        for x in la.int_kernel(a + (p,)):
             if not la.is_zero_vector(x):
                 return check_and_wrap(_block_matrix(t, 1, tuple((c,) for c in x), ((1,),)))
         # z = -1: A x = 2p
-        if t == 0:
-            return check_and_wrap(_block_matrix(0, 1, (), ((-1,),)))
         x = la.solve_int(a, tuple(2 * pi for pi in p))
         if x is not None:
             return check_and_wrap(_block_matrix(t, 1, tuple((c,) for c in x), ((-1,),)))
@@ -358,7 +355,8 @@ def _search_corank_ge2(gn, t, k, bound):
     a = tuple(tuple(gn[i][j] for j in range(t)) for i in range(t))
     b = tuple(tuple(gn[i][t + j] for j in range(k)) for i in range(t))
     rng = range(-bound, bound + 1)
-    ker = la.int_kernel(a) if t else []
+    ker = la.int_kernel(a)
+    shift_space = list(product(rng, repeat=len(ker)))
     max_candidates = 300000
     seen = 0
     ident_z = la.identity_matrix(k)
@@ -366,26 +364,15 @@ def _search_corank_ge2(gn, t, k, bound):
         z = tuple(tuple(z_entries[i * k + j] for j in range(k)) for i in range(k))
         if abs(la.bareiss_det(z)) != 1:
             continue
-        rhs_cols = la.transpose(
-            la.mat_mul(b, tuple(tuple(ident_z[i][j] - z[i][j] for j in range(k)) for i in range(k)))
-        ) if t else [()] * k
-        # particular solutions per column
+        # particular solutions per column: A x_j = B (column j of I - Z)
         parts = []
-        ok = True
         for j in range(k):
-            if t:
-                sol = la.solve_int(a, rhs_cols[j])
-                if sol is None:
-                    ok = False
-                    break
-                parts.append(sol)
-            else:
-                parts.append(())
-        if not ok:
+            parts.append(la.solve_int(a, la.mat_vec(b, [(i == j) - z[i][j] for i in range(k)])))
+            if parts[-1] is None:
+                break
+        if None in parts:
             continue
         # enumerate kernel shifts per column
-        dimker = len(ker)
-        shift_space = list(product(rng, repeat=dimker)) if dimker else [()]
         for combo in product(shift_space, repeat=k):
             seen += 1
             if seen > max_candidates:
@@ -536,8 +523,6 @@ def group_membership(gamma, matrix, tester=None):
         return "in" if lat.pairing(la.mat_vec(matrix, base), base) > 0 else "out"
     if tester is not None:
         return tester(matrix)
-    if not gamma.generators:
-        return "in" if matrix == la.identity_matrix(lat.rank) else "out"
     elements, closed = gamma.enumeration()
     for el in elements:
         if el.matrix == matrix:

@@ -106,7 +106,7 @@ class Sublattice(Frozen):
         for row in b:
             if len(row) != n:
                 raise DimensionMismatch("basis vector length != ambient rank")
-        if b and la.rank(b) != len(b):
+        if la.rank(b) != len(b):
             raise InvalidInput("basis vectors are linearly dependent")
 
     @property
@@ -115,8 +115,6 @@ class Sublattice(Frozen):
 
     def is_primitive(self):
         """True iff ambient/span is torsion-free (all invariant factors 1)."""
-        if not self.basis:
-            return True
         return all(f == 1 for f in la.invariant_factors(self.basis))
 
     def gram(self):

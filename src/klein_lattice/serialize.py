@@ -8,6 +8,7 @@ non-integral rationals are "p/q" strings, and floating point never appears.
 
 from . import intlinalg as la
 from .codec import (
+    bool_from_json,
     int_from_json,
     int_mat_from_json,
     int_vec_from_json,
@@ -69,7 +70,7 @@ def generated_group_from_json(obj):
         lat,
         tuple(gens),
         word_bound=int_from_json(obj.get("word_bound", 12)),
-        full_orthogonal_plus=bool(obj.get("full_orthogonal_plus", False)),
+        full_orthogonal_plus=bool_from_json(obj.get("full_orthogonal_plus", False)),
         component_base=base,
     )
 
@@ -309,7 +310,7 @@ def monodromy_spec_from_json(obj):
         return MonodromySpec(
             "discriminant",
             signs=int_vec_from_json(obj.get("signs", [1, -1])),
-            require_orientation=bool(obj.get("require_orientation", True)),
+            require_orientation=bool_from_json(obj.get("require_orientation", True)),
         )
     if kind == "generators":
         gens = list_from_json(required(obj, "generators", "monodromy spec"), "generators")

@@ -278,6 +278,16 @@ def test_a_file_of_malformed_json_is_an_input_error(tmp_path, capsys):
         (["h1", "filtration", "--spec",
           '{"kind": "split", "free_rank": -1, "torsion": [2], "quotient": "Z2",'
           ' "q_action": [[], []], "g": "Z2"}'], "InvalidInput"),
+        # flags must be JSON booleans and a declared rank a JSON integer
+        (["isom", "stabilizer", "--group",
+          '{"lattice": {"gram": [[2,0],[0,-4]]}, "generators": [],'
+          ' "full_orthogonal_plus": "false", "component_base": [1,0]}', "--point", "1,0"],
+         "ParseError"),
+        (kaut_criterion(KAHLER4["embedding"])[:-1]
+         + ['{"kind": "discriminant", "signs": [-1], "require_orientation": "false"}'],
+         "ParseError"),
+        (["lattice", "signature", "--in", '{"rank": 2.0, "gram": [[2,0],[0,-4]]}'], "ParseError"),
+        (["lattice", "signature", "--in", '{"rank": true, "gram": [[2]]}'], "ParseError"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -294,7 +304,8 @@ def test_a_file_of_malformed_json_is_an_input_error(tmp_path, capsys):
          "fix-sublattice-bound-zero", "fix-sublattice-bound-negative",
          "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero",
          "in-and-name", "domain-pos-and-base", "siegel-pos-and-base",
-         "split-free-rank-negative"],
+         "split-free-rank-negative", "group-flag-string", "monodromy-flag-string",
+         "rank-float", "rank-boolean"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)

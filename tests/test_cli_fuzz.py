@@ -312,6 +312,7 @@ def readers():
     return {
         "rat_from_json": (codec.rat_from_json, [3, "1/2"]),
         "int_from_json": (ser.int_from_json, [3, "4"]),
+        "bool_from_json": (codec.bool_from_json, [True, False]),
         "list_from_json": (lambda v: ser.list_from_json(v, "list"), [[1, 2]]),
         "vec_from_json": (ser.vec_from_json, [[1, "1/2"]]),
         "int_vec_from_json": (ser.int_vec_from_json, [[1, 2]]),

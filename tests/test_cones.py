@@ -442,6 +442,21 @@ def test_reduction_forms_one_image_per_step(monkeypatch, pell_cert):
     assert len(images) == steps
 
 
+def test_reduction_forms_no_covector_for_a_point_in_the_domain(monkeypatch, pell_cert):
+    # the move covectors m^T*c are formed only once x fails the first domain
+    # test, so reducing a point already in D transposes no move
+    real, calls = la.transpose, []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(la, "transpose", counting)
+    xi = pell_cert.xi
+    assert reduce_into_domain(pell_cert, xi) == (xi, la.identity_matrix(2), 0)
+    assert calls == []
+
+
 def test_dirichlet_domain_pell(pell_cert):
     assert set(pell_cert.domain.rays) == {(2, 1), (2, -1)}
     assert set(pell_cert.halfspaces) == {(1, 2), (1, -2)}

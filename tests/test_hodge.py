@@ -691,6 +691,17 @@ def test_s_test_matches_the_two_build_oracle(dihedral_fixtures):
         assert answers == {True, False}
 
 
+def test_every_matrix_meets_the_full_cone_domain(pell_cone):
+    # the trivial group's domain is C+ itself: the pull-back meet of the
+    # full cone is the whole space, which meets C whatever m is
+    trivial = GeneratedGroup(pell_cone.lattice, (), component_base=(1, 0))
+    cert = dirichlet_domain(trivial, pell_cone, (1, 0))
+    assert cert.full_cone
+    for m in (((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((3, 4), (2, 3)),
+              ((3, -4), (-2, 3)), ((0, 1), (1, 0)), ((0, 0), (0, 0))):
+        assert _meets_domain(cert, m)
+
+
 def test_s_of_the_triangle_group_holds_only_finite_order_words():
     # the (2,4,inf) domain has the cusp ray (1, 1, 0), where parabolic words
     # meet it; they meet it nowhere in C, so S leaves them out and does not

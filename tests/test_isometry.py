@@ -304,11 +304,22 @@ def test_fixes_pointwise_corank1_z_plus_one_branch():
 
 
 def test_fixes_pointwise_of_the_zero_sublattice():
-    # every isometry fixes N = 0 pointwise, -id among them
-    l = IntegerLattice(((2,),))
-    out = fixes_pointwise_implies_identity(l, Sublattice(l, ()))
-    assert out.kind == "Counterexample"
-    assert out.witness == ((-1,),)
+    # every isometry fixes N = 0 pointwise; corank 1 takes the z = -1 branch
+    # with an empty Gram block of N, and corank >= 2 the bounded search
+    minus_id = ((-1, 0), (0, -1))
+    for gram, witness in (
+        (((2,),), ((-1,),)),
+        (((1,),), ((-1,),)),
+        (((-2,),), ((-1,),)),
+        (((1, 0), (0, -1)), minus_id),
+        (((0, 1), (1, 0)), minus_id),
+        (((2, 1), (1, -2)), ((-1, -1), (0, 1))),
+        (((1, 0, 0), (0, -1, 0), (0, 0, -1)), ((-1, 0, 0), (0, -1, 0), (0, 0, -1))),
+    ):
+        l = IntegerLattice(gram)
+        out = fixes_pointwise_implies_identity(l, Sublattice(l, ()))
+        assert out.kind == "Counterexample"
+        assert out.witness == witness
 
 
 def test_fixes_pointwise_corank2_undecided():

@@ -43,6 +43,29 @@ def test_lattice_roundtrip():
         ser.lattice_from_json({"rank": 3, "gram": [[2]]})
 
 
+PELL_JSON = {"gram": [[2, 0], [0, -4]]}
+
+
+@pytest.mark.parametrize(
+    "read, doc",
+    [
+        (ser.lattice_from_json, {**PELL_JSON, "rank": 2.0}),
+        (ser.lattice_from_json, {"gram": [[2]], "rank": True}),
+        (ser.generated_group_from_json, {"lattice": PELL_JSON, "component_base": [1, 0],
+                                         "full_orthogonal_plus": "false"}),
+        (ser.generated_group_from_json, {"lattice": PELL_JSON, "component_base": [1, 0],
+                                         "full_orthogonal_plus": 1}),
+        (ser.monodromy_spec_from_json, {"kind": "discriminant", "require_orientation": "false"}),
+        (ser.monodromy_spec_from_json, {"kind": "discriminant", "require_orientation": 0}),
+    ],
+    ids=["rank-float", "rank-boolean", "group-flag-string", "group-flag-number",
+         "orientation-flag-string", "orientation-flag-number"],
+)
+def test_flags_are_json_booleans_and_the_rank_an_integer(read, doc):
+    with pytest.raises(ParseError):
+        read(doc)
+
+
 def test_group_roundtrip():
     lat = IntegerLattice(((2, 0), (0, -4)))
     g = GeneratedGroup(
