@@ -306,13 +306,10 @@ def _rational_isotropic_rays(pos):
             return []
         for root_num in (-b + s, -b - s):
             rays.extend([(root_num, a), (-root_num, -a)])
-    out = []
-    for ray in rays:
-        v = la.primitive_vector(ray)
-        if not la.is_zero_vector(v) and lat.q(v) == 0 and la.dot(pos.base_covector, v) > 0:
-            if v not in out:
-                out.append(v)
-    return out
+    # nonzero, isotropic and pairwise distinct up to sign; <base, v> != 0 on
+    # such a v, so exactly one ray of each +- pair is kept
+    vs = (la.primitive_vector(ray) for ray in rays)
+    return [v for v in vs if la.dot(pos.base_covector, v) > 0]
 
 
 # --- h1 subcommands ----------------------------------------------------------------------

@@ -604,6 +604,8 @@ def siegel_intersections(pos, pi1, pi2, gamma, word_bound=None):
     the collection stopped growing.  Raises NonStabilizing when still growing
     at the bound.  Ray containment of both cones in C+ is checked first.
     """
+    if pos.lattice.gram != gamma.lattice.gram:
+        raise InvalidInput("positive cone and group live on different lattices")
     if word_bound is None:
         word_bound = gamma.word_bound
     if word_bound < 1:

@@ -6,6 +6,7 @@ classification pipeline on the ample cone.
 
 from enum import Enum
 from fractions import Fraction
+from math import isqrt
 
 from . import intlinalg as la
 from .errors import (
@@ -293,6 +294,8 @@ def torelli_anti_check(matrix, h_source, h_target, k_source, k_target, spec):
     lat = h_target.lattice
     if h_source.lattice.gram != lat.gram:
         raise InvalidInput("source and target must share the Gram matrix")
+    if k_source.lattice.gram != lat.gram or k_target.lattice.gram != lat.gram:
+        raise InvalidInput("Kahler models and Hodge structures live on different lattices")
     mon_verdict = mon_contains(spec, lat, matrix)
     cond1 = mon_verdict == "in"
     cond2 = is_isometry(lat, matrix)
@@ -335,6 +338,8 @@ def kaut_star_criterion(matrix, h, kmodel, spec):
     automorphism preserves the ample cone); the cone condition is then an
     honest chamber check.
     """
+    if kmodel.lattice.gram != h.lattice.gram:
+        raise InvalidInput("Kahler model and Hodge structure live on different lattices")
     try:
         member = mon2_khdg_member(matrix, h, spec)
     except Undecidable as exc:
@@ -442,10 +447,8 @@ def _anti_invariant_kahler_certificate(h, m, n):
             w = la.mat_vec(ker_cols, coeffs)
             qw = lat.q(w)
             if qw > 0:
-                k = 1
-                while k * k * qw <= 2 * (n - 1):
-                    k += 1
-                return w, k
+                # the least k with k^2 * q(w) > 2(n - 1); q(w) is an integer
+                return w, isqrt(2 * (n - 1) // qw) + 1
     return None
 
 

@@ -339,8 +339,12 @@ def congruence_diagonalize(g):
     """Symmetric congruence diagonalization over the rationals.
 
     Returns (diag, t) with t invertible rational and t^T g t = diag(diag).
-    Pivot search uses diagonal entries first and falls back to the
-    rank-2 move row_i += row_j when every remaining diagonal entry is zero.
+    Step k clears row and column k past the diagonal with pivot m[k][k].
+    When m[k][k] = 0 it first takes the first j > k with m[j][j] != 0 or
+    m[k][j] != 0 and adds c * (row, column) j to k, which makes the pivot
+    2c*m[k][j] + m[j][j]; c = 1 unless that is 0, then c = -1. The two
+    values differ by 4*m[k][j], so the pivot is nonzero. With no such j,
+    row k is already zero past the diagonal and diag[k] = 0.
     """
     n = len(g)
     m = [[Fraction(x) for x in row] for row in g]
@@ -355,39 +359,12 @@ def congruence_diagonalize(g):
         for i in range(n):
             t[i][dst] += c * t[i][src]
 
-    def swap(i, j):
-        for r_ in range(n):
-            m[r_][i], m[r_][j] = m[r_][j], m[r_][i]
-        m[i], m[j] = m[j], m[i]
-        for r_ in range(n):
-            t[r_][i], t[r_][j] = t[r_][j], t[r_][i]
-
     for k in range(n):
         if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][i] != 0:
-                    piv = i
-                    break
-            if piv is not None:
-                swap(k, piv)
-            else:
-                # all remaining diagonal entries vanish; use an off-diagonal
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if m[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break  # remaining block is identically zero
-                i, j = found
-                if i != k:
-                    swap(k, i)
-                    j = i if j == k else j
-                add_col_row(k, j, 1)  # now m[k][k] = 2*m[k][j] != 0
+            j = next((j for j in range(k + 1, n) if m[j][j] or m[k][j]), None)
+            if j is None:
+                continue
+            add_col_row(k, j, -1 if 2 * m[k][j] + m[j][j] == 0 else 1)
         piv_val = m[k][k]
         for i in range(k + 1, n):
             if m[k][i] != 0:

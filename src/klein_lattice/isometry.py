@@ -107,21 +107,18 @@ def klein_inverse(k):
     return KleinIsometry(k.isometry.inverse(), k.sign)
 
 
-def positive_basis(lat):
-    """Rational basis of a maximal positive-definite subspace."""
-    diag, t = la.congruence_diagonalize(lat.gram)
-    cols = la.transpose(t)
-    return [cols[i] for i in range(lat.rank) if diag[i] > 0]
-
-
 def preserves_positive_orientation(lat, matrix):
-    """Sign of det of the pairing of the images of a positive basis against it.
+    """Sign of det(<M w_i, w_j>) for a basis w of a maximal positive subspace.
 
-    For signature (1, n-1) this is preservation of the chosen component of
+    w is read off congruence_diagonalize: the columns of t whose diagonal
+    entry is positive, each scaled to a primitive integer vector. A change
+    of basis multiplies the determinant by a square, and it does not vanish
+    as the positive subspace moves, so its sign does not depend on w. For
+    signature (1, n-1) this is preservation of the chosen component of
     {q > 0}; for signature (3, n-3) it is the orientation of the positive cone.
     """
-    # positive multiples of the basis vectors keep the determinant's sign
-    w = [la.primitive_vector(v) for v in positive_basis(lat)]
+    diag, t = la.congruence_diagonalize(lat.gram)
+    w = [la.primitive_vector(v) for v, d in zip(la.transpose(t), diag) if d > 0]
     if not w:
         raise InvalidInput("lattice has no positive part")
     images = [la.mat_vec(matrix, wi) for wi in w]

@@ -122,6 +122,11 @@ def kaut_criterion(embedding, rays=None):
     ]
 
 
+# KAHLER4 moved onto another lattice than HODGE4's
+MOVED_KAHLER4 = json.dumps({**KAHLER4, "lattice": {"gram": [[5, 0, 0, 0], [0, 5, 0, 0],
+                                                             [0, 0, 7, 0], [0, 0, 0, -3]]}})
+
+
 def u_swap_stabilizer(word_bound):
     """isom stabilizer of (1, 1) under the swap of U, with the given word
     bound."""
@@ -288,6 +293,17 @@ def test_a_file_of_malformed_json_is_an_input_error(tmp_path, capsys):
          "ParseError"),
         (["lattice", "signature", "--in", '{"rank": 2.0, "gram": [[2,0],[0,-4]]}'], "ParseError"),
         (["lattice", "signature", "--in", '{"rank": true, "gram": [[2]]}'], "ParseError"),
+        # inputs that live on two different lattices
+        (["cone", "siegel", "--group", PELL_GROUP,
+          "--pos", '{"lattice": {"gram": [[1,0],[0,-1]]}, "component_base": [1,0]}',
+          "--pi1", PELL_PI, "--pi2", PELL_PI], "InvalidInput"),
+        (["hk", "kaut-criterion", "--phi", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+          "--hodge", json.dumps(HODGE4), "--cone", MOVED_KAHLER4,
+          "--mon", '{"kind": "discriminant", "signs": [-1]}'], "InvalidInput"),
+        (["hk", "torelli", "--phi", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+          "--source", json.dumps(HODGE4), "--target", json.dumps(HODGE4),
+          "--ksource", MOVED_KAHLER4, "--ktarget", MOVED_KAHLER4,
+          "--mon", '{"kind": "discriminant", "signs": [-1]}'], "InvalidInput"),
     ],
     ids=["point-length", "base-length", "group-without-lattice", "sublattice-not-object",
          "path-is-a-directory", "xi-length", "pos-on-another-lattice", "bound-zero",
@@ -305,7 +321,8 @@ def test_a_file_of_malformed_json_is_an_input_error(tmp_path, capsys):
          "group-word-bound-zero", "group-word-bound-negative", "monodromy-word-bound-zero",
          "in-and-name", "domain-pos-and-base", "siegel-pos-and-base",
          "split-free-rank-negative", "group-flag-string", "monodromy-flag-string",
-         "rank-float", "rank-boolean"],
+         "rank-float", "rank-boolean", "siegel-pos-on-another-lattice",
+         "kaut-model-on-another-lattice", "torelli-models-on-another-lattice"],
 )
 def test_malformed_request_is_an_input_error(argv, error, capsys):
     code = main(argv)

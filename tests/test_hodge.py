@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,24 @@ def test_hilbert_extension_full_report(name, maker, n):
         assert report["discriminant_minus_id"]
     # the extended period satisfies the same equations
     assert h_ext.lattice.rank == h.lattice.rank + 1
+
+
+def test_hilbert_extension_takes_the_least_k_in_closed_form():
+    # the anti-invariant class is w - delta/k with k the least integer with
+    # k^2 * q(w) > 2(n - 1), as the step-by-one search finds it
+    h, sigma = config_u3()
+    for n in range(2, 61):
+        _, _, report = hilbert_square_extension(h, n, Isometry(h.lattice, sigma))
+        cls = report["anti_invariant_class"]
+        qw = h.lattice.q(cls[:-1])
+        k = 1
+        while k * k * qw <= 2 * (n - 1):
+            k += 1
+        assert cls[-1] == Fraction(-1, k)
+    start = time.perf_counter()
+    _, _, report = hilbert_square_extension(h, 10**30, Isometry(h.lattice, sigma))
+    assert time.perf_counter() - start < 1
+    assert report["all_pass"]
 
 
 def test_hilbert_extension_rejects_bad_sigma():

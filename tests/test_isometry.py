@@ -38,10 +38,13 @@ from klein_lattice.lattice import (
     E8,
     E8_minus,
     IntegerLattice,
+    K3,
     Sublattice,
     U,
     direct_sum,
 )
+
+from cases import reflection
 
 PELL = ((3, 4), (2, 3))
 REFLECTION = ((1, 0), (0, -1))
@@ -700,3 +703,29 @@ def test_orientation():
     assert preserves_positive_orientation(d, PELL)
     assert preserves_positive_orientation(d, ((1, 0), (0, -1)))
     assert not preserves_positive_orientation(d, ((-1, 0), (0, 1)))
+
+
+def test_orientation_counts_the_reflections_in_positive_roots():
+    # the reflection in a root r reverses the orientation of the positive
+    # part iff <r, r> > 0, so a product of reflections preserves it iff it
+    # takes an even number of positive roots
+    rng = random.Random(35)
+    uu = direct_sum(U(), U())
+    for lat in (uu, direct_sum(uu, A1_minus()), K3()):
+        n = lat.rank
+        roots = {2: [], -2: []}
+        while min(map(len, roots.values())) < 6:
+            r = [0] * n
+            for i in rng.sample(range(n), min(n, 3)):
+                r[i] = rng.choice((-1, 1))
+            roots.get(lat.q(tuple(r)), []).append(tuple(r))
+        # <r, r> = +-2, so each reflection is an integer matrix
+        reflections = {r: tuple(tuple(map(int, row)) for row in reflection(lat.gram, r))
+                       for r in roots[2] + roots[-2]}
+        for _ in range(30):
+            word = [rng.choice(list(reflections)) for _ in range(rng.randint(0, 5))]
+            m = la.identity_matrix(n)
+            for r in word:
+                m = la.mat_mul(reflections[r], m)
+            even = sum(lat.q(r) > 0 for r in word) % 2 == 0
+            assert preserves_positive_orientation(lat, m) == even

@@ -37,7 +37,7 @@ def test_signature_examples():
     assert signature(K3()).as_tuple() == (3, 0, 19)
     assert signature(IntegerLattice(((0, 0), (0, -2)))).as_tuple() == (0, 1, 1)
     # <0> + U: the diagonal is zero and row 0 is too, so the diagonalization
-    # swaps the off-diagonal pair of U up to row 0 before it uses it
+    # keeps entry 0 at zero and adds row and column 2 to 1 to make a pivot
     zero_u = IntegerLattice(((0, 0, 0), (0, 0, 1), (0, 1, 0)))
     assert signature(zero_u).as_tuple() == (1, 1, 1)
 
@@ -49,6 +49,30 @@ def test_signature_against_charpoly_oracle():
         g = rand_sym(rng, n)
         s = signature(IntegerLattice(g))
         assert s.as_tuple() == char_poly_sign_counts(g)
+
+
+def test_signature_of_zero_diagonal_forms_against_charpoly_oracle():
+    # a zero pivot takes the +-1 congruence move, which the oracle above
+    # seldom reaches: every diagonal entry here is zero, or a U block sits
+    # beside definite blocks
+    rng = random.Random(35)
+    blocks = [((0,),), ((0, 1), (1, 0)), ((0, 2), (2, 0)), ((2,),), ((-4,),),
+              ((2, -1), (-1, 2))]
+    grams = [((0, 0, 0), (0, 0, 1), (0, 1, 0))]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.choice((0, 0, rng.randint(-3, 3)))
+        grams.append(g)
+    for _ in range(60):
+        g = ()
+        for _ in range(rng.randint(2, 4)):
+            g = la.block_diagonal(g, rng.choice(blocks))
+        grams.append(g)
+    for g in grams:
+        assert signature(IntegerLattice(g)).as_tuple() == char_poly_sign_counts(g)
 
 
 @given(st.integers(1, 4), st.randoms(use_true_random=False))
