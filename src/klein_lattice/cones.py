@@ -44,10 +44,14 @@ def _insert_halfspace(dim, lines, rays, inserted, h, ranks):
     bit - 1, and a moved ray d0*r - dr*l0 has h_j-pairing d0*(h_j.r) and
     gains the bit.  Repeats share a mask; the first is kept.  The
     adjacency test compares the rank of the inserted halfspaces in tp & tn
-    with the step's target, so it depends on the pair only through that
-    mask.  ranks maps a mask to that rank for the whole run: bit j names
-    inserted[j] in every step, so a mask's rank never changes, and the
-    target is compared afresh each step, so it may drop as lines run out."""
+    with the step's target dim - len(lines) - 2, so it depends on the pair
+    only through that mask.  A rank is at most the number of rows, so a
+    mask with fewer bits than the target fails without a rank (Fukuda and
+    Prodon's necessary condition); it is neither ranked nor stored.  ranks
+    maps a mask to its rank for the whole run: bit j names inserted[j] in
+    every step, so a mask's rank never changes.  The target is compared
+    afresh each step and only rises, since lines are used up and never
+    added, so a mask skipped once stays skipped for the rest of the run."""
     bit = 1 << len(inserted)
     pairings = [la.dot(h, l) for l in lines]
     pivot = next((i for i, p in enumerate(pairings) if p != 0), None)
@@ -66,6 +70,8 @@ def _insert_halfspace(dim, lines, rays, inserted, h, ranks):
         for p, tp, dp in pos:
             for nvec, tn, dn in neg:
                 tcommon = tp & tn
+                if tcommon.bit_count() < adjacent_rank:
+                    continue
                 if tcommon not in ranks:
                     normals = [hj for j, hj in enumerate(inserted) if tcommon >> j & 1]
                     ranks[tcommon] = la.rank(normals)
@@ -96,7 +102,8 @@ def _insert_halfspace(dim, lines, rays, inserted, h, ranks):
 def dd_rays(dim, halfspaces, equalities=()):
     """Extreme rays and lineality of {x : h.x >= 0, e.x = 0}.  One rank
     per common mask serves the whole run: inserted only grows, so a mask
-    names the same halfspaces in every step."""
+    names the same halfspaces in every step.  A mask with fewer bits than
+    a step's adjacency target is never ranked: the target only rises."""
     lines = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     rays = []
     inserted = []
@@ -199,8 +206,11 @@ def _double_description(dim, halfspaces, equalities):
     cone that the halfspaces and equalities generate as rays and lines."""
     if dim <= 0:
         raise EmptyInput("ambient dimension must be positive")
-    hs = tuple(la.primitive_vector(h) for h in halfspaces)
-    eqs = tuple(la.primitive_vector(e) for e in equalities)
+    try:
+        hs = tuple(la.primitive_vector(h) for h in halfspaces)
+        eqs = tuple(la.primitive_vector(e) for e in equalities)
+    except (AttributeError, TypeError) as exc:
+        raise InvalidInput("cone vectors must have rational entries") from exc
     for v in hs + eqs:
         if len(v) != dim:
             raise DimensionMismatch("vector dimension mismatch")

@@ -131,15 +131,23 @@ def test_every_dd_step_keeps_each_mask_equal_to_its_tight_set(monkeypatch):
     assert len(set(steps)) == 2 and len(steps) > 10000
 
 
-def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
-    # the dim-5 cone of the ROADMAP Baseline: 16 halfspaces (|v|_1 + k, v)
-    # with 57 rays; one rank test per (positive, negative) pair made 10,138,
-    # one per common mask in each step 1,520, one per mask in each run 559
-    rng = random.Random(5)
+def baseline_halfspaces(dim):
+    # the ROADMAP Baseline cone of dimension dim: 4(dim - 1) halfspaces
+    # (|v|_1 + k, v), v with entries in [-3, 3] and k in [1, 3]
+    rng = random.Random(dim)
     halfspaces = []
-    for _ in range(16):
-        v = [rng.randint(-3, 3) for _ in range(4)]
+    for _ in range(4 * (dim - 1)):
+        v = [rng.randint(-3, 3) for _ in range(dim - 1)]
         halfspaces.append((sum(map(abs, v)) + rng.randint(1, 3), *v))
+    return halfspaces
+
+
+def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
+    # the dim-5 Baseline cone, 16 halfspaces with 57 rays; one rank test per
+    # (positive, negative) pair made 10,138, one per common mask in each
+    # step 1,520, one per mask in each run 559, and one per mask with at
+    # least as many bits as the step's target 261
+    halfspaces = baseline_halfspaces(5)
     real = la.rank
     calls = []
 
@@ -150,7 +158,7 @@ def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
     monkeypatch.setattr(la, "rank", counted)
     c = cone_from_halfspaces(5, halfspaces)
     first = len(calls)
-    assert len(c.rays) == 57 and first <= 700
+    assert len(c.rays) == 57 and first <= 300
     digest = hashlib.sha256(
         repr((c.ambient_dim, c.rays, c.lines, c.halfspaces, c.equalities)).encode()
     )
@@ -160,6 +168,50 @@ def test_adjacency_is_decided_once_per_common_mask(monkeypatch):
     # the ranks live for one run: a second build pays for every mask again
     assert cone_from_halfspaces(5, halfspaces) == c
     assert len(calls) == 2 * first
+    # the dim-4 Baseline cone, 20 rays and 12 facets: 67 rank tests before
+    # masks with too few bits for the target were skipped, 41 since
+    calls.clear()
+    c = cone_from_halfspaces(4, baseline_halfspaces(4))
+    assert (len(c.rays), len(c.halfspaces)) == (20, 12) and len(calls) <= 41
+
+
+def test_no_rank_test_has_fewer_rows_than_its_target(monkeypatch):
+    # the rank of k rows is at most k, so a common mask with fewer bits
+    # than dim - len(lines) - 2 cannot be adjacent and must not be ranked
+    real_step = cones._insert_halfspace
+    real_rank = la.rank
+    target = [None]
+    checked = []
+
+    def step(dim, lines, rays, inserted, h, ranks):
+        target[0] = dim - len(lines) - 2
+        try:
+            return real_step(dim, lines, rays, inserted, h, ranks)
+        finally:
+            target[0] = None
+
+    def rank(rows):
+        if target[0] is not None:
+            assert len(rows) >= target[0]
+            checked.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(cones, "_insert_halfspace", step)
+    monkeypatch.setattr(la, "rank", rank)
+    for _ in pinned_cones(500, 18):
+        pass
+    # 1,084 rank tests ran inside a step, none below its target
+    assert checked
+
+
+@pytest.mark.parametrize("build, vectors", [
+    (cone_from_halfspaces, [(1.5, 1)]),
+    (cone_from_rays, [(1, "1/2")]),
+    (cone_from_halfspaces, [(1, 0), None]),
+])
+def test_a_non_rational_entry_is_invalid_input(build, vectors):
+    with pytest.raises(InvalidInput):
+        build(2, vectors)
 
 
 def test_round_trip_checks_the_input_equalities(monkeypatch):
