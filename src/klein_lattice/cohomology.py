@@ -71,27 +71,37 @@ def extension_subgroups(candidates, mul, identity, bound=None, allowed=None):
     by cyclic extension: adjoin one candidate to a found subgroup and close
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 
+    Each found subgroup h keeps the tuple of candidates it was reached by
+    (() for the trivial group), and <h, t> is closed from that tuple plus t
+    instead of from all of h plus t, so a walk costs |<h, t>| products per
+    generator, not per element of h.  The walk from the tuple gave h, so h
+    lies in what the tuple plus t generates, and both walks reach the same
+    set; subgroup_closure returns None exactly when that set has more than
+    `bound` elements or one outside `allowed`, so both give the same answer.
+    A closure depends only on its set of generators, so each set is closed
+    once, in whatever order its generators were adjoined.
+
     Each subgroup is reached through a chain of subgroups that it contains,
     so with `allowed` the result is exactly the subgroups inside `allowed`.
-    A closure depends only on its generating set, so each set is closed once.
     """
     trivial = frozenset({identity})
     found = {trivial}
     closed = set()
-    frontier = [trivial]
+    frontier = [(trivial, ())]
     while frontier:
-        h = frontier.pop()
+        h, hgens = frontier.pop()
         for t in candidates:
             if t in h:
                 continue
-            gens = h | {t}
-            if gens in closed:
+            gens = hgens + (t,)
+            key = frozenset(gens)
+            if key in closed:
                 continue
-            closed.add(gens)
+            closed.add(key)
             k = subgroup_closure(gens, mul, identity, bound, allowed)
             if k is not None and k not in found:
                 found.add(k)
-                frontier.append(k)
+                frontier.append((k, gens))
     return found
 
 

@@ -28,6 +28,8 @@ from .errors import (
 from .frozen import Frozen, replace
 from .lattice import signature
 
+_NOT_RATIONAL = "cone vectors must have rational entries"
+
 
 # --- double description ----------------------------------------------------
 
@@ -158,7 +160,10 @@ class PolyhedralCone(Frozen):
         v = lambda x, lambda > 0."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
-        v = la.primitive_vector(x)
+        try:
+            v = la.primitive_vector(x)
+        except (AttributeError, TypeError) as exc:
+            raise InvalidInput(_NOT_RATIONAL) from exc
         return all(la.dot(h, v) >= 0 for h in self.halfspaces) and all(
             la.dot(e, v) == 0 for e in self.equalities
         )
@@ -168,7 +173,10 @@ class PolyhedralCone(Frozen):
         Decided on the primitive integer multiple of x, as contains is."""
         if len(x) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
-        v = la.primitive_vector(x)
+        try:
+            v = la.primitive_vector(x)
+        except (AttributeError, TypeError) as exc:
+            raise InvalidInput(_NOT_RATIONAL) from exc
         return all(la.dot(h, v) > 0 for h in self.halfspaces) and all(
             la.dot(e, v) == 0 for e in self.equalities
         )
@@ -210,7 +218,7 @@ def _double_description(dim, halfspaces, equalities):
         hs = tuple(la.primitive_vector(h) for h in halfspaces)
         eqs = tuple(la.primitive_vector(e) for e in equalities)
     except (AttributeError, TypeError) as exc:
-        raise InvalidInput("cone vectors must have rational entries") from exc
+        raise InvalidInput(_NOT_RATIONAL) from exc
     for v in hs + eqs:
         if len(v) != dim:
             raise DimensionMismatch("vector dimension mismatch")
@@ -303,7 +311,10 @@ class PositiveCone(Frozen):
         return self.lattice.covector(self.component_base)
 
     def contains_open(self, x):
-        v = la.primitive_vector(x)
+        try:
+            v = la.primitive_vector(x)
+        except (AttributeError, TypeError) as exc:
+            raise InvalidInput(_NOT_RATIONAL) from exc
         return self.lattice.q(v) > 0 and la.dot(self.base_covector, v) > 0
 
 
@@ -317,7 +328,10 @@ def rational_closure_member(pos, x):
     """
     if len(x) != pos.dim:
         raise DimensionMismatch("point dimension != lattice rank")
-    v = la.primitive_vector(x)
+    try:
+        v = la.primitive_vector(x)
+    except (AttributeError, TypeError) as exc:
+        raise InvalidInput(_NOT_RATIONAL) from exc
     if not any(v):
         return True
     if pos.lattice.q(v) < 0:

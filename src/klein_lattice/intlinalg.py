@@ -63,10 +63,13 @@ def is_zero_vector(v):
 
 
 def primitive_vector(v):
-    """Scale a rational vector to a primitive integer vector, same direction."""
+    """Scale a rational vector to a primitive integer vector, same direction.
+    An entry without a denominator (a float) raises AttributeError, the zero
+    vector included."""
+    dens = [x.denominator for x in v]
     if not any(v):
         return (0,) * len(v)
-    den = lcm(*[x.denominator for x in v])
+    den = lcm(*dens)
     w = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*w)
     return tuple([x // g for x in w])

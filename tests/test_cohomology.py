@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -21,6 +22,7 @@ from klein_lattice.cohomology import (
     dihedral,
     direct_product,
     enumerate_cocycles,
+    extension_subgroups,
     filtration_driver_finite,
     filtration_driver_split,
     finite_subgroup_classes_matrix,
@@ -828,6 +830,108 @@ def test_extension_subgroups_closes_each_generating_set_once(monkeypatch, dihedr
     closed.clear()
     assert len(s4.subgroups_up_to_conjugacy()) == 11
     assert closed and len(closed) - len(set(closed)) == 0
+
+
+def test_extension_subgroups_close_from_generators(monkeypatch, dihedral_group):
+    # each closure walks from the generators a subgroup was reached by plus
+    # one candidate, not from all of its elements: closing from every
+    # element took 47,810 and 51,300 products here
+    s4 = symmetric(4)
+    products = [0]
+    real = cohomology.subgroup_closure
+
+    def counting(gens, mul, *args):
+        def counted(x, y):
+            products[0] += 1
+            return mul(x, y)
+
+        return real(gens, counted, *args)
+
+    monkeypatch.setattr(cohomology, "subgroup_closure", counting)
+    assert len(finite_subgroup_classes_matrix(dihedral_group)[0]) == 3
+    assert 0 < products[0] <= 32_000
+    products[0] = 0
+    assert len(s4.subgroups_up_to_conjugacy()) == 11
+    assert 0 < products[0] <= 20_000
+
+
+# sha256 of the JSON of the sorted elements of each subgroup, in
+# all_subgroups() order, recorded when every closure started from all of
+# the subgroup's elements
+PINNED_SUBGROUPS = {
+    "S3": "baf6425cb23a1407d826534a606424fa1e054f8767cb1fd6ae97533c3758f963",
+    "D4": "d73dfaf5a0712c9abe3e5fa739f59e64419afa5437458b66a4b0147e039f07e5",
+    "Q8": "365708f3d9e329ad9c2e943f19b0880fd198cfaa19fcc370dc3234b7a5f0094e",
+    "S4": "776ab8a87ebe91e8a956dd1c38aca483fc4ea84f279aa7cc0f43b9797cb00cfe",
+    "D6": "577be2ff839811bee2f3913f444abd36d1a154acfbfb548334ce19e2916ce53d",
+    "Z2xS3": "cc348462578e3fca8f100005ca685ed293bd65836e63c8bba4b833c129baf462",
+    "Z2xZ4": "8329117a166ee62b9e3eef8f219e85536aa652e401ecf060f8351ec90008f28c",
+}
+
+PINNED_SUBGROUP_GROUPS = {
+    "S3": lambda: symmetric(3),
+    "D4": lambda: dihedral(4),
+    "Q8": quaternion8,
+    "S4": lambda: symmetric(4),
+    "D6": lambda: dihedral(6),
+    "Z2xS3": lambda: direct_product(cyclic(2), symmetric(3)),
+    "Z2xZ4": lambda: direct_product(cyclic(2), cyclic(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SUBGROUPS))
+def test_all_subgroups_are_pinned(name):
+    subgroups = [sorted(h) for h in PINNED_SUBGROUP_GROUPS[name]().all_subgroups()]
+    digest = hashlib.sha256(json.dumps(subgroups).encode()).hexdigest()
+    assert digest == PINNED_SUBGROUPS[name]
+
+
+def generating_tuple(h, mul, identity, rng):
+    """A tuple of elements of the finite subgroup h that generates it, each
+    one outside the span of those before it, in a random order."""
+    gens = ()
+    span = {identity}
+    for x in rng.sample(sorted(h), len(h)):
+        if x not in span:
+            gens += (x,)
+            span = subgroup_closure(gens, mul, identity)
+    assert span == h
+    return gens
+
+
+def assert_generators_close_as_elements(subgroups, candidates, mul, identity, seed, **limits):
+    rng = random.Random(seed)
+    outcomes = set()
+    for h in subgroups:
+        gens = generating_tuple(h, mul, identity, rng)
+        for t in candidates:
+            k = subgroup_closure(gens + (t,), mul, identity, **limits)
+            assert k == subgroup_closure(tuple(h | {t}), mul, identity, **limits)
+            outcomes.add(k is None)
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_generating_tuple_closes_to_the_same_subgroup(seed, dihedral_group):
+    # <gens(h), t> = <h, t>, and the walk gives up in the same cases
+    s4 = symmetric(4)
+    outcomes = assert_generators_close_as_elements(
+        s4.all_subgroups(), range(s4.order), s4.op, s4.identity, seed
+    )
+    assert outcomes == {False}
+    ident = la.identity_matrix(2)
+    torsion = [m for m, _ in torsion_elements(dihedral_group)]
+    subgroups = extension_subgroups(torsion, la.mat_mul, ident, bound=64)
+    outcomes = assert_generators_close_as_elements(
+        subgroups, torsion, la.mat_mul, ident, seed, bound=64
+    )
+    assert outcomes == {False, True}
+    allowed = frozenset([ident] + random.Random(seed).sample(torsion, len(torsion) // 2))
+    subgroups = extension_subgroups(torsion, la.mat_mul, ident, allowed=allowed)
+    outcomes = assert_generators_close_as_elements(
+        subgroups, torsion, la.mat_mul, ident, seed, allowed=allowed
+    )
+    assert outcomes == {False, True}
 
 
 def test_torsion_elements_respect_the_order_bound():

@@ -208,10 +208,27 @@ def test_no_rank_test_has_fewer_rows_than_its_target(monkeypatch):
     (cone_from_halfspaces, [(1.5, 1)]),
     (cone_from_rays, [(1, "1/2")]),
     (cone_from_halfspaces, [(1, 0), None]),
+    (cone_from_halfspaces, [(0.0, 0.0), (1, 0)]),
 ])
 def test_a_non_rational_entry_is_invalid_input(build, vectors):
     with pytest.raises(InvalidInput):
         build(2, vectors)
+
+
+@pytest.mark.parametrize("point", [(0.5, 1), (0.0, 0.0), (1, None), ("1", 2)])
+def test_membership_refuses_a_non_rational_point(pell_cone, point):
+    # the same InvalidInput as the builders, not an AttributeError from the
+    # primitive multiple, and the zero test does not let a float zero pass
+    quadrant = cone_from_halfspaces(2, [(1, 0), (0, 1)])
+    tests = (
+        quadrant.contains,
+        quadrant.contains_strictly,
+        pell_cone.contains_open,
+        lambda x: rational_closure_member(pell_cone, x),
+    )
+    for member in tests:
+        with pytest.raises(InvalidInput):
+            member(point)
 
 
 def test_round_trip_checks_the_input_equalities(monkeypatch):

@@ -256,6 +256,10 @@ def test_primitive_vector():
     assert la.primitive_vector((-2, 4)) == (-1, 2)
     assert la.primitive_vector((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert la.primitive_vector((0, 0)) == (0, 0)
+    # a float has no denominator, zero or not
+    for v in ((0.5, 1), (0.0, 0.0)):
+        with pytest.raises(AttributeError):
+            la.primitive_vector(v)
 
 
 # Reference formulas for the kernels: plain sums of products over zip, the

@@ -171,12 +171,25 @@ CONE_BUILDERS = ("cone_from_halfspaces", "cone_from_rays")
 
 def nodes_outside(source, match, definitions):
     """Lines of the nodes that `match` accepts outside the module-level
-    functions and classes named in `definitions`."""
+    functions and classes named in `definitions`, and the methods named
+    there as Class.method."""
     tree = ast.parse(source)
+    named = [
+        (node, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    named += [
+        (item, f"{node.name}.{item.name}")
+        for node, _ in named
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    ]
     allowed = [
         range(node.lineno, node.end_lineno + 1)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in definitions
+        for node, name in named
+        if name in definitions
     ]
     return sorted(
         node.lineno
@@ -187,7 +200,7 @@ def nodes_outside(source, match, definitions):
 
 def calls_outside(source, callee, functions):
     """Lines of calls to `callee`, bare or dotted, outside the module-level
-    functions named in `functions`."""
+    functions and the Class.method methods named in `functions`."""
     return nodes_outside(
         source, lambda n: isinstance(n, ast.Call) and name_of(n.func) == callee, functions
     )
@@ -243,6 +256,41 @@ def test_translates_meet_cones_by_one_pull_back():
         for p in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the subgroup engine of cohomology: every closure walk and every cyclic
+# extension runs in these functions and methods, so none bypasses the
+# closure from generators
+ENGINE_CALLERS = {
+    "subgroup_closure": {
+        "cohomology.py": (
+            "_orbit_partition", "extension_subgroups", "FiniteGroup.closure", "permutation_group",
+        ),
+    },
+    "extension_subgroups": {
+        "cohomology.py": ("FiniteGroup.all_subgroups", "finite_subgroup_classes_matrix"),
+        "hodge.py": ("classify_finite_subgroups_on_cone",),
+    },
+}
+
+
+def test_calls_outside_detects_a_closure_outside_the_named_method():
+    source = (
+        "class FiniteGroup:\n    def closure(self, s):\n        return subgroup_closure(s)\n\n"
+        "    def span(self, s):\n        return subgroup_closure(s)\n"
+    )
+    assert calls_outside(source, "subgroup_closure", ("FiniteGroup.closure",)) == [6]
+    assert calls_outside(source, "subgroup_closure", ("FiniteGroup",)) == []
+    assert calls_outside(source, "subgroup_closure", ()) == [3, 6]
+
+
+def test_only_the_engine_closes_subgroups():
+    found = {
+        (callee, p.name): calls_outside(p.read_text(), callee, callers.get(p.name, ()))
+        for callee, callers in ENGINE_CALLERS.items()
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {key: lines for key, lines in found.items() if lines} == {}
 
 
 # the JSON number codecs; the CLI writes a report with one json.dumps whose
