@@ -26,9 +26,7 @@ from .errors import (
     UnsupportedRank,
 )
 from .frozen import Frozen, replace
-from .lattice import signature
-
-_NOT_RATIONAL = "cone vectors must have rational entries"
+from .lattice import rational_point, signature
 
 
 # --- double description ----------------------------------------------------
@@ -158,12 +156,7 @@ class PolyhedralCone(Frozen):
         """Membership of a rational point, decided on its primitive integer
         multiple: the signs of h.x and e.x are those of h.v and e.v for
         v = lambda x, lambda > 0."""
-        if len(x) != self.ambient_dim:
-            raise DimensionMismatch("point dimension mismatch")
-        try:
-            v = la.primitive_vector(x)
-        except (AttributeError, TypeError) as exc:
-            raise InvalidInput(_NOT_RATIONAL) from exc
+        v = rational_point(x, self.ambient_dim, "point")
         return all(la.dot(h, v) >= 0 for h in self.halfspaces) and all(
             la.dot(e, v) == 0 for e in self.equalities
         )
@@ -171,12 +164,7 @@ class PolyhedralCone(Frozen):
     def contains_strictly(self, x):
         """Interior membership; meaningful for full-dimensional cones.
         Decided on the primitive integer multiple of x, as contains is."""
-        if len(x) != self.ambient_dim:
-            raise DimensionMismatch("point dimension mismatch")
-        try:
-            v = la.primitive_vector(x)
-        except (AttributeError, TypeError) as exc:
-            raise InvalidInput(_NOT_RATIONAL) from exc
+        v = rational_point(x, self.ambient_dim, "point")
         return all(la.dot(h, v) > 0 for h in self.halfspaces) and all(
             la.dot(e, v) == 0 for e in self.equalities
         )
@@ -214,14 +202,8 @@ def _double_description(dim, halfspaces, equalities):
     cone that the halfspaces and equalities generate as rays and lines."""
     if dim <= 0:
         raise EmptyInput("ambient dimension must be positive")
-    try:
-        hs = tuple(la.primitive_vector(h) for h in halfspaces)
-        eqs = tuple(la.primitive_vector(e) for e in equalities)
-    except (AttributeError, TypeError) as exc:
-        raise InvalidInput(_NOT_RATIONAL) from exc
-    for v in hs + eqs:
-        if len(v) != dim:
-            raise DimensionMismatch("vector dimension mismatch")
+    hs = tuple(rational_point(h, dim, "cone vector") for h in halfspaces)
+    eqs = tuple(rational_point(e, dim, "cone vector") for e in equalities)
     rays, lines = dd_rays(dim, hs, eqs)
     facets, normals = dd_rays(dim, rays, lines)
     gens = rays + lines + tuple(tuple(-x for x in l) for l in lines)
@@ -292,12 +274,9 @@ class PositiveCone(Frozen):
         n = self.lattice.rank
         if signature(self.lattice).as_tuple() != (1, 0, n - 1):
             raise NotHyperbolic("positive cone needs signature (1, 0, n-1)")
-        base = tuple(Fraction(x) for x in self.component_base)
-        if len(base) != n:
-            raise DimensionMismatch("component base length != lattice rank")
-        object.__setattr__(self, "component_base", base)
-        if self.lattice.q(base) <= 0:
+        if self.lattice.q(rational_point(self.component_base, n, "component base")) <= 0:
             raise NonPositiveVector("component base must have q > 0")
+        object.__setattr__(self, "component_base", tuple(map(Fraction, self.component_base)))
 
     @property
     def dim(self):
@@ -311,10 +290,7 @@ class PositiveCone(Frozen):
         return self.lattice.covector(self.component_base)
 
     def contains_open(self, x):
-        try:
-            v = la.primitive_vector(x)
-        except (AttributeError, TypeError) as exc:
-            raise InvalidInput(_NOT_RATIONAL) from exc
+        v = rational_point(x, self.dim, "point")
         return self.lattice.q(v) > 0 and la.dot(self.base_covector, v) > 0
 
 
@@ -326,12 +302,7 @@ def rational_closure_member(pos, x):
     rational input in the first place.  Decided on the primitive integer
     multiple of x, as PositiveCone.contains_open is.
     """
-    if len(x) != pos.dim:
-        raise DimensionMismatch("point dimension != lattice rank")
-    try:
-        v = la.primitive_vector(x)
-    except (AttributeError, TypeError) as exc:
-        raise InvalidInput(_NOT_RATIONAL) from exc
+    v = rational_point(x, pos.dim, "point")
     if not any(v):
         return True
     if pos.lattice.q(v) < 0:
@@ -464,8 +435,7 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
     interior to every such cone, so each is full-dimensional, its facets are
     unique, and it is the cone that all halfspaces up to depth d cut out.
     """
-    if len(xi) != pos.dim:
-        raise DimensionMismatch("xi length != lattice rank")
+    x = rational_point(xi, pos.dim, "xi")
     if pos.lattice.gram != gamma.lattice.gram:
         raise InvalidInput("positive cone and group live on different lattices")
     if word_bound is None:
@@ -476,17 +446,16 @@ def dirichlet_domain(gamma, pos, xi, word_bound=None):
         raise UnsupportedRank("domain construction is limited to rank <= 4")
     from .isometry import stabilizer
 
-    xiv = tuple(Fraction(c) for c in xi)
-    if not pos.contains_open(xiv):
+    if not pos.contains_open(x):
         raise NonPositiveVector("xi must lie in the open cone C")
-    st = stabilizer(gamma, xiv)
+    st = stabilizer(gamma, x)
     if not st.is_certified():
         raise NontrivialStabilizer("could not certify that the stabilizer is trivial")
     if len(st.members) != 1:
         raise NontrivialStabilizer("base point has a nontrivial stabilizer")
     n = pos.dim
     lat = pos.lattice
-    x = la.primitive_vector(xiv)
+    xiv = tuple(map(Fraction, xi))
     # the stabilizer of x is trivial, so distinct words of positive length
     # send x to distinct points other than x
     depth_halfspaces = []  # the covectors of the points first reached at depth d
@@ -529,8 +498,9 @@ def reduce_into_domain(cert, x):
     """Move x into the domain by greedily decreasing <xi, .> over the
     recorded orbit moves.  Returns (point, matrix, steps), matrix * x = point.
 
-    A point off the closure of C (q < 0 or <xi, .> <= 0) is refused before
-    the domain is tested; 0 lies in D.  A move must lower <xi, .> and keep
+    A point outside C+ (rational_closure_member) is refused before the
+    domain is tested; 0 lies in D.  This is the test q >= 0 and <xi, .> > 0
+    on a nonzero point, as xi lies in C.  A move must lower <xi, .> and keep
     it positive; for x in the closure of C outside D, the inverse of the
     orbit element of a violated halfspace is one, as the group preserves C.
     Moves are ranked, once x is found outside D, by xi's integer covector c
@@ -539,13 +509,12 @@ def reduce_into_domain(cert, x):
     <c, .> lies in (1/D)*Z (the moves are integral), so at most D*<c, x>
     moves are taken before x is in D or no move qualifies (ReductionFailure).
     """
+    if not rational_closure_member(cert.positive_cone, x):
+        raise ReductionFailure("point outside the closed positive cone: no reduction")
     lat = cert.positive_cone.lattice
     cov = lat.covector(cert.xi)
-    current = tuple(Fraction(c) for c in x)
+    current = tuple(map(Fraction, x))
     val = la.dot(cov, current)
-    # the sign of q, read off a positive integer multiple
-    if any(current) and (val <= 0 or lat.q(la.primitive_vector(current)) < 0):
-        raise ReductionFailure("point outside the closed positive cone: no reduction")
     word_matrix = la.identity_matrix(lat.rank)
     for step in count():
         if cert.domain.contains(current):

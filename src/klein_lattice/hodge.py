@@ -45,6 +45,7 @@ from .lattice import (
     discriminant_group,
     integer_rows,
     orthogonal_complement,
+    rational_point,
     signature,
 )
 
@@ -64,12 +65,12 @@ class HodgeLattice(Frozen):
         n = self.lattice.rank
         if signature(self.lattice).as_tuple() != (3, 0, n - 3):
             raise InvalidInput("lattice must have signature (3, rank-3)")
-        x = tuple(Fraction(c) for c in self.period_re)
-        y = tuple(Fraction(c) for c in self.period_im)
+        rational_point(self.period_re, n, "period")
+        rational_point(self.period_im, n, "period")
+        x = tuple(map(Fraction, self.period_re))
+        y = tuple(map(Fraction, self.period_im))
         object.__setattr__(self, "period_re", x)
         object.__setattr__(self, "period_im", y)
-        if len(x) != n or len(y) != n:
-            raise DimensionMismatch("period vectors must match the rank")
         qx = self.lattice.pairing(x, x)
         qy = self.lattice.pairing(y, y)
         if qx != qy or self.lattice.pairing(x, y) != 0 or qx <= 0:
@@ -373,8 +374,8 @@ def hilbert_square_extension(h, n, sigma_star):
     lattice is unimodular), plus an anti-invariant class of positive square
     built as (w - delta/k) with sigma*(w) = -w.
     """
-    if n < 2:
-        raise InvalidInput("need n >= 2")
+    if getattr(n, "denominator", None) != 1 or n < 2:
+        raise InvalidInput("need an integer n >= 2")
     lat = h.lattice
     m = sigma_star.matrix
     if not is_isometry(lat, m):
@@ -518,9 +519,9 @@ def prop_key_reduction(group_elements, cert, y):
         for b in mats:
             if la.mat_mul(a, b) not in matset:
                 raise InvalidInput("input is not closed under composition")
-    yv = tuple(Fraction(c) for c in y)
-    if not pos.contains_open(yv):
+    if not pos.contains_open(y):
         raise InvalidInput("base point must lie in the open cone")
+    yv = tuple(map(Fraction, y))
     images = [la.mat_vec(mt, yv) for mt in mats]
     if images:
         x = la.mat_vec(la.transpose(images), (1,) * len(images))

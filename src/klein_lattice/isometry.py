@@ -26,6 +26,7 @@ from .lattice import (
     Sublattice,
     integer_rows,
     orthogonal_complement,
+    rational_point,
     signature,
 )
 
@@ -146,12 +147,10 @@ def _pos_def_data(gram):
 
 def vectors_of_norm(gram, m):
     """All integer vectors v with v^T gram v = m, for positive definite gram."""
-    n = len(gram)
+    d, c = _pos_def_data(gram)
     if m < 0:
         return []
-    if m == 0:
-        return [tuple(0 for _ in range(n))]
-    d, c = _pos_def_data(gram)
+    n = len(gram)
     out = []
     x = [0] * n
 
@@ -424,11 +423,10 @@ class GeneratedGroup(Frozen):
             if g.lattice.gram != self.lattice.gram:
                 raise DimensionMismatch("generator on a different lattice")
         base = self.component_base
-        if base is None and self.full_orthogonal_plus:
-            raise InvalidInput("full_orthogonal_plus needs a component base")
-        if base is not None and len(base) != self.lattice.rank:
-            raise DimensionMismatch("component base length != lattice rank")
-        if base is not None and self.lattice.q(base) <= 0:
+        if base is None:
+            if self.full_orthogonal_plus:
+                raise InvalidInput("full_orthogonal_plus needs a component base")
+        elif self.lattice.q(rational_point(base, self.lattice.rank, "component base")) <= 0:
             raise NonPositiveVector("component base must have q > 0")
 
     def generator_elements(self):
@@ -561,10 +559,9 @@ def stabilizer(gamma, x, tester=None):
     n = lat.rank
     if signature(lat).as_tuple() != (1, 0, n - 1):
         raise NotHyperbolic("stabilizer needs a hyperbolic ambient lattice")
-    xv = tuple(Fraction(c) for c in x)
-    if lat.q(xv) <= 0:
+    xprim = rational_point(x, n, "x")
+    if lat.q(xprim) <= 0:
         raise NonPositiveVector("q(x) must be positive")
-    xprim = la.primitive_vector(xv)
     comp = orthogonal_complement(lat, Sublattice(lat, (xprim,))).basis
     comp_lat = IntegerLattice(lat.gram_of(comp))
     phis = isometry_group_definite(comp_lat)

@@ -27,6 +27,20 @@ def integer_rows(rows, what):
     return tuple(out)
 
 
+def rational_point(v, n, what):
+    """The primitive integer multiple of the rational point v of length n.
+    A wrong length is DimensionMismatch; a v that is not a sequence, or an
+    entry without an exact numerator and denominator (a float, a string,
+    None), is InvalidInput.  The entries are not scanned: primitive_vector
+    reads their denominators, and a non-rational entry fails there."""
+    try:
+        if len(v) != n:
+            raise DimensionMismatch(f"{what} length != {n}")
+        return la.primitive_vector(v)
+    except (AttributeError, TypeError) as exc:
+        raise InvalidInput(f"{what} entries must be ints or Fractions") from exc
+
+
 class IntegerLattice(Frozen):
     """Finite-rank free abelian group with an integer symmetric bilinear form.
 

@@ -39,6 +39,7 @@ from klein_lattice.errors import (
     NontrivialStabilizer,
     ReductionFailure,
 )
+from klein_lattice.hodge import HodgeLattice, prop_key_reduction
 from klein_lattice.isometry import GeneratedGroup, Isometry, stabilizer
 from klein_lattice.lattice import IntegerLattice, U
 
@@ -215,20 +216,74 @@ def test_a_non_rational_entry_is_invalid_input(build, vectors):
         build(2, vectors)
 
 
-@pytest.mark.parametrize("point", [(0.5, 1), (0.0, 0.0), (1, None), ("1", 2)])
-def test_membership_refuses_a_non_rational_point(pell_cone, point):
-    # the same InvalidInput as the builders, not an AttributeError from the
-    # primitive multiple, and the zero test does not let a float zero pass
+@pytest.fixture(scope="module")
+def point_readers(pell_lattice, pell_cone, pell_group, pell_cert):
+    """Every library entry point that takes a rational point, as (length,
+    call); each reads the point through lattice.rational_point."""
     quadrant = cone_from_halfspaces(2, [(1, 0), (0, 1)])
-    tests = (
-        quadrant.contains,
-        quadrant.contains_strictly,
-        pell_cone.contains_open,
-        lambda x: rational_closure_member(pell_cone, x),
+    euclidean = IntegerLattice(la.identity_matrix(3))
+    return (
+        (2, quadrant.contains),
+        (2, quadrant.contains_strictly),
+        (2, pell_cone.contains_open),
+        (2, lambda x: rational_closure_member(pell_cone, x)),
+        (2, lambda x: cone_from_rays(2, [x])),
+        (2, lambda x: PositiveCone(pell_lattice, x)),
+        (2, lambda x: dirichlet_domain(pell_group, pell_cone, x)),
+        (2, lambda x: reduce_into_domain(pell_cert, x)),
+        (2, lambda x: GeneratedGroup(pell_lattice, (), component_base=x)),
+        (2, lambda x: stabilizer(pell_group, x)),
+        (3, lambda x: HodgeLattice(euclidean, x, (0, 1, 0))),
+        (3, lambda x: HodgeLattice(euclidean, (1, 0, 0), x)),
+        (2, lambda x: prop_key_reduction((), pell_cert, x)),
     )
-    for member in tests:
+
+
+@pytest.mark.parametrize("point", [(0.5, 1), (0.0, 0.0), (1, None), ("1", 2)])
+def test_membership_refuses_a_non_rational_point(point_readers, point):
+    # the same InvalidInput at every entry point: no AttributeError or
+    # TypeError, no float stored or computed with, no string parsed, and a
+    # float zero does not pass as the zero vector
+    for n, read in point_readers:
         with pytest.raises(InvalidInput):
-            member(point)
+            read(point + (0,) * (n - 2))
+
+
+@pytest.mark.parametrize("point", [5, Fraction(1, 2)])
+def test_every_point_reader_refuses_a_non_sequence(point_readers, point):
+    for _, read in point_readers:
+        with pytest.raises(InvalidInput):
+            read(point)
+
+
+def test_every_point_reader_refuses_a_wrong_length(point_readers):
+    # reduce_into_domain included: a wrong length is not a failed reduction
+    for n, read in point_readers:
+        with pytest.raises(DimensionMismatch):
+            read((-1, 0, 5) + (0,) * (n - 2))
+
+
+def test_a_valid_point_keeps_its_value_and_type(pell_lattice, pell_group, pell_cone, pell_cert):
+    # the Fraction sites store Fractions and GeneratedGroup the given values,
+    # so equality, hash, repr and JSON see the same points as before
+    def fractions(v):
+        assert {type(c) for c in v} == {Fraction}
+        return v
+
+    euclidean = IntegerLattice(la.identity_matrix(3))
+    for p in ((3, 1), (Fraction(3, 2), Fraction(1, 2))):
+        assert fractions(PositiveCone(pell_lattice, p).component_base) == p
+        assert GeneratedGroup(pell_lattice, (), component_base=p).component_base is p
+        fractions(reduce_into_domain(pell_cert, p)[0])
+        key = prop_key_reduction((la.identity_matrix(2),), pell_cert, p)[2]
+        assert fractions(key["fixed_point"]) == p
+    assert fractions(pell_cert.xi) == (1, 0)
+    xi = (Fraction(1, 2), 0)
+    assert fractions(dirichlet_domain(pell_group, pell_cone, xi, 4).xi) == xi
+    assert fractions(reduce_into_domain(pell_cert, (1, 0))[0]) == (1, 0)
+    h = HodgeLattice(euclidean, (1, 0, 0), (0, Fraction(1), 0))
+    assert fractions(h.period_re) == (1, 0, 0)
+    assert fractions(h.period_im) == (0, 1, 0)
 
 
 def test_round_trip_checks_the_input_equalities(monkeypatch):

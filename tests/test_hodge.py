@@ -354,6 +354,13 @@ def test_hilbert_extension_takes_the_least_k_in_closed_form():
     assert report["all_pass"]
 
 
+@pytest.mark.parametrize("n", [1, 2.5, 3.0, "3"])
+def test_hilbert_extension_rejects_a_bad_n(n):
+    h, sigma = config_u3()
+    with pytest.raises(InvalidInput):
+        hilbert_square_extension(h, n, Isometry(h.lattice, sigma))
+
+
 def test_hilbert_extension_rejects_bad_sigma():
     h, sigma = config_u3()
     with pytest.raises(InvalidInput):

@@ -102,9 +102,11 @@ def test_definite_group_counting_route():
 def test_not_definite():
     with pytest.raises(NotDefinite):
         isometry_group_definite(U())
+    # a norm m <= 0 is no exception: (0, 1) has norm -1 on diag(1, -1)
     for gram in (((1, 0), (0, -1)), ((2, 3), (3, 2)), ((1, 1), (1, 1)), ((2, 0), (0, 0))):
-        with pytest.raises(NotDefinite):
-            vectors_of_norm(gram, 2)
+        for m in (2, 0, -1):
+            with pytest.raises(NotDefinite):
+                vectors_of_norm(gram, m)
 
 
 # each group's order and the sha256 of repr() of its sorted matrix list: a fixed
@@ -153,7 +155,7 @@ def test_vectors_of_norm_match_a_box_search():
             ))
             for i in range(n)
         ]
-        for m in range(1, 7):
+        for m in range(7):
             # x_i^2 <= m (gram^-1)_ii = m * minor_ii / det bounds every coordinate
             radius = max(isqrt(m * minor // det) for minor in minors)
             box = range(-radius, radius + 1)

@@ -151,6 +151,38 @@ def test_only_the_lattice_evaluates_the_form():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def handlers_of(source, exc):
+    """Lines of the except clauses that name the exception `exc`, alone or
+    in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(name_of(n) == exc for n in names):
+                found.append(node.lineno)
+    return found
+
+
+def test_handlers_of_detects_a_caught_attribute_error():
+    source = (
+        "try:\n    v = primitive_vector(x)\nexcept (AttributeError, TypeError):\n    pass\n"
+        "try:\n    f()\nexcept builtins.AttributeError as exc:\n    raise\n"
+        "try:\n    g()\nexcept (KeyError, TypeError):\n    pass\n"
+        "try:\n    g()\nexcept:\n    raise\n"
+    )
+    assert handlers_of(source, "AttributeError") == [3, 7]
+
+
+def test_only_the_point_reader_catches_attribute_error():
+    # lattice.rational_point reads every rational point the library is
+    # handed; an entry point that catches AttributeError reads one itself
+    found = {
+        p.name: handlers_of(p.read_text(), "AttributeError") for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("lattice.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_calls_outside_detects_a_pairing_in_the_cone_layer():
     source = (
         "def rank(lat, xi, moves, x):\n"
